@@ -30,7 +30,6 @@ from cuberow.errors import (
     RowSizeError,
     TooManyWiresError,
 )
-from cuberow.kernels import BACKEND as kernel_backend
 from cuberow.netlist import (
     Netlist,
     Placement,

@@ -52,12 +52,19 @@ def _parse_row(n: int, cap: int) -> HypercubeRow:
     return HypercubeRow(n)
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_output(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w") as handle:
-            handle.write(text)
+        _write_file(out_path, text)
 
 
 def _json_text(obj) -> str:
@@ -180,11 +187,9 @@ def cmd_route(args) -> int:
     net, intervals, assignment = _route(row, placement, mode)
 
     if args.emit_netlist:
-        with open(args.emit_netlist, "w") as handle:
-            handle.write(netlist.dump_netlist(net))
+        _write_file(args.emit_netlist, netlist.dump_netlist(net))
     if args.emit_assignment:
-        with open(args.emit_assignment, "w") as handle:
-            handle.write(routing.dump_assignment(intervals, assignment))
+        _write_file(args.emit_assignment, routing.dump_assignment(intervals, assignment))
 
     spec = RenderSpec(
         cell_width=args.cell_width,

@@ -38,6 +38,8 @@ class HypercubeRow:
     n: int
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise RowSizeError(f"node count must be an integer, got {self.n!r}")
         if self.n < 1:
             raise RowSizeError(f"node count must be positive, got {self.n}")
         if self.n & (self.n - 1):
@@ -82,9 +84,7 @@ class BitView:
         """
         if not 0 <= position <= self.width:
             raise ValueError(f"position {position} outside 0..{self.width}")
-        span = self.width - position
-        ones = bin(self.value >> position).count("1")
-        return 2 * ones - span
+        return kernels._excess_above(self.value, self.width, position)
 
     @property
     def trailing_zeros(self) -> int:
@@ -127,7 +127,7 @@ def cut_density(row: HypercubeRow, cut: int) -> int:
 
 
 def cut_density_profile(row: HypercubeRow) -> list[int]:
-    """Formula-evaluated density at every cut 0..n (kernel-backed batch)."""
+    """Density at every cut 0..n, by the column-degree recurrence (batch kernel)."""
     return kernels.density_profile(row.n)
 
 
@@ -158,16 +158,7 @@ def cut_density_bitsum(row: HypercubeRow, cut: int) -> int:
     """
     if not 0 < cut < row.n:
         raise InvalidCutError(f"cut {cut} outside the open range 0..{row.n}")
-    width = row.dims
-    view = BitView(cut, width)
-    # Scaled by 4 to stay in integers; the total is always divisible by 4.
-    acc = 2 * (view.excess_above(0) + row.n - 1)
-    for pos in range(1, width):
-        signed = 1 - 2 * view.bit(pos)
-        acc += (1 << pos) * signed * view.excess_above(pos)
-    q, r = divmod(acc, 4)
-    assert r == 0, f"bit-decomposition sum not divisible by 4 at cut {cut}"
-    return q
+    return kernels._bitsum(cut, row.dims)
 
 
 def cut_density_bitsum_profile(row: HypercubeRow) -> list[int]:

@@ -1,37 +1,60 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""Batch kernels: the inner loops behind the package's exhaustive sweeps.
 
-Set ``CUBEROW_NO_EXT=1`` in the environment to force the pure-Python kernels
-even when the extension is built (useful for benchmarking and debugging).
+Pure Python, one home per formula.  :mod:`cuberow.density` and
+:mod:`cuberow.oracle` wrap these with validation, so inputs are assumed
+valid here: every ``n`` is a power of two.
 """
 
 from __future__ import annotations
 
-import os
-
-from cuberow import _pykernels
-
-if os.environ.get("CUBEROW_NO_EXT") == "1":
-    _active = _pykernels
-else:
-    try:
-        from cuberow import _speedups as _active  # type: ignore[no-redef]
-    except ImportError:
-        _active = _pykernels
-
-BACKEND: str = _active.BACKEND_NAME
-
-accumulate_spans = _active.accumulate_spans
-density_profile = _active.density_profile
-bitsum_profile = _active.bitsum_profile
+from itertools import accumulate
 
 
-def available_backends() -> dict:
-    """Name -> module for every importable kernel backend."""
-    backends = {_pykernels.BACKEND_NAME: _pykernels}
-    try:
-        from cuberow import _speedups
+def accumulate_spans(num_cuts: int, lows: list[int], highs: list[int]) -> list[int]:
+    """Coverage count at each cut index for inclusive ranges [low, high].
 
-        backends[_speedups.BACKEND_NAME] = _speedups
-    except ImportError:
-        pass
-    return backends
+    Difference array: every range adds 1 at its low end and removes it just
+    past its high end, then a prefix sum recovers the per-cut totals.
+    Requires 0 <= low <= high < num_cuts for every range.
+    """
+    diff = [0] * (num_cuts + 1)
+    for low, high in zip(lows, highs):
+        diff[low] += 1
+        diff[high + 1] -= 1
+    diff.pop()
+    return list(accumulate(diff))
+
+
+def density_profile(n: int) -> list[int]:
+    """Crossing count at every intercolumn cut 0..n of an n-node row.
+
+    Column ``i`` sends ``dims - popcount(i)`` wires to the right and receives
+    ``popcount(i)`` from the left, so ``S(i+1) = S(i) + dims - 2*popcount(i)``
+    starting from ``S(0) = 0``.
+    """
+    dims = n.bit_length() - 1
+    return list(accumulate((dims - 2 * i.bit_count() for i in range(n)), initial=0))
+
+
+def bitsum_profile(n: int) -> list[int]:
+    """Interior-cut densities via the bit-decomposition form, 0 at both ends."""
+    dims = n.bit_length() - 1
+    return [0, *(_bitsum(cut, dims) for cut in range(1, n)), 0]
+
+
+def _excess_above(value: int, width: int, position: int) -> int:
+    # Ones minus zeros among the bits of a width-bit value above position.
+    return 2 * (value >> position).bit_count() - (width - position)
+
+
+def _bitsum(cut: int, width: int) -> int:
+    # Density at interior cut 0 < cut < 2**width from the cut's bits and
+    # their suffix excesses.  Scaled by 4 to stay in integers; the total is
+    # always divisible by 4.
+    acc = 2 * (_excess_above(cut, width, 0) + (1 << width) - 1)
+    for pos in range(1, width):
+        signed = 1 - 2 * ((cut >> (pos - 1)) & 1)
+        acc += (1 << pos) * signed * _excess_above(cut, width, pos)
+    q, r = divmod(acc, 4)
+    assert r == 0, f"bit-decomposition sum not divisible by 4 at cut {cut}"
+    return q

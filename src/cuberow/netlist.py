@@ -17,13 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from cuberow.density import BitView, HypercubeRow, cut_density
+from cuberow.density import HypercubeRow, cut_density
 from cuberow.errors import (
     DegenerateRowError,
     InvalidCutError,
     LayoutError,
     NetlistFormatError,
 )
+from cuberow.kernels import _excess_above
 
 
 class Placement(str, Enum):
@@ -164,25 +165,20 @@ def terminal_cut_density(row: HypercubeRow, cut: int, slot: int) -> int:
         raise InvalidCutError(f"cut {cut} outside 1..{row.n}")
     if not 1 <= slot <= row.dims:
         raise InvalidCutError(f"terminal slot {slot} outside 1..{row.dims}")
-    return cut_density(row, cut) + BitView(cut - 1, row.dims).excess_above(slot)
+    return cut_density(row, cut) + _excess_above(cut - 1, row.dims, slot)
 
 
 def terminal_cut_densities(row: HypercubeRow, cut: int) -> list[int]:
     """Slot-cut densities at one cut for every slot 1..dims, in order.
 
     Same quantity as :func:`terminal_cut_density`, amortized: the base
-    density is computed once and the per-slot excesses come from a single
-    right-to-left pass over the bits of ``cut - 1``.
+    density is computed once for all slots.
     """
     if not 1 <= cut <= row.n:
         raise InvalidCutError(f"cut {cut} outside 1..{row.n}")
-    dims = row.dims
     base = cut_density(row, cut)
-    node = cut - 1
-    excess = [0] * (dims + 1)
-    for pos in range(dims, 0, -1):
-        excess[pos - 1] = excess[pos] + (1 if (node >> (pos - 1)) & 1 else -1)
-    return [base + excess[slot] for slot in range(1, dims + 1)]
+    node, dims = cut - 1, row.dims
+    return [base + _excess_above(node, dims, slot) for slot in range(1, dims + 1)]
 
 
 def max_terminal_cut_density(row: HypercubeRow) -> tuple[int, list[tuple[int, int]]]:

@@ -59,7 +59,7 @@ def check_closed_forms(max_n: int) -> CheckOutcome:
                     f"n={n} cut={cut}: bit form {bitsum[cut]} vs oracle {brute[cut]}",
                 )
             checked += 2
-        # Scalar entry points agree with the batch kernels on a spot basis.
+        # Scalar entry points agree with the batch profile on a spot basis.
         for cut in {0, 1, n // 3, n // 2, n - 1, n}:
             if density.cut_density(row, cut) != summed[cut]:
                 return CheckOutcome(

@@ -7,7 +7,7 @@ try:
     import cuberow  # noqa: F401
 except ImportError:
     # Allow running the suite from a fresh checkout without installing; the
-    # kernel dispatcher falls back to pure Python when the extension is absent.
+    # package is pure Python, so the source tree imports as is.
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 _ACCEPTANCE_RESULTS: dict[str, tuple[bool, int]] = {}

@@ -251,6 +251,23 @@ class TestCheckCommand:
         assert "FAIL" in out and "injected failure" in out
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("density", "--n", "8", "--out"),
+            ("route", "--n", "8", "--emit-netlist"),
+            ("route", "--n", "8", "--emit-assignment"),
+        ],
+    )
+    def test_missing_directory_is_a_usage_error(self, tmp_path, argv):
+        target = tmp_path / "missing" / "out.txt"
+        code, _, err = run_cli(*argv, str(target))
+        assert code == EXIT_USAGE
+        assert err.startswith(f"cuberow: error: cannot write {target}")
+        assert "internal error" not in err
+
+
 class TestInternalErrorPath:
     def test_verification_failure_exits_3(self, monkeypatch):
         from cuberow import cli

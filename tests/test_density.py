@@ -41,6 +41,11 @@ class TestHypercubeRow:
         with pytest.raises(RowSizeError):
             HypercubeRow(bad)
 
+    @pytest.mark.parametrize("bad", [True, 2.0, "8"])
+    def test_rejects_non_integers(self, bad):
+        with pytest.raises(RowSizeError):
+            HypercubeRow(bad)
+
 
 class TestBitView:
     def test_bits(self):
@@ -212,13 +217,13 @@ class TestBitsumForm:
 
 
 class TestBatchProfiles:
-    @pytest.mark.parametrize("d", range(0, 11))
+    @pytest.mark.parametrize("d", range(0, 13))
     def test_profile_matches_scalar(self, d):
         row = HypercubeRow(2**d)
         profile = cut_density_profile(row)
         assert profile == [cut_density(row, i) for i in range(row.n + 1)]
 
-    @pytest.mark.parametrize("d", range(1, 11))
+    @pytest.mark.parametrize("d", range(1, 13))
     def test_bitsum_profile_interior(self, d):
         row = HypercubeRow(2**d)
         profile = cut_density_bitsum_profile(row)

@@ -1,69 +1,29 @@
-"""The compiled kernels must agree bit for bit with the pure-Python ones."""
+"""The batch kernels on small inputs and against each other."""
 
-import random
-
-import pytest
-
-from cuberow import _pykernels, kernels
-
-try:
-    from cuberow import _speedups
-except ImportError:
-    _speedups = None
-
-needs_ext = pytest.mark.skipif(_speedups is None, reason="compiled kernels not built")
-
-
-def test_backend_is_declared():
-    assert kernels.BACKEND in ("compiled", "pure-python")
-    assert "pure-python" in kernels.available_backends()
+from cuberow import kernels
 
 
 class TestAccumulateSpans:
     def test_empty(self):
-        assert _pykernels.accumulate_spans(4, [], []) == [0, 0, 0, 0]
+        assert kernels.accumulate_spans(4, [], []) == [0, 0, 0, 0]
 
     def test_single_span(self):
-        assert _pykernels.accumulate_spans(5, [1], [3]) == [0, 1, 1, 1, 0]
+        assert kernels.accumulate_spans(5, [1], [3]) == [0, 1, 1, 1, 0]
 
     def test_stacked_spans(self):
         lows, highs = [0, 0, 2], [4, 1, 2]
-        assert _pykernels.accumulate_spans(5, lows, highs) == [2, 2, 2, 1, 1]
-
-    @needs_ext
-    def test_backends_agree_on_random_inputs(self):
-        rng = random.Random(11)
-        for _ in range(25):
-            num_cuts = rng.randint(1, 400)
-            lows, highs = [], []
-            for _ in range(rng.randint(0, 300)):
-                lo = rng.randrange(num_cuts)
-                lows.append(lo)
-                highs.append(rng.randint(lo, num_cuts - 1))
-            assert _speedups.accumulate_spans(num_cuts, lows, highs) == (
-                _pykernels.accumulate_spans(num_cuts, lows, highs)
-            )
+        assert kernels.accumulate_spans(5, lows, highs) == [2, 2, 2, 1, 1]
 
 
 class TestProfiles:
-    @needs_ext
-    @pytest.mark.parametrize("d", range(0, 13))
-    def test_density_profile_agrees(self, d):
-        assert _speedups.density_profile(2**d) == _pykernels.density_profile(2**d)
-
-    @needs_ext
-    @pytest.mark.parametrize("d", range(0, 13))
-    def test_bitsum_profile_agrees(self, d):
-        assert _speedups.bitsum_profile(2**d) == _pykernels.bitsum_profile(2**d)
-
     def test_pure_profile_small_values(self):
-        assert _pykernels.density_profile(4) == [0, 2, 2, 2, 0]
-        assert _pykernels.bitsum_profile(4) == [0, 2, 2, 2, 0]
-        assert _pykernels.density_profile(1) == [0, 0]
+        assert kernels.density_profile(4) == [0, 2, 2, 2, 0]
+        assert kernels.bitsum_profile(4) == [0, 2, 2, 2, 0]
+        assert kernels.density_profile(1) == [0, 0]
 
     def test_profiles_cross_agree(self):
         for d in range(1, 12):
             n = 2**d
-            summed = _pykernels.density_profile(n)
-            bitsum = _pykernels.bitsum_profile(n)
+            summed = kernels.density_profile(n)
+            bitsum = kernels.bitsum_profile(n)
             assert summed[1:n] == bitsum[1:n]

@@ -9,8 +9,10 @@ invariant check failed, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from itertools import repeat
 
 from cuberow import density, netlist, oracle, routing, selfcheck
 from cuberow.density import HypercubeRow
@@ -67,8 +69,54 @@ def _write_output(text: str, out_path: str | None) -> None:
         _write_file(out_path, text)
 
 
+_scalar_text = json.JSONEncoder().encode
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    # Encodes a container of scalars whose items sit at ``depth``, with the
+    # items already on their own indented lines; only the newlines after the
+    # opening and before the closing bracket are left to splice in.
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
+
+
+def _encode(value, depth: int, parts: list[str]) -> None:
+    if isinstance(value, dict):
+        opener, closer, items = "{", "}", value.values()
+    elif isinstance(value, (list, tuple)):
+        opener, closer, items = "[", "]", value
+    else:
+        parts.append(_scalar_text(value))
+        return
+    if not value:
+        parts.append(opener + closer)
+        return
+    inner = "\n" + "  " * (depth + 1)
+    if not any(issubclass(kind, (list, tuple, dict)) for kind in set(map(type, items))):
+        parts += (opener, inner, _flat_encoder(depth + 1)(value)[1:-1])
+    else:
+        parts.append(opener)
+        # '"key": ' as the encoder writes it, non-str keys coerced as it does.
+        prefixes = (_scalar_text({key: 0})[1:-2] for key in value) if closer == "}" else repeat("")
+        separator = inner
+        for prefix, item in zip(prefixes, items):
+            parts.append(separator + prefix)
+            _encode(item, depth + 1, parts)
+            separator = "," + inner
+    parts += ("\n" + "  " * depth, closer)
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2) + "\\n"``, byte for byte.
+
+    Every list or dict that holds only scalars is encoded by one call to the
+    C encoder; only the levels above those containers are walked here, and
+    the parts are joined once.
+    """
+    parts: list[str] = []
+    _encode(obj, 0, parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _gap_summary(profile: list[int]) -> tuple[int, int, list[int]]:
@@ -79,33 +127,40 @@ def _gap_summary(profile: list[int]) -> tuple[int, int, list[int]]:
     return peak, cuts[0], cuts
 
 
-def _density_data(row: HypercubeRow, placement: Placement, mode: TerminalMode):
-    """Profile plus summary fields; the gray placement goes through the oracle."""
+def _density_data(
+    row: HypercubeRow,
+    placement: Placement,
+    mode: TerminalMode,
+    net: netlist.Netlist | None = None,
+):
+    """Profile, peak summary, slot rows and terminal peak.
+
+    The normal placement takes the closed forms.  The gray placement reads
+    everything from one oracle crossing table, of ``net`` when the caller
+    has already built the row's netlist: a wire crosses the same gaps under
+    either terminal mode, so one netlist gives both the gap profile and the
+    slot cuts.  Slot rows (cuts 1..n-1; None in free mode) are an iterator
+    that computes each row as it is consumed.
+    """
+    terminal_rows = None
+    terminal_max = None
     if placement is Placement.NORMAL:
         profile = density.cut_density_profile(row)
         peak = density.max_cut_density(row)
         first = density.leftmost_max_cut(row)
         cuts = density.max_density_cuts(row)
-    else:
-        net = netlist.build_netlist(row, placement, TerminalMode.FREE)
-        profile = oracle.crossing_profile(net).gap_profile()
-        peak, first, cuts = _gap_summary(profile)
-
-    terminal_rows = None
-    terminal_max = None
-    if mode is TerminalMode.DIM_ORDERED:
-        if placement is Placement.NORMAL:
-            terminal_rows = [
-                netlist.terminal_cut_densities(row, cut) for cut in range(1, row.n)
-            ]
+        if mode is TerminalMode.DIM_ORDERED:
+            terminal_rows = (netlist.terminal_cut_densities(row, cut) for cut in range(1, row.n))
             terminal_max = netlist.max_terminal_cut_density(row)[0]
-        else:
-            net = netlist.build_netlist(row, placement, TerminalMode.DIM_ORDERED)
-            table = oracle.crossing_profile(net)
-            terminal_rows = [
-                [table.node_cut(cut - 1, slot) for slot in range(1, row.dims + 1)]
-                for cut in range(1, row.n)
-            ]
+    else:
+        if net is None:
+            net = netlist.build_netlist(row, placement, mode)
+        table = oracle.crossing_profile(net)
+        profile = table.gap_profile()
+        peak, first, cuts = _gap_summary(profile)
+        if mode is TerminalMode.DIM_ORDERED:
+            slots = range(1, row.dims + 1)
+            terminal_rows = ([table.node_cut(col, slot) for slot in slots] for col in range(row.n - 1))
             terminal_max = table.fine_max()
     return profile, peak, first, cuts, terminal_rows, terminal_max
 
@@ -139,12 +194,14 @@ def cmd_density(args) -> int:
         _write_output(_json_text(payload), args.out)
         return EXIT_OK
 
-    slot_headers = [f"T{slot}" for slot in range(1, row.dims + 1)] if terminal_rows else []
+    slot_headers = [f"T{slot}" for slot in range(1, row.dims + 1)]
+    if terminal_rows is None:
+        slot_headers, terminal_rows = [], repeat(())
+    # Each slot row becomes part of its line as it is computed.
+    table_rows = zip(enumerate(interior, start=1), terminal_rows)
     if args.format == "csv":
-        lines = ["i,S" + ("," + ",".join(slot_headers) if slot_headers else "")]
-        for cut, value in enumerate(interior, start=1):
-            extra = "," + ",".join(map(str, terminal_rows[cut - 1])) if terminal_rows else ""
-            lines.append(f"{cut},{value}{extra}")
+        lines = [",".join(["i", "S", *slot_headers])]
+        lines += [",".join(map(str, (cut, value, *slots))) for (cut, value), slots in table_rows]
         summary = f"# m={peak} p={first} maximizers={' '.join(map(str, cuts))}"
         if terminal_max is not None:
             summary += f" terminal_max={terminal_max}"
@@ -153,16 +210,11 @@ def cmd_density(args) -> int:
         return EXIT_OK
 
     width = max(len(str(row.n)), len(str(peak + 1)), 3)
-    header = f"{'i':>{width}}  {'S':>{width}}"
-    for name in slot_headers:
-        header += f"  {name:>{width}}"
-    lines = [header]
-    for cut, value in enumerate(interior, start=1):
-        line = f"{cut:>{width}}  {value:>{width}}"
-        if terminal_rows:
-            for t in terminal_rows[cut - 1]:
-                line += f"  {t:>{width}}"
-        lines.append(line)
+    lines = ["  ".join(f"{name:>{width}}" for name in ("i", "S", *slot_headers))]
+    lines += [
+        "  ".join(f"{cell:>{width}}" for cell in (cut, value, *slots))
+        for (cut, value), slots in table_rows
+    ]
     lines.append(f"m = {peak}   p = {first}   maximizers: {' '.join(map(str, cuts))}")
     if terminal_max is not None:
         lines.append(f"peak terminal density: {terminal_max}")
@@ -207,7 +259,7 @@ def cmd_route(args) -> int:
             lines.append(f"{w.dim},{w.left_col},{w.right_col},{assignment.by_wire[w]}")
         _write_output("\n".join(lines) + "\n", args.out)
     else:
-        profile, peak, first, cuts, _, terminal_max = _density_data(row, placement, mode)
+        profile, peak, first, cuts, _, terminal_max = _density_data(row, placement, mode, net)
         payload = {
             "n": row.n,
             "placement": placement.value,

@@ -215,9 +215,12 @@ def dump_netlist(net: Netlist) -> str:
 def load_netlist(text: str) -> Netlist:
     """Parse and validate the text form produced by :func:`dump_netlist`.
 
-    Validation covers the full structural contract: wire count, per-dimension
-    counts, column ranges, and that each wire joins two nodes differing in
-    exactly its dimension bit under the declared placement.
+    Validation covers the full structural contract: wire count, column
+    ranges, that each wire joins two nodes differing in
+    exactly its dimension bit under the declared placement, that no link is
+    listed twice, and, with dimension-ordered terminals, that no terminal
+    slot of a node carries two wires.  Together these make the wires exactly
+    the row's hypercube links.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -233,9 +236,19 @@ def load_netlist(text: str) -> Netlist:
         raise NetlistFormatError(f"bad header {lines[0]!r}: {exc}") from None
 
     dims = row.dims
+    # A dimension has n/2 links, so with this total and no link listed twice
+    # every dimension has all of its links.
+    want = dims * row.n // 2
+    if len(lines) - 1 != want:
+        raise NetlistFormatError(f"{len(lines) - 1} wire lines, want {want}")
     node_at = (lambda col: col) if placement is Placement.NORMAL else gray_code
     wires = []
-    per_dim = [0] * (dims + 1)
+    # Flags keyed on integers: link dim * n + left_col, and terminal slot
+    # col * (dims + 1) + slot (its fine cut index), so no tuple per wire.
+    # Sized after the wire count is known to match the header.
+    step = dims + 1
+    link_seen = bytearray(step * row.n)
+    slot_seen = bytearray(step * row.n) if mode is TerminalMode.DIM_ORDERED else None
     for line in lines[1:]:
         fields = line.split()
         if len(fields) != 5:
@@ -254,12 +267,15 @@ def load_netlist(text: str) -> Netlist:
             raise NetlistFormatError(
                 f"columns {left} and {right} do not hold a dimension-{dim} pair"
             )
-        per_dim[dim] += 1
+        link = dim * row.n + left
+        if link_seen[link]:
+            raise NetlistFormatError(f"dimension-{dim} link at column {left} listed twice")
+        link_seen[link] = 1
+        if slot_seen is not None:
+            lcut, rcut = left * step + lslot, right * step + rslot
+            if slot_seen[lcut] or slot_seen[rcut]:
+                col, slot = (left, lslot) if slot_seen[lcut] else (right, rslot)
+                raise NetlistFormatError(f"terminal slot {slot} of column {col} carries two wires")
+            slot_seen[lcut] = slot_seen[rcut] = 1
         wires.append(Wire(dim, left, right, lslot, rslot))
-    expected = row.n // 2
-    for dim in range(1, dims + 1):
-        if per_dim[dim] != expected:
-            raise NetlistFormatError(
-                f"dimension {dim} has {per_dim[dim]} wires, want {expected}"
-            )
     return Netlist(row, placement, mode, tuple(wires))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from cuberow.errors import IncompleteAssignmentError, LayoutError
+from cuberow.errors import IncompleteAssignmentError, LayoutError, NetlistFormatError
 from cuberow.netlist import Netlist, TerminalMode, Wire, gap_cut_index, node_cut_index
 
 __all__ = [
@@ -186,13 +186,23 @@ def dump_assignment(intervals: list[IntervalWire], assignment: TrackAssignment) 
 
 
 def load_assignment(text: str) -> list[tuple[int, int, int, int]]:
-    """Parse assignment text into (dim, left_col, right_col, track) tuples."""
+    """Parse assignment text into (dim, left_col, right_col, track) tuples.
+
+    A line without four fields, or with a field that is not a nonnegative
+    integer, raises :class:`NetlistFormatError` naming the line.
+    """
     out = []
     for line in text.splitlines():
         if not line.strip():
             continue
         fields = line.split()
         if len(fields) != 4:
-            raise LayoutError(f"bad assignment line {line!r}, want 4 fields")
-        out.append(tuple(int(f) for f in fields))
+            raise NetlistFormatError(f"bad assignment line {line!r}, want 4 fields")
+        try:
+            values = tuple(map(int, fields))
+        except ValueError:
+            raise NetlistFormatError(f"non-integer field in assignment line {line!r}") from None
+        if min(values) < 0:
+            raise NetlistFormatError(f"negative value in assignment line {line!r}")
+        out.append(values)
     return out

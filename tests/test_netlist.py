@@ -308,6 +308,42 @@ class TestSerialization:
         net = build_netlist(HypercubeRow(16), Placement.GRAY)
         assert load_netlist(dump_netlist(net)) == net
 
+    def test_rejects_repeated_link(self):
+        # Every count still matches: the duplicate stands in for the missing
+        # link 1 2 1 3 1.
+        good = dump_netlist(build_netlist(HypercubeRow(4)))
+        bad = good.replace("1 2 1 3 1", "1 0 1 1 1", 1)
+        assert bad.count("1 0 1 1 1") == 2
+        with pytest.raises(NetlistFormatError, match="listed twice"):
+            load_netlist(bad)
+
+    @pytest.mark.parametrize("placement", list(Placement))
+    def test_rejects_repeated_link_anywhere(self, placement):
+        net = build_netlist(HypercubeRow(16), placement)
+        lines = dump_netlist(net).splitlines()
+        for victim in range(1, len(lines)):
+            dim = lines[victim].split()[0]
+            twin = next(i for i in range(1, len(lines)) if i != victim and lines[i].split()[0] == dim)
+            bad = lines[:victim] + [lines[twin]] + lines[victim + 1 :]
+            with pytest.raises(NetlistFormatError):
+                load_netlist("\n".join(bad) + "\n")
+
+    def test_wire_count_is_checked_before_sizing_by_the_header(self):
+        with pytest.raises(NetlistFormatError, match="1 wire lines, want 10485760"):
+            load_netlist("1048576 normal dim-ordered\n1 0 1 1 1\n")
+
+    def test_rejects_two_wires_on_one_slot(self):
+        good = dump_netlist(build_netlist(HypercubeRow(4), mode=TerminalMode.DIM_ORDERED))
+        bad = good.replace("2 0 2 2 2", "2 0 1 2 2", 1)
+        assert bad != good
+        with pytest.raises(NetlistFormatError, match="slot 1 of column 0"):
+            load_netlist(bad)
+
+    def test_free_mode_slots_are_not_checked(self):
+        # Free terminals carry slot = dim only as a drawing convention.
+        good = dump_netlist(build_netlist(HypercubeRow(4)))
+        assert len(load_netlist(good.replace("2 0 2 2 2", "2 0 1 2 2", 1)).wires) == 4
+
 
 def test_netlist_is_hashable_and_frozen():
     net = build_netlist(HypercubeRow(4))

@@ -1,0 +1,131 @@
+"""The CLI's output bytes: the JSON encoder against ``json.dumps``, and the
+stdout digests of a fixed set of small commands."""
+
+import hashlib
+import io
+import json
+from contextlib import redirect_stdout
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from cuberow import cli
+
+PAIRS = [(p, m) for p in ("normal", "gray") for m in ("free", "dim-ordered")]
+
+
+def stdout_of(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(list(argv)) == cli.EXIT_OK
+    return out.getvalue()
+
+
+def _reference(value):
+    return json.dumps(value, indent=2) + "\n"
+
+
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text()
+    | st.sampled_from(['"', "\\", "\n\t\r\x00\x1f", "é", "日本", "\U0001f600", "\ud800"])
+)
+_values = st.recursive(
+    _scalars,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=40,
+)
+
+
+@given(_values)
+def test_json_text_matches_json_dumps(value):
+    assert cli._json_text(value) == _reference(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [],
+        {},
+        [[], {}, [[]], {"": {}}],
+        {"profile": list(range(-600, 600)), "wires": [{"dim": 1, "track": -1}] * 3},
+        (1, (2.5, None), [True, False]),
+        {"k": float("nan"), "inf": [float("inf"), -float("inf")], "é\n": "日"},
+        {1: [2], None: {"a": [3]}, False: [], 2.5: ["x"], -7: 0},
+    ],
+    ids=["empty-list", "empty-dict", "empties-nested", "cli-shaped", "tuples", "specials", "non-str-keys"],
+)
+def test_json_text_matches_json_dumps_on_edge_cases(value):
+    assert cli._json_text(value) == _reference(value)
+
+
+def _json_commands():
+    for placement, mode in PAIRS:
+        for command in ("density", "route"):
+            yield (command, "--placement", placement, "--mode", mode, "--format", "json")
+    yield ("compare", "--format", "json")
+
+
+@pytest.mark.parametrize("n", [2, 8, 64, 1024])
+@pytest.mark.parametrize(
+    "argv", list(_json_commands()), ids=lambda argv: "-".join(a for a in argv if not a.startswith("--"))
+)
+def test_every_cli_json_payload_matches_json_dumps(monkeypatch, argv, n):
+    payloads = []
+
+    def recording(value, encode=cli._json_text):
+        payloads.append(value)
+        return encode(value)
+
+    monkeypatch.setattr(cli, "_json_text", recording)
+    out = stdout_of(argv[0], "--n", str(n), *argv[1:])
+    assert len(payloads) == 1
+    assert out == _reference(payloads[0])
+
+
+# sha256 of stdout; a deliberate change to an output format updates its
+# digest in the same commit.
+GOLDEN = [
+    ("density --n 1024 --placement normal --mode free --format json", "26d3e3a94163aa6408b09bbf994f4459003e758b3f25e396490e329d02f7b380"),
+    ("density --n 1024 --placement normal --mode free --format csv", "81e31ada5be5fbee31a2a7ab78148140c84dcf1273240daf16b1a67a7940e80e"),
+    ("density --n 1024 --placement normal --mode free --format text", "782779e243364ea1070b7b5a9a11a9aa540f21aab2cae23172976cc6ee766f92"),
+    ("density --n 1024 --placement normal --mode dim-ordered --format json", "72766ff129a34e04d875fc1449d8746036ce9aeb8e030c0711fb105159aec652"),
+    ("density --n 1024 --placement normal --mode dim-ordered --format csv", "84943a92d0511adb304bc4cc0db8fdf311d5426b8d6d3050a7f0112a21675642"),
+    ("density --n 1024 --placement normal --mode dim-ordered --format text", "9f53856c898ec9f881fbcee6070b5e9143d0138cb36878f028b07ff2cffaf9b6"),
+    ("density --n 1024 --placement gray --mode free --format json", "8fe055f6530e188b41c28ab6269c2fa913a8ea40288a187d69cf60d30329ed86"),
+    ("density --n 1024 --placement gray --mode free --format csv", "81e31ada5be5fbee31a2a7ab78148140c84dcf1273240daf16b1a67a7940e80e"),
+    ("density --n 1024 --placement gray --mode free --format text", "782779e243364ea1070b7b5a9a11a9aa540f21aab2cae23172976cc6ee766f92"),
+    ("density --n 1024 --placement gray --mode dim-ordered --format json", "93f69b8a2cd85045cb7e269486b725b6f0c4d9e149dc49bccf644949c3d60d2c"),
+    ("density --n 1024 --placement gray --mode dim-ordered --format csv", "84943a92d0511adb304bc4cc0db8fdf311d5426b8d6d3050a7f0112a21675642"),
+    ("density --n 1024 --placement gray --mode dim-ordered --format text", "9f53856c898ec9f881fbcee6070b5e9143d0138cb36878f028b07ff2cffaf9b6"),
+    ("route --n 64 --placement normal --mode free --format json", "bed84ca3ec30bb95838054f10648ea7c568c3930314a6c7e10e0bdf872073eb6"),
+    ("route --n 64 --placement normal --mode free --format csv", "e850c7a068e41a4b2ea9a6dc317741ecc4cfb74461809ec4c3fc1e8bd51aba45"),
+    ("route --n 64 --placement normal --mode free --format svg", "a8b7a8563e88b0e3d8aa8d977b84e0e7997b92a110300ab9e49c3e50beba48f1"),
+    ("route --n 64 --placement normal --mode dim-ordered --format json", "82587eff5d063ce49c26d8b18982d191a16e0cbd407c621385dd1137d5141f75"),
+    ("route --n 64 --placement normal --mode dim-ordered --format csv", "ba3179351b0f74b33035fa6bc82ce9c8b92d9f4a3bd382ea626709e224cdff48"),
+    ("route --n 64 --placement normal --mode dim-ordered --format svg", "05fa56a555c17660e441fc713d6ed12aad9aba2aba7799bc9b04fe1eac90214b"),
+    ("route --n 64 --placement gray --mode free --format json", "f273b5483cdaf8ecc11f4c8e8339275911155c3641e738244026314484497a49"),
+    ("route --n 64 --placement gray --mode free --format csv", "3a2e94b49524cb4fdda54fb051b8c42aba72aa6e6bd2aaea3e5f57bb20e96f23"),
+    ("route --n 64 --placement gray --mode free --format svg", "f5dd74463bad6600c202ee874900c78ea73508a7eedbc6e3fdd0c3401399312f"),
+    ("route --n 64 --placement gray --mode dim-ordered --format json", "b12302852b30c5e0916cc1fa9d6bcd1534d891dd5b073c2f843d65ffe86eba18"),
+    ("route --n 64 --placement gray --mode dim-ordered --format csv", "f55bfbad7fe9209614cb55a03bcdf7c30db5b573ffccd6fd6af62872a7594798"),
+    ("route --n 64 --placement gray --mode dim-ordered --format svg", "25c7ecfa5cfb56c0af102dea3dd45a5833c78a339585fc5eb60bbc857f6d383c"),
+    ("compare --n 64", "466e1aebd3934ac092b16adfdf599f3d78f403c1fd40e6dcfd25fe41d2210373"),
+    ("compare --n 64 --format json", "ce24e27103b79fb884dcb76bfdf4237c30a3e1e6e672d71abaf1337dc9d59b13"),
+    ("check --max-n 64", "e12a09def5083879c10af0acabff0ed9f377eaa8e8480e777cde53b9d561dd19"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, digest",
+    GOLDEN,
+    ids=["-".join(a for a in command.split() if not a.startswith("--")) for command, _ in GOLDEN],
+)
+def test_stdout_bytes_are_unchanged(command, digest):
+    assert hashlib.sha256(stdout_of(*command.split()).encode()).hexdigest() == digest

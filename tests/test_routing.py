@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuberow.density import HypercubeRow, max_cut_density
-from cuberow.errors import IncompleteAssignmentError, LayoutError
+from cuberow.errors import IncompleteAssignmentError, LayoutError, NetlistFormatError
 from cuberow.netlist import Placement, TerminalMode, Wire, build_netlist
 from cuberow.oracle import brute_track_count, coverage_bound
 from cuberow.routing import (
@@ -215,3 +215,11 @@ class TestAssignmentText:
     def test_rejects_bad_line(self):
         with pytest.raises(LayoutError):
             load_assignment("1 2 3\n")
+
+    def test_rejects_non_integer_field(self):
+        with pytest.raises(NetlistFormatError, match="'1 0 x 2'"):
+            load_assignment("1 0 1 0\n1 0 x 2\n")
+
+    def test_rejects_negative_value(self):
+        with pytest.raises(NetlistFormatError, match="'9 9 9 -4'"):
+            load_assignment("9 9 9 -4\n")

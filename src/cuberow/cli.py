@@ -176,14 +176,15 @@ def cmd_density(args) -> int:
     profile, peak, first, cuts, terminal_rows, terminal_max = _density_data(
         row, placement, mode
     )
-    interior = profile[1 : row.n]
+    # Both profile sources return a fresh list per call, so trim in place.
+    del profile[row.n :], profile[0]
 
     if args.format == "json":
         payload = {
             "n": row.n,
             "placement": placement.value,
             "mode": mode.value,
-            "profile": interior,
+            "profile": profile,
             "m": peak,
             "p": first,
             "maximizers": cuts,
@@ -198,7 +199,7 @@ def cmd_density(args) -> int:
     if terminal_rows is None:
         slot_headers, terminal_rows = [], repeat(())
     # Each slot row becomes part of its line as it is computed.
-    table_rows = zip(enumerate(interior, start=1), terminal_rows)
+    table_rows = zip(enumerate(profile, start=1), terminal_rows)
     if args.format == "csv":
         lines = [",".join(["i", "S", *slot_headers])]
         lines += [",".join(map(str, (cut, value, *slots))) for (cut, value), slots in table_rows]
@@ -287,21 +288,15 @@ def cmd_route(args) -> int:
 
 def cmd_compare(args) -> int:
     row = _parse_row(args.n, MAX_COMPARE_NODES)
-    if args.format == "svg":
-        raise UsageError("svg output is available for the route command only")
 
     metrics = {}
     for placement in Placement:
-        free_net = netlist.build_netlist(row, placement, TerminalMode.FREE)
-        peak = oracle.crossing_profile(free_net).interior_gap_max()
-        tracks = {}
-        for mode in TerminalMode:
-            _, _, assignment = _route(row, placement, mode)
-            tracks[mode] = assignment.track_count
+        free_net, _, free_assignment = _route(row, placement, TerminalMode.FREE)
+        ordered_assignment = _route(row, placement, TerminalMode.DIM_ORDERED)[2]
         metrics[placement.value] = {
-            "max_density": peak,
-            "tracks_free": tracks[TerminalMode.FREE],
-            "tracks_dim_ordered": tracks[TerminalMode.DIM_ORDERED],
+            "max_density": oracle.crossing_profile(free_net).interior_gap_max(),
+            "tracks_free": free_assignment.track_count,
+            "tracks_dim_ordered": ordered_assignment.track_count,
             "total_wirelength": netlist.total_wirelength(free_net),
             "max_wirelength": netlist.max_wirelength(free_net),
         }

@@ -16,8 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import accumulate
 
-from cuberow.density import HypercubeRow, cut_density
+from cuberow import density
+from cuberow.density import HypercubeRow
 from cuberow.errors import (
     DegenerateRowError,
     InvalidCutError,
@@ -152,6 +155,14 @@ def max_wirelength(net: Netlist) -> int:
     return max((w.span for w in net.wires), default=0)
 
 
+@lru_cache(maxsize=1)
+def _gap_profile(n: int) -> list[int]:
+    # Intercolumn densities of the last row size asked for.  Keyed on n, not
+    # on the row: hashing the frozen dataclass on every call is slow.  The
+    # list is shared between calls, so it is never handed to a caller.
+    return density.cut_density_profile(HypercubeRow(n))
+
+
 def terminal_cut_density(row: HypercubeRow, cut: int, slot: int) -> int:
     """Wires crossing the fine cut just right of ``slot`` on column ``cut - 1``.
 
@@ -165,20 +176,26 @@ def terminal_cut_density(row: HypercubeRow, cut: int, slot: int) -> int:
         raise InvalidCutError(f"cut {cut} outside 1..{row.n}")
     if not 1 <= slot <= row.dims:
         raise InvalidCutError(f"terminal slot {slot} outside 1..{row.dims}")
-    return cut_density(row, cut) + _excess_above(cut - 1, row.dims, slot)
+    return _gap_profile(row.n)[cut] + _excess_above(cut - 1, row.dims, slot)
 
 
 def terminal_cut_densities(row: HypercubeRow, cut: int) -> list[int]:
     """Slot-cut densities at one cut for every slot 1..dims, in order.
 
-    Same quantity as :func:`terminal_cut_density`, amortized: the base
-    density is computed once for all slots.
+    Same quantity as :func:`terminal_cut_density`, by the column-degree
+    recurrence run slot by slot: starting from the density left of node
+    ``cut - 1``, slot ``s`` adds 1 when bit ``s - 1`` of the node is clear
+    (its wire leaves to the right) and removes 1 when it is set (its wire
+    arrives from the left).  The last slot lands on the density at ``cut``.
     """
+    # The range check also keeps cut 0 from reading profile[-1].
     if not 1 <= cut <= row.n:
         raise InvalidCutError(f"cut {cut} outside 1..{row.n}")
-    base = cut_density(row, cut)
-    node, dims = cut - 1, row.dims
-    return [base + _excess_above(node, dims, slot) for slot in range(1, dims + 1)]
+    node = cut - 1
+    steps = (1 - 2 * (node >> bit & 1) for bit in range(row.dims))
+    slots = accumulate(steps, initial=_gap_profile(row.n)[node])
+    next(slots)
+    return list(slots)
 
 
 def max_terminal_cut_density(row: HypercubeRow) -> tuple[int, list[tuple[int, int]]]:
@@ -194,12 +211,14 @@ def max_terminal_cut_density(row: HypercubeRow) -> tuple[int, list[tuple[int, in
     best = -1
     where: list[tuple[int, int]] = []
     for cut in range(1, row.n + 1):
-        for slot, value in enumerate(terminal_cut_densities(row, cut), start=1):
-            if value > best:
-                best = value
-                where = [(cut, slot)]
-            elif value == best:
-                where.append((cut, slot))
+        values = terminal_cut_densities(row, cut)
+        top = max(values)
+        if top < best:
+            continue
+        if top > best:
+            best = top
+            where = []
+        where += [(cut, slot) for slot, value in enumerate(values, start=1) if value == top]
     return best, where
 
 

@@ -9,6 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from cuberow import netlist
 from cuberow.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INTERNAL,
@@ -219,6 +220,21 @@ class TestCompareCommand:
     def test_cap(self):
         code, _, _ = run_cli("compare", "--n", str(2**11))
         assert code == EXIT_USAGE
+
+    def test_builds_each_netlist_once(self, monkeypatch):
+        # Two placements times two terminal modes: the free netlist that is
+        # routed also feeds the density and wirelength rows.
+        built = []
+        real = netlist.build_netlist
+
+        def counting(row, placement, mode, *args, **kwargs):
+            built.append((placement, mode))
+            return real(row, placement, mode, *args, **kwargs)
+
+        monkeypatch.setattr(netlist, "build_netlist", counting)
+        code, _, _ = run_cli("compare", "--n", "64", "--format", "csv")
+        assert code == EXIT_OK
+        assert len(built) == len(set(built)) == 4
 
 
 class TestCheckCommand:

@@ -152,6 +152,25 @@ class TestTerminalDensity:
         for cut, slot in ((0, 1), (9, 1), (1, 0), (1, 4)):
             with pytest.raises(InvalidCutError):
                 terminal_cut_density(row, cut, slot)
+        for cut in (0, 9):
+            with pytest.raises(InvalidCutError):
+                terminal_cut_densities(row, cut)
+
+    def test_alternating_row_sizes(self):
+        # Each request for the other size replaces the cached gap profile.
+        small, large = HypercubeRow(8), HypercubeRow(16)
+        expected = {
+            row: [
+                [cut_density(row, cut) + BitView(cut - 1, row.dims).excess_above(slot)
+                 for slot in range(1, row.dims + 1)]
+                for cut in range(1, row.n + 1)
+            ]
+            for row in (small, large)
+        }
+        for cut in range(1, small.n + 1):
+            for row in (small, large, small):
+                assert terminal_cut_densities(row, cut) == expected[row][cut - 1]
+                assert terminal_cut_density(row, cut, 1) == expected[row][cut - 1][0]
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_last_slot_recovers_gap_density(self, d):
@@ -159,7 +178,7 @@ class TestTerminalDensity:
         for cut in range(1, row.n + 1):
             assert terminal_cut_density(row, cut, row.dims) == cut_density(row, cut)
 
-    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("d", range(1, 11))
     def test_batched_row_matches_scalar(self, d):
         row = HypercubeRow(2**d)
         for cut in range(1, row.n + 1):
@@ -222,6 +241,20 @@ class TestMaxTerminalDensity:
         row = HypercubeRow(2**d)
         net = build_netlist(row, Placement.NORMAL, TerminalMode.DIM_ORDERED)
         assert max_terminal_cut_density(row)[0] == crossing_profile(net).fine_max()
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_ties_match_oracle_in_order(self, d):
+        row = HypercubeRow(2**d)
+        net = build_netlist(row, Placement.NORMAL, TerminalMode.DIM_ORDERED)
+        table = crossing_profile(net)
+        peak = table.fine_max()
+        attained = [
+            (cut, slot)
+            for cut in range(1, row.n + 1)
+            for slot in range(1, row.dims + 1)
+            if table.node_cut(cut - 1, slot) == peak
+        ]
+        assert max_terminal_cut_density(row) == (peak, attained)
 
 
 class TestUniformOrderingPenalty:

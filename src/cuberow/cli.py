@@ -12,7 +12,7 @@ import argparse
 import functools
 import json
 import sys
-from itertools import repeat
+from itertools import chain, repeat
 
 from cuberow import density, netlist, oracle, routing, selfcheck
 from cuberow.density import HypercubeRow
@@ -80,6 +80,23 @@ def _flat_encoder(depth: int):
     return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
 
 
+_CONTAINERS = (list, tuple, dict)
+
+
+def _holds_only_scalars(items) -> bool:
+    return not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, items)))
+
+
+def _is_record_list(value) -> bool:
+    # A list of non-empty dicts whose values are all scalars, such as the
+    # route command's wire table.
+    return (
+        all(issubclass(kind, dict) for kind in set(map(type, value)))
+        and all(value)
+        and _holds_only_scalars(chain.from_iterable(map(dict.values, value)))
+    )
+
+
 def _encode(value, depth: int, parts: list[str]) -> None:
     if isinstance(value, dict):
         opener, closer, items = "{", "}", value.values()
@@ -92,8 +109,17 @@ def _encode(value, depth: int, parts: list[str]) -> None:
         parts.append(opener + closer)
         return
     inner = "\n" + "  " * (depth + 1)
-    if not any(issubclass(kind, (list, tuple, dict)) for kind in set(map(type, items))):
+    if _holds_only_scalars(items):
         parts += (opener, inner, _flat_encoder(depth + 1)(value)[1:-1])
+    elif closer == "]" and _is_record_list(value):
+        # One call for the whole list, with the record fields' separator
+        # everywhere; a raw newline only ever comes from a separator, and a
+        # separator followed by "{" only between records, where the
+        # record-level newlines are spliced in.
+        fields = inner + "  "
+        text = _flat_encoder(depth + 2)(value)[2:-2]
+        between = inner + "}," + inner + "{" + fields
+        parts += (opener, inner, "{", fields, text.replace("}," + fields + "{", between), inner, "}")
     else:
         parts.append(opener)
         # '"key": ' as the encoder writes it, non-str keys coerced as it does.
@@ -211,11 +237,10 @@ def cmd_density(args) -> int:
         return EXIT_OK
 
     width = max(len(str(row.n)), len(str(peak + 1)), 3)
-    lines = ["  ".join(f"{name:>{width}}" for name in ("i", "S", *slot_headers))]
-    lines += [
-        "  ".join(f"{cell:>{width}}" for cell in (cut, value, *slots))
-        for (cut, value), slots in table_rows
-    ]
+    # One format string for the whole table, one format call per row.
+    row_format = "  ".join([f"{{:>{width}}}"] * (2 + len(slot_headers))).format
+    lines = [row_format("i", "S", *slot_headers)]
+    lines += [row_format(cut, value, *slots) for (cut, value), slots in table_rows]
     lines.append(f"m = {peak}   p = {first}   maximizers: {' '.join(map(str, cuts))}")
     if terminal_max is not None:
         lines.append(f"peak terminal density: {terminal_max}")
@@ -238,6 +263,8 @@ def cmd_route(args) -> int:
     mode = TerminalMode(args.mode)
     row = _parse_row(args.n, MAX_ROUTE_NODES)
     net, intervals, assignment = _route(row, placement, mode)
+    # net.wires is in canonical order, the order of every table below.
+    by_wire = assignment.by_wire
 
     if args.emit_netlist:
         _write_file(args.emit_netlist, netlist.dump_netlist(net))
@@ -255,9 +282,7 @@ def cmd_route(args) -> int:
         _write_output(render_svg(net, assignment, spec), args.out)
     elif args.format == "csv":
         lines = ["dim,left_col,right_col,track"]
-        for iv in sorted(intervals, key=lambda iv: (iv.wire.dim, iv.wire.left_col)):
-            w = iv.wire
-            lines.append(f"{w.dim},{w.left_col},{w.right_col},{assignment.by_wire[w]}")
+        lines += [f"{w.dim},{w.left_col},{w.right_col},{by_wire[w]}" for w in net.wires]
         _write_output("\n".join(lines) + "\n", args.out)
     else:
         profile, peak, first, cuts, _, terminal_max = _density_data(row, placement, mode, net)
@@ -274,13 +299,8 @@ def cmd_route(args) -> int:
         if terminal_max is not None:
             payload["terminal_max"] = terminal_max
         payload["wires"] = [
-            {
-                "dim": iv.wire.dim,
-                "left_col": iv.wire.left_col,
-                "right_col": iv.wire.right_col,
-                "track": assignment.by_wire[iv.wire],
-            }
-            for iv in sorted(intervals, key=lambda iv: (iv.wire.dim, iv.wire.left_col))
+            {"dim": w.dim, "left_col": w.left_col, "right_col": w.right_col, "track": by_wire[w]}
+            for w in net.wires
         ]
         _write_output(_json_text(payload), args.out)
     return EXIT_OK

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 from cuberow import density
 from cuberow.density import HypercubeRow
@@ -55,26 +56,39 @@ def gray_rank(value: int) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class Wire:
-    """One hypercube link, laid out as a horizontal span between two columns.
-
-    Slots locate the terminal on each endpoint node (1..dims, counted from
-    the node's left edge).  They are structural only in dimension-ordered
-    netlists; free-mode netlists carry slot = dim as a drawing convention.
-    """
-
+class _WireFields(NamedTuple):
     dim: int
     left_col: int
     right_col: int
     left_slot: int
     right_slot: int
 
-    def __post_init__(self):
-        if self.left_col >= self.right_col:
+
+class Wire(_WireFields):
+    """One hypercube link, laid out as a horizontal span between two columns.
+
+    Slots locate the terminal on each endpoint node (1..dims, counted from
+    the node's left edge).  They are structural only in dimension-ordered
+    netlists; free-mode netlists carry slot = dim as a drawing convention.
+
+    A named tuple: its field order is the canonical wire order (dimension,
+    then left column), so sorting wires needs no key, and a wire compares
+    equal to the plain tuple of its fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, dim: int, left_col: int, right_col: int, left_slot: int, right_slot: int):
+        if left_col >= right_col:
             raise LayoutError(
-                f"wire columns must satisfy left < right, got ({self.left_col}, {self.right_col})"
+                f"wire columns must satisfy left < right, got ({left_col}, {right_col})"
             )
+        return tuple.__new__(cls, (dim, left_col, right_col, left_slot, right_slot))
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through here; keep it on the checked path.
+        return cls(*iterable)
 
     @property
     def span(self) -> int:
@@ -126,9 +140,10 @@ def build_netlist(
             raise LayoutError(f"slot_order must permute 1..{dims}, got {slot_order!r}")
 
     if placement is Placement.NORMAL:
-        col_of = lambda node: node
+        col_of = range(row.n)
     else:
-        col_of = gray_rank
+        # Column of each node: the inverse permutation of the gray sequence.
+        col_of = sorted(range(row.n), key=gray_code)
 
     wires = []
     for dim in range(1, dims + 1):
@@ -137,11 +152,11 @@ def build_netlist(
         for node in range(row.n):
             if node & half:
                 continue
-            a = col_of(node)
-            b = col_of(node | half)
-            left, right = (a, b) if a < b else (b, a)
-            wires.append(Wire(dim, left, right, slot, slot))
-    wires.sort(key=lambda w: (w.dim, w.left_col))
+            a = col_of[node]
+            b = col_of[node | half]
+            wires.append(Wire(dim, a, b, slot, slot) if a < b else Wire(dim, b, a, slot, slot))
+    # Tuple order is the canonical (dim, left_col) order.
+    wires.sort()
     return Netlist(row, placement, mode, tuple(wires))
 
 

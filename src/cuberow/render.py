@@ -100,6 +100,18 @@ def _fmt(value: float) -> str:
     return f"{value:g}"
 
 
+class _Formatted(dict):
+    """``_fmt(position(k))`` by integer ``k``, formatted on first use only."""
+
+    def __init__(self, position):
+        super().__init__()
+        self.position = position
+
+    def __missing__(self, key: int) -> str:
+        text = self[key] = _fmt(self.position(key))
+        return text
+
+
 def render_svg(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = RenderSpec()) -> str:
     """Standalone SVG drawing of the routed row, colored by dimension."""
     n, dims = net.row.n, net.row.dims
@@ -111,11 +123,10 @@ def render_svg(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = Ren
     width = 2 * margin + n * step * cw
     height = node_top + 2 * ch + margin
 
-    def slot_x(col: int, slot: int) -> float:
-        return margin + (col * step + slot - 1) * cw + cw / 2
-
-    def track_y(track: int) -> float:
-        return margin + (ntracks - 1 - track) * ch + ch / 2
+    # Ticks and wire ends share their coordinates' text.  Terminal ``slot``
+    # of column ``col`` sits in sub-column ``col * step + slot - 1``.
+    xs = _Formatted(lambda sub: margin + sub * cw + cw / 2)
+    ys = _Formatted(lambda track: margin + (ntracks - 1 - track) * ch + ch / 2)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -125,18 +136,17 @@ def render_svg(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = Ren
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
 
+    tick_end = node_top + ch // 3
     for col in range(n):
         x = margin + col * step * cw
         parts.append(
             f'<rect x="{x}" y="{node_top}" width="{dims * cw}" height="{2 * ch}" '
             'fill="#f2f2f2" stroke="black"/>'
         )
-        for slot in range(1, dims + 1):
-            sx = slot_x(col, slot)
-            parts.append(
-                f'<line x1="{_fmt(sx)}" y1="{node_top}" x2="{_fmt(sx)}" '
-                f'y2="{node_top + ch // 3}" stroke="black"/>'
-            )
+        parts += [
+            f'<line x1="{sx}" y1="{node_top}" x2="{sx}" y2="{tick_end}" stroke="black"/>'
+            for sx in map(xs.__getitem__, range(col * step, col * step + dims))
+        ]
         parts.append(
             f'<text x="{_fmt(x + dims * cw / 2)}" y="{node_top + ch + ch // 2}" '
             'font-family="monospace" font-size="'
@@ -144,16 +154,18 @@ def render_svg(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = Ren
         )
 
     if spec.show_tracks:
+        by_wire = assignment.by_wire
         for w in net.wires:
-            color = _DIM_COLORS[(w.dim - 1) % len(_DIM_COLORS)]
-            y = track_y(assignment.by_wire[w])
-            xa = slot_x(w.left_col, w.left_slot)
-            xb = slot_x(w.right_col, w.right_slot)
+            dim, left, right, left_slot, right_slot = w
+            color = _DIM_COLORS[(dim - 1) % len(_DIM_COLORS)]
+            y = ys[by_wire[w]]
+            xa = xs[left * step + left_slot - 1]
+            xb = xs[right * step + right_slot - 1]
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="'
-                f'{_fmt(xa)},{node_top} {_fmt(xa)},{_fmt(y)} '
-                f'{_fmt(xb)},{_fmt(y)} {_fmt(xb)},{node_top}"/>'
+                f'{xa},{node_top} {xa},{y} {xb},{y} {xb},{node_top}"/>'
             )
 
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    # The empty last part gives the final newline without copying the text.
+    parts += ("</svg>", "")
+    return "\n".join(parts)

@@ -9,11 +9,15 @@ assignment.
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import count, repeat
+from operator import itemgetter, sub
+from typing import NamedTuple
 
 from cuberow.errors import IncompleteAssignmentError, LayoutError, NetlistFormatError
-from cuberow.netlist import Netlist, TerminalMode, Wire, gap_cut_index, node_cut_index
+from cuberow.netlist import Netlist, TerminalMode, Wire, gap_cut_index
 
 __all__ = [
     "IntervalWire",
@@ -27,19 +31,39 @@ __all__ = [
     "load_assignment",
 ]
 
+_wires = itemgetter(0)
+_lows = itemgetter(1)
+_highs = itemgetter(2)
+# Left-edge sweep order: left end, then right end, then the wire's
+# canonical (dim, left_col) order.
+_sweep_key = itemgetter(1, 2, 0)
 
-@dataclass(frozen=True)
-class IntervalWire:
-    """A wire together with its inclusive range of crossed fine cuts."""
 
+class _IntervalFields(NamedTuple):
     wire: Wire
     lo: int
     hi: int
 
-    def __post_init__(self):
+
+class IntervalWire(_IntervalFields):
+    """A wire together with its inclusive range of crossed fine cuts.
+
+    A named tuple ``(wire, lo, hi)``: intervals sort into the canonical
+    order of their wires.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, wire: Wire, lo: int, hi: int):
         # Contiguity is a construction invariant, not a supported generality.
-        if self.lo > self.hi:
-            raise LayoutError(f"empty crossing range [{self.lo}, {self.hi}]")
+        if lo > hi:
+            raise LayoutError(f"empty crossing range [{lo}, {hi}]")
+        return tuple.__new__(cls, (wire, lo, hi))
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through here; keep it on the checked path.
+        return cls(*iterable)
 
     def overlaps(self, other: "IntervalWire") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
@@ -63,7 +87,7 @@ class RouteCertificate:
 
 
 def wire_intervals(net: Netlist) -> list[IntervalWire]:
-    """Map each wire to the fine cuts it crosses.
+    """Map each wire to the fine cuts it crosses, in the netlist's order.
 
     Free mode: only the intercolumn gaps strictly between the endpoints, so
     wires meeting at a node never conflict there.  Dimension-ordered mode:
@@ -71,35 +95,24 @@ def wire_intervals(net: Netlist) -> list[IntervalWire]:
     cut just left of its right terminal, covering the through-node cuts its
     overhead portion blocks at both endpoint nodes.
     """
-    row = net.row
-    out = []
+    # Fine index of gap ``cut`` is cut * step, of slot ``s`` on column
+    # ``col`` is col * step + s (see cuberow.netlist).
+    step = gap_cut_index(net.row, 1)
     if net.mode is TerminalMode.FREE:
-        for w in net.wires:
-            lo = gap_cut_index(row, w.left_col + 1)
-            hi = gap_cut_index(row, w.right_col)
-            out.append(IntervalWire(w, lo, hi))
-    else:
-        for w in net.wires:
-            lo = node_cut_index(row, w.left_col, w.left_slot)
-            hi = node_cut_index(row, w.right_col, w.right_slot) - 1
-            out.append(IntervalWire(w, lo, hi))
-    return out
+        return [IntervalWire(w, (w.left_col + 1) * step, w.right_col * step) for w in net.wires]
+    return [
+        IntervalWire(w, w.left_col * step + w.left_slot, w.right_col * step + w.right_slot - 1)
+        for w in net.wires
+    ]
 
 
 def channel_density(intervals: list[IntervalWire]) -> int:
     """Maximum number of intervals covering any single fine cut; 0 if empty."""
-    events = []
-    for iv in intervals:
-        events.append((iv.lo, 1))
-        events.append((iv.hi + 1, -1))
-    events.sort()
-    best = 0
-    running = 0
-    for _, delta in events:
-        running += delta
-        if running > best:
-            best = running
-    return best
+    # Coverage peaks at some left end.  At the k-th smallest left end (k from
+    # 1) it is k minus the intervals that have already ended before it.
+    lows = sorted(map(_lows, intervals))
+    highs = sorted(map(_highs, intervals))
+    return max(map(sub, count(1), map(bisect_left, repeat(highs), lows)), default=0)
 
 
 def left_edge_route(intervals: list[IntervalWire]) -> TrackAssignment:
@@ -111,22 +124,20 @@ def left_edge_route(intervals: list[IntervalWire]) -> TrackAssignment:
     interval starts.  With contiguous crossing ranges and no vertical
     constraints this uses exactly ``channel_density`` tracks.
     """
-    order = sorted(intervals, key=lambda iv: (iv.lo, iv.hi, iv.wire.dim, iv.wire.left_col))
     free_tracks: list[int] = []
     busy: list[tuple[int, int]] = []  # (hi, track)
     by_wire: dict[Wire, int] = {}
     next_track = 0
-    for iv in order:
-        while busy and busy[0][0] < iv.lo:
-            _, track = heapq.heappop(busy)
-            heapq.heappush(free_tracks, track)
+    for wire, lo, hi in sorted(intervals, key=_sweep_key):
+        while busy and busy[0][0] < lo:
+            heappush(free_tracks, heappop(busy)[1])
         if free_tracks:
-            track = heapq.heappop(free_tracks)
+            track = heappop(free_tracks)
         else:
             track = next_track
             next_track += 1
-        by_wire[iv.wire] = track
-        heapq.heappush(busy, (iv.hi, track))
+        by_wire[wire] = track
+        heappush(busy, (hi, track))
     return TrackAssignment(by_wire, next_track, channel_density(intervals))
 
 
@@ -138,50 +149,51 @@ def verify_assignment(intervals: list[IntervalWire], assignment: TrackAssignment
     (gap reported otherwise).  A wire missing from the assignment raises
     :class:`IncompleteAssignmentError` instead of returning a certificate.
     """
-    for iv in intervals:
-        if iv.wire not in assignment.by_wire:
-            raise IncompleteAssignmentError(f"no track assigned to wire {iv.wire}")
+    try:
+        tracks = list(map(assignment.by_wire.__getitem__, map(_wires, intervals)))
+    except KeyError as exc:
+        raise IncompleteAssignmentError(f"no track assigned to wire {exc.args[0]}") from None
 
-    per_track: dict[int, list[IntervalWire]] = {}
-    for iv in intervals:
-        track = assignment.by_wire[iv.wire]
-        if not 0 <= track < assignment.track_count:
+    track_count = assignment.track_count
+    if tracks and not (0 <= min(tracks) and max(tracks) < track_count):
+        track, iv = next((t, iv) for t, iv in zip(tracks, intervals) if not 0 <= t < track_count)
+        return RouteCertificate(
+            False,
+            reason="track-range",
+            detail=f"track {track} outside 0..{track_count - 1}",
+            offenders=(iv.wire,),
+        )
+
+    # Tracks in increasing order, each track's intervals by (lo, hi) with
+    # ties in input order; an overlap on a track shows between neighbours.
+    members = sorted(zip(tracks, map(_lows, intervals), map(_highs, intervals), count()))
+    prev_track = prev_hi = prev_index = None
+    for track, lo, hi, index in members:
+        if track == prev_track and prev_hi >= lo:
+            prev, cur = intervals[prev_index], intervals[index]
             return RouteCertificate(
                 False,
-                reason="track-range",
-                detail=f"track {track} outside 0..{assignment.track_count - 1}",
-                offenders=(iv.wire,),
+                reason="overlap",
+                detail=f"track {track} holds overlapping spans "
+                f"[{prev.lo}, {prev.hi}] and [{cur.lo}, {cur.hi}]",
+                offenders=(prev.wire, cur.wire),
             )
-        per_track.setdefault(track, []).append(iv)
-
-    for track in sorted(per_track):
-        members = sorted(per_track[track], key=lambda iv: (iv.lo, iv.hi))
-        for prev, cur in zip(members, members[1:]):
-            if prev.hi >= cur.lo:
-                return RouteCertificate(
-                    False,
-                    reason="overlap",
-                    detail=f"track {track} holds overlapping spans "
-                    f"[{prev.lo}, {prev.hi}] and [{cur.lo}, {cur.hi}]",
-                    offenders=(prev.wire, cur.wire),
-                )
+        prev_track, prev_hi, prev_index = track, hi, index
 
     density = channel_density(intervals)
-    if assignment.track_count != density:
+    if track_count != density:
         return RouteCertificate(
             False,
             reason="track-count",
-            detail=f"{assignment.track_count} tracks used, channel density is {density}",
+            detail=f"{track_count} tracks used, channel density is {density}",
         )
     return RouteCertificate(True)
 
 
 def dump_assignment(intervals: list[IntervalWire], assignment: TrackAssignment) -> str:
     """Text form, one canonical-order line per wire: ``dim left right track``."""
-    rows = []
-    for iv in sorted(intervals, key=lambda iv: (iv.wire.dim, iv.wire.left_col)):
-        w = iv.wire
-        rows.append(f"{w.dim} {w.left_col} {w.right_col} {assignment.by_wire[w]}")
+    by_wire = assignment.by_wire
+    rows = [f"{w.dim} {w.left_col} {w.right_col} {by_wire[w]}" for w, _, _ in sorted(intervals)]
     return "\n".join(rows) + ("\n" if rows else "")
 
 

@@ -98,6 +98,14 @@ class TestBuildNetlist:
         with pytest.raises(LayoutError):
             Wire(1, 3, 3, 1, 1)
 
+    @pytest.mark.parametrize("placement", list(Placement))
+    @pytest.mark.parametrize("mode", list(TerminalMode))
+    def test_wires_are_in_canonical_tuple_order(self, placement, mode):
+        for d in range(0, 9):
+            wires = build_netlist(HypercubeRow(2**d), placement, mode).wires
+            assert sorted(wires) == list(wires)
+            assert [(w.dim, w.left_col) for w in wires] == sorted((w.dim, w.left_col) for w in wires)
+
     def test_slot_order_permutes_slots(self):
         net = build_netlist(
             HypercubeRow(8),
@@ -113,6 +121,44 @@ class TestBuildNetlist:
             build_netlist(row, mode=TerminalMode.FREE, slot_order=(1, 2, 3))
         with pytest.raises(LayoutError):
             build_netlist(row, mode=TerminalMode.DIM_ORDERED, slot_order=(1, 1, 3))
+
+
+class TestWireRecord:
+    def test_fields_in_canonical_order(self):
+        w = Wire(2, 1, 3, 4, 5)
+        assert w._fields == ("dim", "left_col", "right_col", "left_slot", "right_slot")
+        assert (w.dim, w.left_col, w.right_col, w.left_slot, w.right_slot) == (2, 1, 3, 4, 5)
+        assert tuple(w) == (2, 1, 3, 4, 5) and w == (2, 1, 3, 4, 5)
+        assert w.span == 2
+
+    def test_immutable(self):
+        w = Wire(1, 0, 1, 1, 1)
+        for name in ("dim", "left_col", "right_col", "left_slot", "right_slot", "span", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(w, name, 9)
+        assert not hasattr(w, "__dict__")
+
+    def test_hashable_dict_key(self):
+        a, b = Wire(1, 0, 1, 1, 1), Wire(1, 0, 1, 1, 1)
+        assert a is not b and a == b and hash(a) == hash(b)
+        table = {a: 3}
+        assert table[b] == 3
+        assert len({a, b, Wire(1, 2, 3, 1, 1)}) == 2
+
+    @pytest.mark.parametrize("left, right", [(3, 3), (4, 3), (0, -1)])
+    def test_rejects_reversed_columns_on_every_path(self, left, right):
+        with pytest.raises(LayoutError):
+            Wire(1, left, right, 1, 1)
+        with pytest.raises(LayoutError):
+            Wire(dim=1, left_col=left, right_col=right, left_slot=1, right_slot=1)
+        with pytest.raises(LayoutError):
+            Wire._make((1, left, right, 1, 1))
+        with pytest.raises(LayoutError):
+            Wire(1, 0, 9, 1, 1)._replace(left_col=left, right_col=right)
+
+    def test_replace_keeps_the_record_type(self):
+        w = Wire(1, 0, 1, 1, 1)._replace(right_col=5)
+        assert type(w) is Wire and w == (1, 0, 5, 1, 1)
 
 
 class TestWirelength:

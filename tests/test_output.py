@@ -11,6 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cuberow import cli
+from cuberow.density import HypercubeRow
+from cuberow.netlist import Netlist, Placement, TerminalMode, Wire
+from cuberow.render import RenderSpec, render_svg
+from cuberow.routing import TrackAssignment
 
 PAIRS = [(p, m) for p in ("normal", "gray") for m in ("free", "dim-ordered")]
 
@@ -43,8 +47,29 @@ _values = st.recursive(
 )
 
 
+# Strings that look like the text spliced around records: a record list is
+# encoded in one call and cut at its separators.
+_tricky = st.sampled_from(["},\n{", "{", "}", ",\n", "},\n    {", '"}, {"', "\n  ", "[", "]"])
+_keys = st.text() | _tricky | st.integers() | st.floats() | st.booleans() | st.none()
+_records = st.dictionaries(_keys, _scalars | _tricky, max_size=5)
+_record_lists = st.lists(_records | _scalars | st.lists(_scalars, max_size=3), max_size=8) | st.lists(
+    st.dictionaries(_keys, _scalars | _tricky, min_size=1, max_size=5), max_size=8
+)
+
+
 @given(_values)
 def test_json_text_matches_json_dumps(value):
+    assert cli._json_text(value) == _reference(value)
+
+
+@given(
+    st.recursive(
+        _record_lists,
+        lambda children: st.lists(children, max_size=3) | st.dictionaries(_keys, children, max_size=3),
+        max_leaves=6,
+    )
+)
+def test_json_text_matches_json_dumps_on_record_lists(value):
     assert cli._json_text(value) == _reference(value)
 
 
@@ -58,8 +83,16 @@ def test_json_text_matches_json_dumps(value):
         (1, (2.5, None), [True, False]),
         {"k": float("nan"), "inf": [float("inf"), -float("inf")], "é\n": "日"},
         {1: [2], None: {"a": [3]}, False: [], 2.5: ["x"], -7: 0},
+        {"wires": [{"dim": 1, "left_col": 0}, {"},\n{": "},\n    {", "{": "}"}, {2: ",\n", None: "["}]},
+        [[{"a": 1}], [{"b": {}}], ({"c": None},)],
+        [{"a": 1}, {}, {"b": 2}],
+        [{"a": 1}, 2, {"b": 2}],
+        [{"a": [1]}, {"b": 2}],
     ],
-    ids=["empty-list", "empty-dict", "empties-nested", "cli-shaped", "tuples", "specials", "non-str-keys"],
+    ids=[
+        "empty-list", "empty-dict", "empties-nested", "cli-shaped", "tuples", "specials", "non-str-keys",
+        "records", "nested-records", "empty-record", "mixed-records", "record-with-list",
+    ],
 )
 def test_json_text_matches_json_dumps_on_edge_cases(value):
     assert cli._json_text(value) == _reference(value)
@@ -119,6 +152,12 @@ GOLDEN = [
     ("compare --n 64", "466e1aebd3934ac092b16adfdf599f3d78f403c1fd40e6dcfd25fe41d2210373"),
     ("compare --n 64 --format json", "ce24e27103b79fb884dcb76bfdf4237c30a3e1e6e672d71abaf1337dc9d59b13"),
     ("check --max-n 64", "e12a09def5083879c10af0acabff0ed9f377eaa8e8480e777cde53b9d561dd19"),
+    ("route --n 1024 --placement normal --mode free --format json", "df7613399dffafc1da2e580dd828aecdfc4c4af47d241d0ca8aebebc8eec97b2"),
+    ("route --n 1024 --placement normal --mode dim-ordered --format json", "5fad1173f9b37489b6137c378402be5216cd136b0d6c71272c16b8cdefe7207b"),
+    ("route --n 1024 --placement gray --mode free --format json", "cc3385cb917a2d01592498faa801a47316c8fa869b3c60199743445ceb6eaad5"),
+    ("route --n 1024 --placement gray --mode dim-ordered --format json", "765a3f8c41d04709fd6aebf23f36f5b3bcdc35ef0bc3586413062e8648fcbbbf"),
+    ("route --n 1024 --placement gray --mode free --format svg", "04ab89e1ca4bc84dea5ed8fda6eebda131a76a32494a5915944abae957664dd6"),
+    ("route --n 1024 --placement normal --mode dim-ordered --format csv", "fe8035c4ef0f5cad6da42fbf1381b92001e45caf1bc85f1988fb4a7c8d73a54e"),
 ]
 
 
@@ -129,3 +168,15 @@ GOLDEN = [
 )
 def test_stdout_bytes_are_unchanged(command, digest):
     assert hashlib.sha256(stdout_of(*command.split()).encode()).hexdigest() == digest
+
+
+def test_svg_places_any_track_and_slot_by_the_formula():
+    # Hand-made input outside what the router produces: a track below 0 and
+    # terminal slot 0.  Cells are 10 wide and high, so the margin is 20 and
+    # with one track the node row starts at y = 40.
+    wires = (Wire(1, 0, 1, 1, 1), Wire(1, 0, 1, 0, 0))
+    net = Netlist(HypercubeRow(2), Placement.NORMAL, TerminalMode.FREE, wires)
+    svg = render_svg(net, TrackAssignment({wires[0]: -1, wires[1]: 3}, 1, 1), RenderSpec(10, 10))
+    # x = 20 + (col * 2 + slot - 1) * 10 + 5; y = 20 + (1 - 1 - track) * 10 + 5
+    assert 'points="25,40 25,35 45,35 45,40"' in svg
+    assert 'points="15,40 15,-5 35,-5 35,40"' in svg

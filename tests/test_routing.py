@@ -1,6 +1,7 @@
 """Interval extraction, channel density, the left-edge router, and the
 assignment verifier."""
 
+import heapq
 import random
 
 import pytest
@@ -62,6 +63,50 @@ class TestWireIntervals:
     def test_rejects_reversed_range(self):
         with pytest.raises(LayoutError):
             IntervalWire(Wire(1, 0, 1, 1, 1), 5, 4)
+
+    def test_rejects_reversed_range_on_every_path(self):
+        w = Wire(1, 0, 1, 1, 1)
+        with pytest.raises(LayoutError):
+            IntervalWire(wire=w, lo=5, hi=4)
+        with pytest.raises(LayoutError):
+            IntervalWire._make((w, 5, 4))
+        with pytest.raises(LayoutError):
+            IntervalWire(w, 4, 5)._replace(lo=6)
+
+    @pytest.mark.parametrize("mode", list(TerminalMode))
+    def test_intervals_follow_the_netlist_order(self, mode):
+        net = build_netlist(HypercubeRow(64), Placement.GRAY, mode)
+        ivs = wire_intervals(net)
+        assert [iv.wire for iv in ivs] == list(net.wires)
+        assert sorted(ivs) == ivs
+
+
+class TestIntervalRecord:
+    def test_fields(self):
+        w = Wire(1, 0, 1, 1, 1)
+        iv = IntervalWire(w, -2, 3)
+        assert iv._fields == ("wire", "lo", "hi")
+        assert (iv.wire, iv.lo, iv.hi) == (w, -2, 3)
+        assert iv == (w, -2, 3) and iv == ((1, 0, 1, 1, 1), -2, 3)
+
+    def test_immutable(self):
+        iv = IntervalWire(Wire(1, 0, 1, 1, 1), 0, 3)
+        for name in ("wire", "lo", "hi", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(iv, name, 9)
+
+    def test_hashable_dict_key(self):
+        a = IntervalWire(Wire(1, 0, 1, 1, 1), 0, 3)
+        b = IntervalWire(Wire(1, 0, 1, 1, 1), 0, 3)
+        assert a is not b and hash(a) == hash(b)
+        assert {a: "x"}[b] == "x"
+        assert len({a, b, a._replace(hi=4)}) == 2
+
+    def test_overlaps_is_inclusive(self):
+        w = Wire(1, 0, 1, 1, 1)
+        assert IntervalWire(w, 0, 3).overlaps(IntervalWire(w, 3, 5))
+        assert not IntervalWire(w, 0, 2).overlaps(IntervalWire(w, 3, 5))
+        assert IntervalWire(w, -1, -1).overlaps(IntervalWire(w, -4, 8))
 
 
 class TestChannelDensity:
@@ -145,6 +190,69 @@ class TestLeftEdgeRoute:
             assert verify_assignment(intervals, assignment).ok
 
 
+def _reference_route(intervals):
+    """The left-edge sweep as first written: wires ordered by the key
+    (lo, hi, dim, left_col), each dropped on the lowest quiet track."""
+    order = sorted(intervals, key=lambda iv: (iv.lo, iv.hi, iv.wire.dim, iv.wire.left_col))
+    free_tracks, busy, by_wire = [], [], {}
+    next_track = 0
+    for iv in order:
+        while busy and busy[0][0] < iv.lo:
+            heapq.heappush(free_tracks, heapq.heappop(busy)[1])
+        if free_tracks:
+            track = heapq.heappop(free_tracks)
+        else:
+            track, next_track = next_track, next_track + 1
+        by_wire[iv.wire] = track
+        heapq.heappush(busy, (iv.hi, track))
+    return by_wire
+
+
+@st.composite
+def _interval_sets(draw):
+    """Intervals on distinct wires, with spans drawn from a narrow window so
+    that tied ends, touching ends, negative ends and repeated spans are
+    common."""
+    keys = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 30)), max_size=40, unique=True))
+    spans = []
+    intervals = []
+    for dim, left in keys:
+        if spans and draw(st.booleans()):
+            lo, hi = draw(st.sampled_from(spans))
+        else:
+            lo = draw(st.integers(-6, 12))
+            hi = lo + draw(st.integers(0, 5))
+        spans.append((lo, hi))
+        right = left + draw(st.integers(1, 3))
+        slot = draw(st.integers(1, 4))
+        intervals.append(IntervalWire(Wire(dim, left, right, slot, slot), lo, hi))
+    return intervals
+
+
+class TestSweepAgainstReference:
+    @given(_interval_sets(), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_same_tracks_as_reference_sweep(self, intervals, rng):
+        rng.shuffle(intervals)
+        assignment = left_edge_route(intervals)
+        assert assignment.by_wire == _reference_route(intervals)
+        assert assignment.track_count == len(set(assignment.by_wire.values()))
+        assert verify_assignment(intervals, assignment).ok
+
+    @given(_interval_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_channel_density_equals_coverage_bound(self, intervals):
+        assert channel_density(intervals) == coverage_bound(intervals)
+
+    def test_ties_follow_dim_then_left_column(self):
+        # Same span everywhere: the sweep order is the wires' canonical order.
+        wires = [Wire(2, 0, 2, 2, 2), Wire(1, 5, 6, 1, 1), Wire(1, 3, 4, 1, 1), Wire(2, 1, 3, 2, 2)]
+        intervals = [IntervalWire(w, -3, -3) for w in wires]
+        by_wire = left_edge_route(intervals).by_wire
+        assert [by_wire[w] for w in sorted(wires)] == [0, 1, 2, 3]
+        assert by_wire == _reference_route(intervals)
+
+
 class TestVerifyAssignment:
     def test_ok_certificate(self):
         ivs = _intervals(8)
@@ -169,6 +277,33 @@ class TestVerifyAssignment:
         cert = verify_assignment(ivs, TrackAssignment(lifted, good.track_count + 1, good.density))
         assert not cert.ok
         assert cert.reason == "track-count"
+
+    def test_reports_first_overlap_whatever_the_input_order(self):
+        w = [Wire(1, k, k + 1, 1, 1) for k in range(5)]
+        ivs = [
+            IntervalWire(w[0], 0, 4),
+            IntervalWire(w[1], 6, 9),
+            IntervalWire(w[2], 2, 3),
+            IntervalWire(w[3], 5, 7),
+            IntervalWire(w[4], 5, 7),
+        ]
+        tracks = {w[0]: 1, w[1]: 0, w[2]: 1, w[3]: 0, w[4]: 0}
+        assignment = TrackAssignment(tracks, 2, channel_density(ivs))
+        cert = verify_assignment(ivs, assignment)
+        assert (cert.reason, cert.offenders) == ("overlap", (w[3], w[4]))
+        assert cert.detail == "track 0 holds overlapping spans [5, 7] and [5, 7]"
+        reordered = verify_assignment([ivs[k] for k in (2, 4, 1, 0, 3)], assignment)
+        assert (reordered.reason, reordered.offenders) == ("overlap", (w[4], w[3]))
+
+    def test_reports_first_out_of_range_track(self):
+        ivs = _intervals(8)
+        good = left_edge_route(ivs)
+        bad = dict(good.by_wire)
+        bad[ivs[3].wire] = -1
+        bad[ivs[5].wire] = good.track_count
+        cert = verify_assignment(ivs, TrackAssignment(bad, good.track_count, good.density))
+        assert (cert.reason, cert.offenders) == ("track-range", (ivs[3].wire,))
+        assert cert.detail == f"track -1 outside 0..{good.track_count - 1}"
 
     def test_missing_wire_raises(self):
         ivs = _intervals(4)

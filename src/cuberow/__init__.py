@@ -8,7 +8,6 @@ recomputes every claim.
 """
 
 from cuberow.density import (
-    BitView,
     HypercubeRow,
     cut_density,
     cut_density_bitsum,

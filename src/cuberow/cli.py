@@ -145,21 +145,13 @@ def _json_text(obj) -> str:
     return "".join(parts)
 
 
-def _gap_summary(profile: list[int]) -> tuple[int, int, list[int]]:
-    """(peak, leftmost peak cut, all peak cuts) from a 0..n gap profile."""
-    interior = profile[1:-1]
-    peak = max(interior)
-    cuts = [cut for cut, value in enumerate(profile) if 0 < cut < len(profile) - 1 and value == peak]
-    return peak, cuts[0], cuts
-
-
 def _density_data(
     row: HypercubeRow,
     placement: Placement,
     mode: TerminalMode,
     net: netlist.Netlist | None = None,
 ):
-    """Profile, peak summary, slot rows and terminal peak.
+    """The JSON density document, with ``tracks`` None, and the slot rows.
 
     The normal placement takes the closed forms.  The gray placement reads
     everything from one oracle crossing table, of ``net`` when the caller
@@ -173,7 +165,6 @@ def _density_data(
     if placement is Placement.NORMAL:
         profile = density.cut_density_profile(row)
         peak = density.max_cut_density(row)
-        first = density.leftmost_max_cut(row)
         cuts = density.max_density_cuts(row)
         if mode is TerminalMode.DIM_ORDERED:
             terminal_rows = (netlist.terminal_cut_densities(row, cut) for cut in range(1, row.n))
@@ -183,12 +174,27 @@ def _density_data(
             net = netlist.build_netlist(row, placement, mode)
         table = oracle.crossing_profile(net)
         profile = table.gap_profile()
-        peak, first, cuts = _gap_summary(profile)
+        cuts = table.gap_maximizers()
+        peak = table.gap(cuts[0])
         if mode is TerminalMode.DIM_ORDERED:
             slots = range(1, row.dims + 1)
             terminal_rows = ([table.node_cut(col, slot) for slot in slots] for col in range(row.n - 1))
             terminal_max = table.fine_max()
-    return profile, peak, first, cuts, terminal_rows, terminal_max
+    # Both profile sources return a fresh list per call, so trim in place.
+    del profile[row.n :], profile[0]
+    doc = {
+        "n": row.n,
+        "placement": placement.value,
+        "mode": mode.value,
+        "profile": profile,
+        "m": peak,
+        "p": cuts[0],
+        "maximizers": cuts,
+        "tracks": None,
+    }
+    if terminal_max is not None:
+        doc["terminal_max"] = terminal_max
+    return doc, terminal_rows
 
 
 def cmd_density(args) -> int:
@@ -199,33 +205,18 @@ def cmd_density(args) -> int:
     if args.format == "svg":
         raise UsageError("svg output is available for the route command only")
 
-    profile, peak, first, cuts, terminal_rows, terminal_max = _density_data(
-        row, placement, mode
-    )
-    # Both profile sources return a fresh list per call, so trim in place.
-    del profile[row.n :], profile[0]
-
+    doc, terminal_rows = _density_data(row, placement, mode)
     if args.format == "json":
-        payload = {
-            "n": row.n,
-            "placement": placement.value,
-            "mode": mode.value,
-            "profile": profile,
-            "m": peak,
-            "p": first,
-            "maximizers": cuts,
-            "tracks": None,
-        }
-        if terminal_max is not None:
-            payload["terminal_max"] = terminal_max
-        _write_output(_json_text(payload), args.out)
+        _write_output(_json_text(doc), args.out)
         return EXIT_OK
 
+    peak, first, cuts = doc["m"], doc["p"], doc["maximizers"]
+    terminal_max = doc.get("terminal_max")
     slot_headers = [f"T{slot}" for slot in range(1, row.dims + 1)]
     if terminal_rows is None:
         slot_headers, terminal_rows = [], repeat(())
     # Each slot row becomes part of its line as it is computed.
-    table_rows = zip(enumerate(profile, start=1), terminal_rows)
+    table_rows = zip(enumerate(doc["profile"], start=1), terminal_rows)
     if args.format == "csv":
         lines = [",".join(["i", "S", *slot_headers])]
         lines += [",".join(map(str, (cut, value, *slots))) for (cut, value), slots in table_rows]
@@ -285,24 +276,13 @@ def cmd_route(args) -> int:
         lines += [f"{w.dim},{w.left_col},{w.right_col},{by_wire[w]}" for w in net.wires]
         _write_output("\n".join(lines) + "\n", args.out)
     else:
-        profile, peak, first, cuts, _, terminal_max = _density_data(row, placement, mode, net)
-        payload = {
-            "n": row.n,
-            "placement": placement.value,
-            "mode": mode.value,
-            "profile": profile[1 : row.n],
-            "m": peak,
-            "p": first,
-            "maximizers": cuts,
-            "tracks": assignment.track_count,
-        }
-        if terminal_max is not None:
-            payload["terminal_max"] = terminal_max
-        payload["wires"] = [
+        doc = _density_data(row, placement, mode, net)[0]
+        doc["tracks"] = assignment.track_count
+        doc["wires"] = [
             {"dim": w.dim, "left_col": w.left_col, "right_col": w.right_col, "track": by_wire[w]}
             for w in net.wires
         ]
-        _write_output(_json_text(payload), args.out)
+        _write_output(_json_text(doc), args.out)
     return EXIT_OK
 
 
@@ -370,7 +350,7 @@ def cmd_check(args) -> int:
         total += outcome.assertions
         lines.append(line)
     lines.append(
-        f"{failed or 'no'} check(s) failed, {total} assertions, rows up to {args.max_n} nodes"
+        f"{failed} check(s) failed, {total} assertions, rows up to {args.max_n} nodes"
         if failed
         else f"all checks passed, {total} assertions, rows up to {args.max_n} nodes"
     )
@@ -421,10 +401,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"cuberow: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except LayoutError as exc:
+    except (UsageError, LayoutError) as exc:
         print(f"cuberow: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalError as exc:

@@ -53,47 +53,6 @@ class HypercubeRow:
         return self.n.bit_length() - 1
 
 
-@dataclass(frozen=True)
-class BitView:
-    """Bit-indexed view of a nonnegative integer over a fixed width.
-
-    Positions count from 1 at the right end.  The view provides the three
-    bit statistics the density formulas are built from: single bits, the
-    ones-minus-zeros excess above a position, and the trailing-zero run.
-    """
-
-    value: int
-    width: int
-
-    def __post_init__(self):
-        if self.width < 0:
-            raise ValueError(f"width must be nonnegative, got {self.width}")
-        if not 0 <= self.value < (1 << self.width):
-            raise ValueError(f"value {self.value} does not fit in {self.width} bits")
-
-    def bit(self, position: int) -> int:
-        if not 1 <= position <= self.width:
-            raise ValueError(f"bit position {position} outside 1..{self.width}")
-        return (self.value >> (position - 1)) & 1
-
-    def excess_above(self, position: int) -> int:
-        """Ones minus zeros among the bits strictly above ``position``.
-
-        ``position`` may be 0 (statistic over the whole width) through
-        ``width`` (empty range, always 0).
-        """
-        if not 0 <= position <= self.width:
-            raise ValueError(f"position {position} outside 0..{self.width}")
-        return kernels._excess_above(self.value, self.width, position)
-
-    @property
-    def trailing_zeros(self) -> int:
-        """Length of the zero run at the right end; ``width`` when value is 0."""
-        if self.value == 0:
-            return self.width
-        return (self.value & -self.value).bit_length() - 1
-
-
 def _check_cut(row: HypercubeRow, cut: int) -> None:
     if not 0 <= cut <= row.n:
         raise InvalidCutError(f"cut {cut} outside 0..{row.n}")
@@ -108,6 +67,10 @@ def dimension_link_count(row: HypercubeRow, cut: int, dim: int) -> int:
     if not 1 <= dim <= row.dims:
         raise InvalidDimensionError(f"dimension {dim} outside 1..{row.dims}")
     _check_cut(row, cut)
+    return _ramp(cut, dim)
+
+
+def _ramp(cut: int, dim: int) -> int:
     half = 1 << (dim - 1)
     # Floor division and nonnegative remainder are both required here: the
     # cut-0 case walks through a negative intermediate.
@@ -118,12 +81,7 @@ def dimension_link_count(row: HypercubeRow, cut: int, dim: int) -> int:
 def cut_density(row: HypercubeRow, cut: int) -> int:
     """Total number of wires crossing intercolumn ``cut``, summed over dimensions."""
     _check_cut(row, cut)
-    total = 0
-    for dim in range(1, row.dims + 1):
-        half = 1 << (dim - 1)
-        sign = 1 - 2 * (((cut - 1) // half) & 1)
-        total += (cut * sign) % (half << 1)
-    return total
+    return sum(_ramp(cut, dim) for dim in range(1, row.dims + 1))
 
 
 def cut_density_profile(row: HypercubeRow) -> list[int]:

@@ -14,6 +14,7 @@ and the oracle: each column contributes one cut just after each of its
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -246,15 +247,30 @@ def dump_netlist(net: Netlist) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Outside the header's names, a netlist or assignment text holds only ASCII
+# digits and whitespace; int() alone would also take a sign, an underscore
+# or a non-ASCII digit.
+_NON_DIGIT = re.compile(r"[^0-9\s]", re.ASCII)
+
+
+def _require_digits(text: str, start: int, what: str) -> None:
+    # One search over the whole body; the offending line is found on failure.
+    bad = _NON_DIGIT.search(text, start)
+    if bad:
+        end = text.find("\n", bad.start())
+        line = text[text.rfind("\n", 0, bad.start()) + 1 : end if end >= 0 else None]
+        raise NetlistFormatError(f"non-integer field in {what}{line!r}")
+
+
 def load_netlist(text: str) -> Netlist:
     """Parse and validate the text form produced by :func:`dump_netlist`.
 
-    Validation covers the full structural contract: wire count, column
-    ranges, that each wire joins two nodes differing in
-    exactly its dimension bit under the declared placement, that no link is
-    listed twice, and, with dimension-ordered terminals, that no terminal
-    slot of a node carries two wires.  Together these make the wires exactly
-    the row's hypercube links.
+    Every number is a run of ASCII digits.  Validation covers the full
+    structural contract: wire count, column ranges, that each wire joins two
+    nodes differing in exactly its dimension bit under the declared
+    placement, that no link is listed twice, and, with dimension-ordered
+    terminals, that no terminal slot of a node carries two wires.  Together
+    these make the wires exactly the row's hypercube links.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -262,12 +278,16 @@ def load_netlist(text: str) -> Netlist:
     header = lines[0].split()
     if len(header) != 3:
         raise NetlistFormatError(f"bad header {lines[0]!r}, want 'n placement mode'")
+    if _NON_DIGIT.search(header[0]):
+        raise NetlistFormatError(f"bad header {lines[0]!r}: node count is not an integer")
     try:
         row = HypercubeRow(int(header[0]))
         placement = Placement(header[1])
         mode = TerminalMode(header[2])
     except ValueError as exc:
         raise NetlistFormatError(f"bad header {lines[0]!r}: {exc}") from None
+    # The header is the first line that is not blank, so this finds it.
+    _require_digits(text, text.find(lines[0]) + len(lines[0]), "")
 
     dims = row.dims
     # A dimension has n/2 links, so with this total and no link listed twice
@@ -287,10 +307,7 @@ def load_netlist(text: str) -> Netlist:
         fields = line.split()
         if len(fields) != 5:
             raise NetlistFormatError(f"bad wire line {line!r}, want 5 fields")
-        try:
-            dim, left, lslot, right, rslot = (int(f) for f in fields)
-        except ValueError:
-            raise NetlistFormatError(f"non-integer field in {line!r}") from None
+        dim, left, lslot, right, rslot = (int(f) for f in fields)
         if not 1 <= dim <= dims:
             raise NetlistFormatError(f"dimension {dim} outside 1..{dims}")
         if not 0 <= left < right < row.n:

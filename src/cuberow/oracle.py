@@ -48,12 +48,17 @@ class CrossingTable:
 
     def gap_profile(self) -> list[int]:
         """Intercolumn crossings for cuts 0..n, in order."""
-        step = self.dims + 1
-        return [self.counts[cut * step] for cut in range(self.n + 1)]
+        # counts has n * (dims + 1) + 1 entries, so this is cuts 0..n exactly.
+        return list(self.counts[:: self.dims + 1])
 
     def interior_gap_max(self) -> int:
         """Largest intercolumn crossing count strictly inside the row."""
         return max(self.gap_profile()[1 : self.n], default=0)
+
+    def gap_maximizers(self) -> list[int]:
+        """Every interior intercolumn cut attaining :meth:`interior_gap_max`."""
+        peak = self.interior_gap_max()
+        return [cut for cut in range(1, self.n) if self.gap(cut) == peak]
 
     def fine_max(self) -> int:
         """Largest crossing count over every fine cut."""
@@ -89,12 +94,7 @@ def crossing_profile(net: Netlist) -> CrossingTable:
 
 def brute_maximizers(net: Netlist) -> list[int]:
     """All interior intercolumn cuts attaining the profile maximum, by scan."""
-    profile = crossing_profile(net).gap_profile()
-    interior = profile[1 : net.row.n]
-    if not interior:
-        return []
-    peak = max(interior)
-    return [cut for cut in range(1, net.row.n) if profile[cut] == peak]
+    return crossing_profile(net).gap_maximizers()
 
 
 def brute_link_count(net: Netlist, cut: int, dim: int) -> int:

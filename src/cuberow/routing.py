@@ -17,7 +17,7 @@ from operator import itemgetter, sub
 from typing import NamedTuple
 
 from cuberow.errors import IncompleteAssignmentError, LayoutError, NetlistFormatError
-from cuberow.netlist import Netlist, TerminalMode, Wire, gap_cut_index
+from cuberow.netlist import Netlist, TerminalMode, Wire, _require_digits, gap_cut_index
 
 __all__ = [
     "IntervalWire",
@@ -200,9 +200,10 @@ def dump_assignment(intervals: list[IntervalWire], assignment: TrackAssignment) 
 def load_assignment(text: str) -> list[tuple[int, int, int, int]]:
     """Parse assignment text into (dim, left_col, right_col, track) tuples.
 
-    A line without four fields, or with a field that is not a nonnegative
-    integer, raises :class:`NetlistFormatError` naming the line.
+    A line without four fields, or with a field that is not a run of ASCII
+    digits, raises :class:`NetlistFormatError` naming the line.
     """
+    _require_digits(text, 0, "assignment line ")
     out = []
     for line in text.splitlines():
         if not line.strip():
@@ -210,11 +211,5 @@ def load_assignment(text: str) -> list[tuple[int, int, int, int]]:
         fields = line.split()
         if len(fields) != 4:
             raise NetlistFormatError(f"bad assignment line {line!r}, want 4 fields")
-        try:
-            values = tuple(map(int, fields))
-        except ValueError:
-            raise NetlistFormatError(f"non-integer field in assignment line {line!r}") from None
-        if min(values) < 0:
-            raise NetlistFormatError(f"negative value in assignment line {line!r}")
-        out.append(values)
+        out.append(tuple(map(int, fields)))
     return out

@@ -17,7 +17,9 @@ from cuberow.cli import (
     EXIT_USAGE,
     main,
 )
+from cuberow.density import HypercubeRow
 from cuberow.netlist import load_netlist
+from cuberow.oracle import brute_maximizers, crossing_profile
 from cuberow.routing import load_assignment
 
 JSON_FIELDS = ["n", "placement", "mode", "profile", "m", "p", "maximizers", "tracks"]
@@ -55,6 +57,18 @@ class TestDensityCommand:
         payload = json.loads(out)
         assert payload["profile"] == [3, 4, 5, 4, 5, 4, 3]
         assert payload["m"] == 5
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_gray_summary_matches_oracle(self, d):
+        row = HypercubeRow(2**d)
+        code, out, _ = run_cli("density", "--n", str(row.n), "--placement", "gray", "--format", "json")
+        payload = json.loads(out)
+        net = netlist.build_netlist(row, netlist.Placement.GRAY)
+        cuts = brute_maximizers(net)
+        assert code == EXIT_OK
+        assert payload["maximizers"] == cuts
+        assert payload["p"] == cuts[0]
+        assert payload["m"] == crossing_profile(net).interior_gap_max()
 
     def test_json_schema(self):
         code, out, _ = run_cli("density", "--n", "8", "--format", "json")

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuberow.density import (
-    BitView,
     HypercubeRow,
     cut_density,
     cut_density_bitsum,
@@ -45,40 +44,6 @@ class TestHypercubeRow:
     def test_rejects_non_integers(self, bad):
         with pytest.raises(RowSizeError):
             HypercubeRow(bad)
-
-
-class TestBitView:
-    def test_bits(self):
-        view = BitView(0b0110, 4)
-        assert [view.bit(j) for j in (1, 2, 3, 4)] == [0, 1, 1, 0]
-
-    def test_excess_above(self):
-        view = BitView(0b0110, 4)
-        # above position j: j=0 sees all four bits, j=4 sees none
-        assert [view.excess_above(j) for j in range(5)] == [0, 1, 0, -1, 0]
-
-    def test_trailing_zeros(self):
-        assert BitView(0b1000, 4).trailing_zeros == 3
-        assert BitView(0b0101, 4).trailing_zeros == 0
-        assert BitView(0, 4).trailing_zeros == 4  # zero convention: full width
-
-    def test_range_errors(self):
-        view = BitView(3, 2)
-        with pytest.raises(ValueError):
-            view.bit(0)
-        with pytest.raises(ValueError):
-            view.bit(3)
-        with pytest.raises(ValueError):
-            view.excess_above(-1)
-        with pytest.raises(ValueError):
-            BitView(4, 2)
-
-    @given(value=st.integers(0, 2**12 - 1), position=st.integers(0, 12))
-    def test_excess_matches_direct_count(self, value, position):
-        view = BitView(value, 12)
-        ones = sum((value >> (j - 1)) & 1 for j in range(position + 1, 13))
-        zeros = (12 - position) - ones
-        assert view.excess_above(position) == ones - zeros
 
 
 class TestDimensionLinkCount:

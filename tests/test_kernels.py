@@ -1,5 +1,8 @@
 """The batch kernels on small inputs and against each other."""
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from cuberow import kernels
 
 
@@ -27,3 +30,15 @@ class TestProfiles:
             summed = kernels.density_profile(n)
             bitsum = kernels.bitsum_profile(n)
             assert summed[1:n] == bitsum[1:n]
+
+
+class TestExcessAbove:
+    def test_small_value(self):
+        # 0b0110 over 4 bits: position 0 sees all four bits, position 4 none.
+        assert [kernels._excess_above(0b0110, 4, j) for j in range(5)] == [0, 1, 0, -1, 0]
+
+    @given(value=st.integers(0, 2**12 - 1), position=st.integers(0, 12))
+    def test_matches_direct_count(self, value, position):
+        ones = sum((value >> (j - 1)) & 1 for j in range(position + 1, 13))
+        zeros = (12 - position) - ones
+        assert kernels._excess_above(value, 12, position) == ones - zeros

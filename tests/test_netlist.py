@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cuberow.density import BitView, HypercubeRow, cut_density, max_cut_density, max_density_cuts
+from cuberow.density import HypercubeRow, cut_density, max_cut_density, max_density_cuts
 from cuberow.errors import (
     DegenerateRowError,
     InvalidCutError,
     LayoutError,
     NetlistFormatError,
 )
+from cuberow.kernels import _excess_above
 from cuberow.netlist import (
     Netlist,
     Placement,
@@ -207,7 +208,7 @@ class TestTerminalDensity:
         small, large = HypercubeRow(8), HypercubeRow(16)
         expected = {
             row: [
-                [cut_density(row, cut) + BitView(cut - 1, row.dims).excess_above(slot)
+                [cut_density(row, cut) + _excess_above(cut - 1, row.dims, slot)
                  for slot in range(1, row.dims + 1)]
                 for cut in range(1, row.n + 1)
             ]
@@ -250,16 +251,11 @@ class TestExcessReexpression:
         # trailing-zero run, for every 16-bit value and every position
         width = 16
         for value in range(1, 1 << width):
-            run = BitView(value, width).trailing_zeros
-            prev = BitView(value - 1, width)
-            cur = BitView(value, width)
+            run = (value & -value).bit_length() - 1
             for position in range(1, width + 1):
-                expected = (
-                    cur.excess_above(position)
-                    if position > run
-                    else cur.excess_above(position) + 2 * (run - position - 1)
-                )
-                assert prev.excess_above(position) == expected
+                cur = _excess_above(value, width, position)
+                expected = cur if position > run else cur + 2 * (run - position - 1)
+                assert _excess_above(value - 1, width, position) == expected
 
 
 class TestMaxTerminalDensity:
@@ -375,6 +371,22 @@ class TestSerialization:
     def test_rejects_malformed_text(self, text):
         with pytest.raises(NetlistFormatError):
             load_netlist(text)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("4 normal", "+4 normal", "bad header '\\+4 normal free'"),
+            ("4 normal", "\u0664 normal", "bad header"),
+            ("1 0 1 1 1", "1 0_0 1 1 1", "'1 0_0 1 1 1'"),
+            ("1 0 1 1 1", "+1 0 1 1 1", "'\\+1 0 1 1 1'"),
+            ("1 0 1 1 1", "1 0 1 \u0661 1", "'1 0 1 \u0661 1'"),
+        ],
+    )
+    def test_rejects_fields_that_are_not_ascii_digits(self, old, new, message):
+        # int() alone takes each of these and the text loads as the real netlist.
+        bad = dump_netlist(build_netlist(HypercubeRow(4))).replace(old, new, 1)
+        with pytest.raises(NetlistFormatError, match=message):
+            load_netlist(bad)
 
     def test_rejects_wire_that_is_not_a_link(self):
         # columns 0 and 3 differ in two bits under normal placement

@@ -100,6 +100,12 @@ class TestBruteMaximizers:
     def test_single_node_row(self):
         assert brute_maximizers(build_netlist(HypercubeRow(1))) == []
 
+    def test_table_scan_on_the_smallest_rows(self):
+        single = crossing_profile(build_netlist(HypercubeRow(1)))
+        assert single.gap_maximizers() == [] and single.interior_gap_max() == 0
+        pair = crossing_profile(build_netlist(HypercubeRow(2)))
+        assert pair.gap_maximizers() == [1] and pair.interior_gap_max() == 1
+
 
 class TestBruteLinkCount:
     def test_spot_values(self):

@@ -3,6 +3,7 @@ assignment verifier."""
 
 import heapq
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -354,6 +355,12 @@ class TestAssignmentText:
     def test_rejects_non_integer_field(self):
         with pytest.raises(NetlistFormatError, match="'1 0 x 2'"):
             load_assignment("1 0 1 0\n1 0 x 2\n")
+
+    @pytest.mark.parametrize("line", ["+1 \u0660 1 0", "1 0_0 1 0", "1 0 1 +0", "1 0 1 \u0660"])
+    def test_rejects_fields_that_are_not_ascii_digits(self, line):
+        # int() alone takes each of these fields.
+        with pytest.raises(NetlistFormatError, match=re.escape(repr(line))):
+            load_assignment(f"1 0 1 0\n{line}\n")
 
     def test_rejects_negative_value(self):
         with pytest.raises(NetlistFormatError, match="'9 9 9 -4'"):

@@ -63,10 +63,16 @@ def _write_file(path: str, text: str) -> None:
 
 
 def _write_output(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
+    if out_path is not None:
         _write_file(out_path, text)
+        return
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise UsageError(f"cannot write stdout: {exc.strerror or exc}") from None
 
 
 _scalar_text = json.JSONEncoder().encode
@@ -343,7 +349,8 @@ def cmd_check(args) -> int:
     failed = 0
     for outcome in outcomes:
         status = "PASS" if outcome.passed else "FAIL"
-        line = f"{outcome.name:<22} {status}  ({outcome.assertions} assertions)"
+        swept = f", rows up to {outcome.up_to} nodes" if 0 < outcome.up_to < args.max_n else ""
+        line = f"{outcome.name:<22} {status}  ({outcome.assertions} assertions{swept})"
         if not outcome.passed:
             line += f"  {outcome.detail}"
             failed += 1
@@ -358,12 +365,19 @@ def cmd_check(args) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
+def _count(text: str) -> int:
+    # int() would also take "+8", "1_024" and non-ASCII digits.
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected ASCII digits, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cuberow", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, formats):
-        p.add_argument("--n", type=int, required=True, help="node count (power of two)")
+        p.add_argument("--n", type=_count, required=True, help="node count (power of two)")
         p.add_argument("--placement", choices=["normal", "gray"], default="normal")
         p.add_argument("--mode", choices=["free", "dim-ordered"], default="free")
         p.add_argument("--format", choices=formats, default="text")
@@ -375,21 +389,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_route = sub.add_parser("route", help="route the row and draw or tabulate it")
     add_common(p_route, ["text", "svg", "json", "csv"])
-    p_route.add_argument("--cell-width", type=int, default=12, help="svg cell width")
-    p_route.add_argument("--cell-height", type=int, default=12, help="svg cell height")
+    p_route.add_argument("--cell-width", type=_count, default=12, help="svg cell width")
+    p_route.add_argument("--cell-height", type=_count, default=12, help="svg cell height")
     p_route.add_argument("--hide-tracks", action="store_true", help="draw nodes only")
     p_route.add_argument("--emit-netlist", metavar="FILE", help="also write the netlist text format")
     p_route.add_argument("--emit-assignment", metavar="FILE", help="also write the track table text format")
     p_route.set_defaults(func=cmd_route)
 
     p_compare = sub.add_parser("compare", help="normal vs gray placement metrics")
-    p_compare.add_argument("--n", type=int, required=True)
+    p_compare.add_argument("--n", type=_count, required=True)
     p_compare.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p_compare.add_argument("--out", metavar="FILE")
     p_compare.set_defaults(func=cmd_compare)
 
     p_check = sub.add_parser("check", help="run the formula-versus-oracle suite")
-    p_check.add_argument("--max-n", type=int, default=256)
+    p_check.add_argument("--max-n", type=_count, default=256)
     p_check.add_argument("--out", metavar="FILE")
     p_check.set_defaults(func=cmd_check)
 

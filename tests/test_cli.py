@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -9,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from cuberow import netlist
+from cuberow import density, netlist, oracle, selfcheck
 from cuberow.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INTERNAL,
@@ -265,13 +266,18 @@ class TestCheckCommand:
             assert any(line.startswith(name) and "PASS" in line for line in lines)
         assert "assertions" in lines[-1]
 
+    def test_capped_checks_say_how_far_they_swept(self):
+        code, out, _ = run_cli("check", "--max-n", "2048")
+        assert code == EXIT_OK
+        capped = [line.split()[0] for line in out.splitlines() if line.endswith(", rows up to 1024 nodes)")]
+        assert capped == ["terminal-density", "router", "gray-equalities"]
+        assert out.splitlines()[-1].endswith("rows up to 2048 nodes")
+
     def test_rejects_bad_range(self):
         assert run_cli("check", "--max-n", "100")[0] == EXIT_USAGE
         assert run_cli("check", "--max-n", str(2**13))[0] == EXIT_USAGE
 
     def test_failure_exit_code(self, monkeypatch):
-        from cuberow import selfcheck
-
         def broken(max_n):
             return [selfcheck.CheckOutcome("rigged", False, 1, "injected failure")]
 
@@ -279,6 +285,124 @@ class TestCheckCommand:
         code, out, _ = run_cli("check", "--max-n", "2")
         assert code == EXIT_CHECK_FAILED
         assert "FAIL" in out and "injected failure" in out
+
+
+def _bump_where(condition):
+    """A fault that adds one to a formula's result wherever ``condition``
+    holds for its arguments."""
+
+    def fault(real):
+        def patched(*args):
+            return real(*args) + 1 if condition(*args) else real(*args)
+
+        return patched
+
+    return fault
+
+
+# One fault per check, in a formula that check reads and first wrong on the
+# n=16 row, with the assertion count and detail the check must report and
+# the set of checks that fail under it.
+CHECK_FAULTS = [
+    (
+        "closed-forms",
+        (density, "cut_density_bitsum_profile"),
+        lambda real: lambda row: [v + (row.n >= 16 and cut == 3) for cut, v in enumerate(real(row))],
+        54,
+        "n=16 cut=3: bit form 9 vs oracle 8",
+        {"closed-forms"},
+    ),
+    (
+        "symmetry-and-bounds",
+        (density, "dimension_link_count"),
+        _bump_where(lambda row, cut, dim: row.n >= 16 and cut == 1),
+        83,
+        "n=16 dim=1 cut=1: per-dimension symmetry broken",
+        {"symmetry-and-bounds"},
+    ),
+    (
+        "maximizers",
+        (oracle, "brute_maximizers"),
+        lambda real: lambda net: real(net)[: -1 if net.row.n >= 16 else None],
+        9,
+        "n=16: [5, 6, 7, 9, 10, 11] vs oracle [5, 6, 7, 9, 10]",
+        {"maximizers"},
+    ),
+    (
+        "profile-sum",
+        (netlist, "total_wirelength"),
+        _bump_where(lambda net: net.row.n >= 16),
+        15,
+        "n=16 normal: sums diverge from 120",
+        {"profile-sum"},
+    ),
+    (
+        "terminal-density",
+        (netlist, "terminal_cut_density"),
+        _bump_where(lambda row, cut, slot: row.n >= 16 and (cut, slot) == (2, 1)),
+        44,
+        "n=16 cut=2 slot=1: formula 4 vs oracle 3",
+        {"terminal-density"},
+    ),
+    (
+        # Rows up to n=8 are small enough for the exact search; from n=16 on
+        # the router is measured against the coverage bound.
+        "router",
+        (oracle, "coverage_bound"),
+        _bump_where(lambda intervals: True),
+        36,
+        "n=16 normal/free: exact minimum 11",
+        {"router"},
+    ),
+    (
+        "gray-equalities",
+        (netlist, "max_wirelength"),
+        _bump_where(lambda net: net.row.n >= 16),
+        9,
+        "n=16: span extremes 9, 16",
+        {"gray-equalities"},
+    ),
+    (
+        # closed-forms spot-checks the scalar form at n/2 too, so it fails
+        # alongside.
+        "bisection",
+        (density, "cut_density"),
+        lambda real: lambda row, cut: (
+            density.max_cut_density(row) if row.n >= 16 and cut == row.n // 2 else real(row, cut)
+        ),
+        1,
+        "n=16: bisection attains the peak",
+        {"closed-forms", "bisection"},
+    ),
+]
+
+
+class TestEveryCheckCanFail:
+    @pytest.fixture(autouse=True)
+    def fresh_gap_profile(self):
+        # The one-entry cache would otherwise serve a profile computed under
+        # another case's fault, or keep one computed under this case's.
+        netlist._gap_profile.cache_clear()
+        yield
+        netlist._gap_profile.cache_clear()
+
+    @pytest.mark.parametrize(
+        "name, target, fault, assertions, detail, failing",
+        CHECK_FAULTS,
+        ids=[case[0] for case in CHECK_FAULTS],
+    )
+    def test_fault_is_reported(self, monkeypatch, name, target, fault, assertions, detail, failing):
+        module, attr = target
+        monkeypatch.setattr(module, attr, fault(getattr(module, attr)))
+        check = getattr(selfcheck, "check_" + name.replace("-", "_"))
+        assert check(64) == selfcheck.CheckOutcome(name, False, assertions, detail, 64)
+
+        code, out, _ = run_cli("check", "--max-n", "64")
+        assert code == EXIT_CHECK_FAILED
+        lines = out.splitlines()
+        assert f"{name:<22} FAIL  ({assertions} assertions)  {detail}" in lines
+        assert {line.split()[0] for line in lines[:-1] if " FAIL " in line} == failing
+        assert lines[-1].startswith(f"{len(failing)} check(s) failed")
 
 
 class TestUnwritableOutput:
@@ -296,6 +420,27 @@ class TestUnwritableOutput:
         assert code == EXIT_USAGE
         assert err.startswith(f"cuberow: error: cannot write {target}")
         assert "internal error" not in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("density", "--n", "2"),
+            ("compare", "--n", "2"),
+            ("check", "--max-n", "2"),
+            ("route", "--n", "2"),
+            ("route", "--n", "1024", "--format", "json"),
+        ],
+    )
+    def test_full_stdout_is_a_usage_error(self, argv):
+        # A process of its own, so that the status also covers the
+        # interpreter's final flush of stdout.
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "cuberow", *argv], stdout=full, stderr=subprocess.PIPE, text=True
+            )
+        assert result.returncode == EXIT_USAGE
+        assert result.stderr.startswith("cuberow: error: cannot write stdout: ")
 
 
 class TestInternalErrorPath:
@@ -331,3 +476,29 @@ class TestProcessLevel:
             text=True,
         )
         assert result.returncode == EXIT_USAGE
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("value", ["1_024", "+8", "\u0668", "-8", " 8", "8.0", "0x8", ""])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("density", "--n"),
+            ("compare", "--n"),
+            ("check", "--max-n"),
+            ("route", "--n", "8", "--cell-width"),
+            ("route", "--n", "8", "--cell-height"),
+        ],
+        ids=lambda argv: "-".join(argv),
+    )
+    def test_only_ascii_digits_are_accepted(self, argv, value):
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit) as stop:
+            main([*argv, value])
+        assert stop.value.code == EXIT_USAGE
+        assert f"error: argument {argv[-1]}: expected ASCII digits, got {value!r}" in err.getvalue()
+
+    def test_zero_cell_width_reaches_the_render_check(self):
+        code, _, err = run_cli("route", "--n", "8", "--cell-width", "0")
+        assert code == EXIT_USAGE
+        assert err.startswith("cuberow: error: cell size must be positive")

@@ -152,6 +152,7 @@ GOLDEN = [
     ("compare --n 64", "466e1aebd3934ac092b16adfdf599f3d78f403c1fd40e6dcfd25fe41d2210373"),
     ("compare --n 64 --format json", "ce24e27103b79fb884dcb76bfdf4237c30a3e1e6e672d71abaf1337dc9d59b13"),
     ("check --max-n 64", "e12a09def5083879c10af0acabff0ed9f377eaa8e8480e777cde53b9d561dd19"),
+    ("check --max-n 2048", "5916a1e5aad21202807b057818cde9fc2e9cc51063af2de3f38bf73fddc6ef90"),
     ("route --n 1024 --placement normal --mode free --format json", "df7613399dffafc1da2e580dd828aecdfc4c4af47d241d0ca8aebebc8eec97b2"),
     ("route --n 1024 --placement normal --mode dim-ordered --format json", "5fad1173f9b37489b6137c378402be5216cd136b0d6c71272c16b8cdefe7207b"),
     ("route --n 1024 --placement gray --mode free --format json", "cc3385cb917a2d01592498faa801a47316c8fa869b3c60199743445ceb6eaad5"),

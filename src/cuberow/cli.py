@@ -46,33 +46,28 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _parse_row(n: int, cap: int) -> HypercubeRow:
+def _parse_row(n: int, cap: int, flag: str = "--n") -> HypercubeRow:
     if n < 2 or n & (n - 1):
-        raise UsageError(f"--n must be a power of two with n >= 2, got {n}")
+        raise UsageError(f"{flag} must be a power of two with n >= 2, got {n}")
     if n > cap:
-        raise UsageError(f"--n {n} exceeds this command's cap of {cap}")
+        raise UsageError(f"{flag} {n} exceeds this command's cap of {cap}")
     return HypercubeRow(n)
 
 
-def _write_file(path: str, text: str) -> None:
+def _write(text: str, path: str | None) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout when it is None."""
     try:
-        with open(path, "w") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
-
-
-def _write_output(text: str, out_path: str | None) -> None:
-    if out_path is not None:
-        _write_file(out_path, text)
-        return
-    try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w") as handle:
+                handle.write(text)
     except BrokenPipeError:
         raise
     except OSError as exc:
-        raise UsageError(f"cannot write stdout: {exc.strerror or exc}") from None
+        where = "stdout" if path is None else path
+        raise UsageError(f"cannot write {where}: {exc.strerror or exc}") from None
 
 
 _scalar_text = json.JSONEncoder().encode
@@ -203,7 +198,7 @@ def _density_data(
     return doc, terminal_rows
 
 
-def cmd_density(args) -> int:
+def cmd_density(args) -> tuple[str, int]:
     placement = Placement(args.placement)
     mode = TerminalMode(args.mode)
     cap = MAX_CLOSED_FORM_NODES if placement is Placement.NORMAL else MAX_ORACLE_NODES
@@ -213,36 +208,32 @@ def cmd_density(args) -> int:
 
     doc, terminal_rows = _density_data(row, placement, mode)
     if args.format == "json":
-        _write_output(_json_text(doc), args.out)
-        return EXIT_OK
+        return _json_text(doc), EXIT_OK
 
-    peak, first, cuts = doc["m"], doc["p"], doc["maximizers"]
-    terminal_max = doc.get("terminal_max")
+    peak, first, terminal_max = doc["m"], doc["p"], doc.get("terminal_max")
+    shown = " ".join(map(str, doc["maximizers"]))
     slot_headers = [f"T{slot}" for slot in range(1, row.dims + 1)]
     if terminal_rows is None:
         slot_headers, terminal_rows = [], repeat(())
+    cells = 2 + len(slot_headers)
+    # One format string for the whole table, one format call per row; only
+    # the summary lines differ between the formats.
+    if args.format == "csv":
+        row_format = ",".join(["{}"] * cells).format
+        summary = [f"# m={peak} p={first} maximizers={shown}"]
+        if terminal_max is not None:
+            summary[0] += f" terminal_max={terminal_max}"
+    else:
+        width = max(len(str(row.n)), len(str(peak + 1)), 3)
+        row_format = "  ".join([f"{{:>{width}}}"] * cells).format
+        summary = [f"m = {peak}   p = {first}   maximizers: {shown}"]
+        if terminal_max is not None:
+            summary.append(f"peak terminal density: {terminal_max}")
     # Each slot row becomes part of its line as it is computed.
     table_rows = zip(enumerate(doc["profile"], start=1), terminal_rows)
-    if args.format == "csv":
-        lines = [",".join(["i", "S", *slot_headers])]
-        lines += [",".join(map(str, (cut, value, *slots))) for (cut, value), slots in table_rows]
-        summary = f"# m={peak} p={first} maximizers={' '.join(map(str, cuts))}"
-        if terminal_max is not None:
-            summary += f" terminal_max={terminal_max}"
-        lines.append(summary)
-        _write_output("\n".join(lines) + "\n", args.out)
-        return EXIT_OK
-
-    width = max(len(str(row.n)), len(str(peak + 1)), 3)
-    # One format string for the whole table, one format call per row.
-    row_format = "  ".join([f"{{:>{width}}}"] * (2 + len(slot_headers))).format
     lines = [row_format("i", "S", *slot_headers)]
     lines += [row_format(cut, value, *slots) for (cut, value), slots in table_rows]
-    lines.append(f"m = {peak}   p = {first}   maximizers: {' '.join(map(str, cuts))}")
-    if terminal_max is not None:
-        lines.append(f"peak terminal density: {terminal_max}")
-    _write_output("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines + summary) + "\n", EXIT_OK
 
 
 def _route(row: HypercubeRow, placement: Placement, mode: TerminalMode):
@@ -255,32 +246,27 @@ def _route(row: HypercubeRow, placement: Placement, mode: TerminalMode):
     return net, intervals, assignment
 
 
-def cmd_route(args) -> int:
+def cmd_route(args) -> tuple[str, int]:
     placement = Placement(args.placement)
     mode = TerminalMode(args.mode)
     row = _parse_row(args.n, MAX_ROUTE_NODES)
-    net, intervals, assignment = _route(row, placement, mode)
-    # net.wires is in canonical order, the order of every table below.
-    by_wire = assignment.by_wire
-
-    if args.emit_netlist:
-        _write_file(args.emit_netlist, netlist.dump_netlist(net))
-    if args.emit_assignment:
-        _write_file(args.emit_assignment, routing.dump_assignment(intervals, assignment))
-
     spec = RenderSpec(
         cell_width=args.cell_width,
         cell_height=args.cell_height,
         show_tracks=not args.hide_tracks,
     )
+    net, intervals, assignment = _route(row, placement, mode)
+    # net.wires is in canonical order, the order of every table below.
+    by_wire = assignment.by_wire
+
     if args.format == "text":
-        _write_output(render_text(net, assignment, spec), args.out)
+        text = render_text(net, assignment, spec)
     elif args.format == "svg":
-        _write_output(render_svg(net, assignment, spec), args.out)
+        text = render_svg(net, assignment, spec)
     elif args.format == "csv":
         lines = ["dim,left_col,right_col,track"]
         lines += [f"{w.dim},{w.left_col},{w.right_col},{by_wire[w]}" for w in net.wires]
-        _write_output("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
     else:
         doc = _density_data(row, placement, mode, net)[0]
         doc["tracks"] = assignment.track_count
@@ -288,11 +274,17 @@ def cmd_route(args) -> int:
             {"dim": w.dim, "left_col": w.left_col, "right_col": w.right_col, "track": by_wire[w]}
             for w in net.wires
         ]
-        _write_output(_json_text(doc), args.out)
-    return EXIT_OK
+        text = _json_text(doc)
+
+    # Every text that can fail has been made, so a failed route writes no file.
+    if args.emit_netlist:
+        _write(netlist.dump_netlist(net), args.emit_netlist)
+    if args.emit_assignment:
+        _write(routing.dump_assignment(intervals, assignment), args.emit_assignment)
+    return text, EXIT_OK
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> tuple[str, int]:
     row = _parse_row(args.n, MAX_COMPARE_NODES)
 
     metrics = {}
@@ -308,61 +300,46 @@ def cmd_compare(args) -> int:
         }
 
     if args.format == "json":
-        _write_output(_json_text({"n": row.n, **metrics}), args.out)
-        return EXIT_OK
+        return _json_text({"n": row.n, **metrics}), EXIT_OK
 
     labels = [
-        ("max density", "max_density"),
-        ("tracks (free)", "tracks_free"),
-        ("tracks (dim-ordered)", "tracks_dim_ordered"),
-        ("total wirelength", "total_wirelength"),
-        ("max wirelength", "max_wirelength"),
+        ("max_density", "max density"),
+        ("tracks_free", "tracks (free)"),
+        ("tracks_dim_ordered", "tracks (dim-ordered)"),
+        ("total_wirelength", "total wirelength"),
+        ("max_wirelength", "max wirelength"),
     ]
-    if args.format == "csv":
-        lines = ["metric,normal,gray"]
-        for _, key in labels:
-            lines.append(f"{key},{metrics['normal'][key]},{metrics['gray'][key]}")
-        _write_output("\n".join(lines) + "\n", args.out)
-        return EXIT_OK
-
-    name_w = max(len(label) for label, _ in labels)
-    val_w = max(len(str(v)) for m in metrics.values() for v in m.values())
-    val_w = max(val_w, len("normal"), len("gray"))
-    lines = [f"{'':{name_w}}  {'normal':>{val_w}}  {'gray':>{val_w}}"]
-    for label, key in labels:
-        lines.append(
-            f"{label:{name_w}}  {metrics['normal'][key]:>{val_w}}  "
-            f"{metrics['gray'][key]:>{val_w}}"
-        )
-    _write_output("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    csv = args.format == "csv"
+    if csv:
+        row_format = "{},{},{}".format
+    else:
+        name_w = max(len(label) for _, label in labels)
+        val_w = max(len(str(v)) for m in metrics.values() for v in m.values())
+        val_w = max(val_w, len("normal"), len("gray"))
+        row_format = f"{{:{name_w}}}  {{:>{val_w}}}  {{:>{val_w}}}".format
+    normal, gray = metrics["normal"], metrics["gray"]
+    lines = [row_format("metric" if csv else "", "normal", "gray")]
+    lines += [row_format(key if csv else label, normal[key], gray[key]) for key, label in labels]
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def cmd_check(args) -> int:
-    if args.max_n < 2 or args.max_n & (args.max_n - 1):
-        raise UsageError(f"--max-n must be a power of two with n >= 2, got {args.max_n}")
-    if args.max_n > MAX_ORACLE_NODES:
-        raise UsageError(f"--max-n {args.max_n} exceeds the oracle cap of {MAX_ORACLE_NODES}")
-    outcomes = selfcheck.run_all(args.max_n)
+def cmd_check(args) -> tuple[str, int]:
+    max_n = _parse_row(args.max_n, MAX_ORACLE_NODES, "--max-n").n
     lines = []
     total = 0
     failed = 0
-    for outcome in outcomes:
+    for outcome in selfcheck.run_all(max_n):
         status = "PASS" if outcome.passed else "FAIL"
-        swept = f", rows up to {outcome.up_to} nodes" if 0 < outcome.up_to < args.max_n else ""
+        swept = f", rows up to {outcome.up_to} nodes" if 0 < outcome.up_to < max_n else ""
         line = f"{outcome.name:<22} {status}  ({outcome.assertions} assertions{swept})"
         if not outcome.passed:
             line += f"  {outcome.detail}"
             failed += 1
         total += outcome.assertions
         lines.append(line)
-    lines.append(
-        f"{failed} check(s) failed, {total} assertions, rows up to {args.max_n} nodes"
-        if failed
-        else f"all checks passed, {total} assertions, rows up to {args.max_n} nodes"
-    )
-    _write_output("\n".join(lines) + "\n", args.out)
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    verdict = f"{failed} check(s) failed" if failed else "all checks passed"
+    lines.append(f"{verdict}, {total} assertions, rows up to {max_n} nodes")
+    return "\n".join(lines) + "\n", EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 def _count(text: str) -> int:
@@ -375,38 +352,30 @@ def _count(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cuberow", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, formats):
-        p.add_argument("--n", type=_count, required=True, help="node count (power of two)")
-        p.add_argument("--placement", choices=["normal", "gray"], default="normal")
-        p.add_argument("--mode", choices=["free", "dim-ordered"], default="free")
-        p.add_argument("--format", choices=formats, default="text")
+    for name, func, summary, formats in (
+        ("density", cmd_density, "cut-density table with peak summary", ["text", "json", "csv", "svg"]),
+        ("route", cmd_route, "route the row and draw or tabulate it", ["text", "svg", "json", "csv"]),
+        ("compare", cmd_compare, "normal vs gray placement metrics", ["text", "json", "csv"]),
+        ("check", cmd_check, "run the formula-versus-oracle suite", None),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        if formats is None:
+            p.add_argument("--max-n", type=_count, default=256)
+        else:
+            p.add_argument("--n", type=_count, required=True, help="node count (power of two)")
+            if name != "compare":
+                p.add_argument("--placement", choices=["normal", "gray"], default="normal")
+                p.add_argument("--mode", choices=["free", "dim-ordered"], default="free")
+            p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
 
-    p_density = sub.add_parser("density", help="cut-density table with peak summary")
-    add_common(p_density, ["text", "json", "csv", "svg"])
-    p_density.set_defaults(func=cmd_density)
-
-    p_route = sub.add_parser("route", help="route the row and draw or tabulate it")
-    add_common(p_route, ["text", "svg", "json", "csv"])
+    p_route = sub.choices["route"]
     p_route.add_argument("--cell-width", type=_count, default=12, help="svg cell width")
     p_route.add_argument("--cell-height", type=_count, default=12, help="svg cell height")
     p_route.add_argument("--hide-tracks", action="store_true", help="draw nodes only")
     p_route.add_argument("--emit-netlist", metavar="FILE", help="also write the netlist text format")
     p_route.add_argument("--emit-assignment", metavar="FILE", help="also write the track table text format")
-    p_route.set_defaults(func=cmd_route)
-
-    p_compare = sub.add_parser("compare", help="normal vs gray placement metrics")
-    p_compare.add_argument("--n", type=_count, required=True)
-    p_compare.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p_compare.add_argument("--out", metavar="FILE")
-    p_compare.set_defaults(func=cmd_compare)
-
-    p_check = sub.add_parser("check", help="run the formula-versus-oracle suite")
-    p_check.add_argument("--max-n", type=_count, default=256)
-    p_check.add_argument("--out", metavar="FILE")
-    p_check.set_defaults(func=cmd_check)
-
     return parser
 
 
@@ -414,7 +383,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        text, code = args.func(args)
+        _write(text, args.out)
+        return code
     except (UsageError, LayoutError) as exc:
         print(f"cuberow: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -307,7 +307,10 @@ def load_netlist(text: str) -> Netlist:
         fields = line.split()
         if len(fields) != 5:
             raise NetlistFormatError(f"bad wire line {line!r}, want 5 fields")
-        dim, left, lslot, right, rslot = (int(f) for f in fields)
+        try:
+            dim, left, lslot, right, rslot = map(int, fields)
+        except ValueError:  # only ASCII digits get here, so a field too long for int()
+            raise NetlistFormatError(f"bad wire line {line!r}: a field is too long to parse") from None
         if not 1 <= dim <= dims:
             raise NetlistFormatError(f"dimension {dim} outside 1..{dims}")
         if not 0 <= left < right < row.n:

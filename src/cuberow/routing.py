@@ -201,7 +201,8 @@ def load_assignment(text: str) -> list[tuple[int, int, int, int]]:
     """Parse assignment text into (dim, left_col, right_col, track) tuples.
 
     A line without four fields, or with a field that is not a run of ASCII
-    digits, raises :class:`NetlistFormatError` naming the line.
+    digits or is too long to parse, raises :class:`NetlistFormatError`
+    naming the line.
     """
     _require_digits(text, 0, "assignment line ")
     out = []
@@ -211,5 +212,8 @@ def load_assignment(text: str) -> list[tuple[int, int, int, int]]:
         fields = line.split()
         if len(fields) != 4:
             raise NetlistFormatError(f"bad assignment line {line!r}, want 4 fields")
-        out.append(tuple(map(int, fields)))
+        try:
+            out.append(tuple(map(int, fields)))
+        except ValueError:  # only ASCII digits get here, so a field too long for int()
+            raise NetlistFormatError(f"bad assignment line {line!r}: a field is too long to parse") from None
     return out

@@ -193,6 +193,17 @@ class TestRouteCommand:
         assert out == ""
         assert json.loads(target.read_text())["m"] == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("route", "--n", "8", "--cell-width", "0"), ("route", "--n", "128", "--format", "text")],
+        ids=["bad-cell-width", "text-too-wide"],
+    )
+    def test_failed_route_writes_no_file(self, tmp_path, argv):
+        emitted = [tmp_path / "row.netlist", tmp_path / "row.tracks"]
+        code, out, _ = run_cli(*argv, "--emit-netlist", str(emitted[0]), "--emit-assignment", str(emitted[1]))
+        assert code == EXIT_USAGE and out == ""
+        assert [path.exists() for path in emitted] == [False, False]
+
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_json_byte_stable(self, n):
         outputs = {run_cli("route", "--n", str(n), "--format", "json")[1].encode() for _ in range(3)}
@@ -403,6 +414,23 @@ class TestEveryCheckCanFail:
         assert f"{name:<22} FAIL  ({assertions} assertions)  {detail}" in lines
         assert {line.split()[0] for line in lines[:-1] if " FAIL " in line} == failing
         assert lines[-1].startswith(f"{len(failing)} check(s) failed")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *[("density", "--n", "8", "--mode", "dim-ordered", "--format", f) for f in ("text", "json", "csv")],
+        *[("route", "--n", "8", "--format", f) for f in ("text", "svg", "json", "csv")],
+        *[("compare", "--n", "8", "--format", f) for f in ("text", "json", "csv")],
+        ("check", "--max-n", "8"),
+    ],
+    ids=lambda argv: "-".join(a for a in argv if not a.startswith("--")),
+)
+def test_out_file_holds_what_stdout_would(tmp_path, argv):
+    target = tmp_path / "out"
+    code, out, _ = run_cli(*argv, "--out", str(target))
+    assert (code, out) == (EXIT_OK, "")
+    assert target.read_text() == run_cli(*argv)[1]
 
 
 class TestUnwritableOutput:

@@ -388,6 +388,19 @@ class TestSerialization:
         with pytest.raises(NetlistFormatError, match=message):
             load_netlist(bad)
 
+    def test_rejects_a_field_too_long_to_parse(self):
+        # Digits only, so it passes the field check, but int() refuses more
+        # than 4300 digits by default.
+        line = "1 0 1 " + "0" * 5000 + "1 1"
+        bad = dump_netlist(build_netlist(HypercubeRow(4))).replace("1 0 1 1 1", line, 1)
+        with pytest.raises(NetlistFormatError, match="too long to parse") as error:
+            load_netlist(bad)
+        assert repr(line) in str(error.value)
+
+    def test_zero_padded_fields_load(self):
+        good = dump_netlist(build_netlist(HypercubeRow(4)))
+        assert load_netlist(good.replace("1 0 1 1 1", "01 000 1 001 1", 1)) == load_netlist(good)
+
     def test_rejects_wire_that_is_not_a_link(self):
         # columns 0 and 3 differ in two bits under normal placement
         good = dump_netlist(build_netlist(HypercubeRow(4)))

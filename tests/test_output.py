@@ -151,6 +151,10 @@ GOLDEN = [
     ("route --n 64 --placement gray --mode dim-ordered --format svg", "25c7ecfa5cfb56c0af102dea3dd45a5833c78a339585fc5eb60bbc857f6d383c"),
     ("compare --n 64", "466e1aebd3934ac092b16adfdf599f3d78f403c1fd40e6dcfd25fe41d2210373"),
     ("compare --n 64 --format json", "ce24e27103b79fb884dcb76bfdf4237c30a3e1e6e672d71abaf1337dc9d59b13"),
+    ("compare --n 64 --format csv", "eec8f92b1da3ccb387373494c6d33fb8802f4d6e096b04391007af87f05de936"),
+    # At this size a value is exactly as wide as "normal".
+    ("compare --n 1024", "afec1cc958c1d6aeff24c3420c85ad5df7d74dbaf3e06ef57c7e72c31ca96324"),
+    ("compare --n 1024 --format csv", "b2495d2309d64e7b36454d0a2238a60311de5a5464177a64e5eaec9eed52c2d0"),
     ("check --max-n 64", "e12a09def5083879c10af0acabff0ed9f377eaa8e8480e777cde53b9d561dd19"),
     ("check --max-n 2048", "5916a1e5aad21202807b057818cde9fc2e9cc51063af2de3f38bf73fddc6ef90"),
     ("route --n 1024 --placement normal --mode free --format json", "df7613399dffafc1da2e580dd828aecdfc4c4af47d241d0ca8aebebc8eec97b2"),

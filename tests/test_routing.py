@@ -362,6 +362,17 @@ class TestAssignmentText:
         with pytest.raises(NetlistFormatError, match=re.escape(repr(line))):
             load_assignment(f"1 0 1 0\n{line}\n")
 
+    def test_rejects_a_field_too_long_to_parse(self):
+        # Digits only, so it passes the field check, but int() refuses more
+        # than 4300 digits by default.
+        line = "1 0 1 " + "0" * 5000 + "1"
+        with pytest.raises(NetlistFormatError, match="too long to parse") as error:
+            load_assignment(f"1 0 1 0\n{line}\n")
+        assert repr(line) in str(error.value)
+
+    def test_zero_padded_fields_load(self):
+        assert load_assignment("01 000 1 007\n") == [(1, 0, 1, 7)]
+
     def test_rejects_negative_value(self):
         with pytest.raises(NetlistFormatError, match="'9 9 9 -4'"):
             load_assignment("9 9 9 -4\n")

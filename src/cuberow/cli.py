@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from itertools import chain, repeat
 
@@ -54,19 +55,36 @@ def _parse_row(n: int, cap: int, flag: str = "--n") -> HypercubeRow:
     return HypercubeRow(n)
 
 
-def _write(text: str, path: str | None) -> None:
-    """Write ``text`` to the file at ``path``, or to stdout when it is None."""
+def _write(texts: dict[str | None, str]) -> None:
+    """Write each text to the file its key names, or to stdout under None.
+
+    Every file is opened in append mode, which changes none, before any is
+    written, and stdout is written last.  If an open or a write fails, the
+    files this call created are removed.
+    """
+    handles, path = {}, None
     try:
-        if path is None:
-            sys.stdout.write(text)
+        for path in texts:
+            if path is not None:
+                created = not os.path.exists(path)
+                handles[path] = open(path, "a"), created
+        for path, (handle, _) in handles.items():
+            with handle:
+                if os.path.isfile(path):  # as "w" would; a device or pipe cannot be truncated
+                    handle.truncate(0)
+                handle.write(texts[path])
+        path = None
+        if None in texts:
+            sys.stdout.write(texts[None])
             sys.stdout.flush()
-        else:
-            with open(path, "w") as handle:
-                handle.write(text)
     except BrokenPipeError:
         raise
     except OSError as exc:
         where = "stdout" if path is None else path
+        for path, (handle, created) in handles.items():
+            handle.close()
+            if created:
+                os.remove(path)
         raise UsageError(f"cannot write {where}: {exc.strerror or exc}") from None
 
 
@@ -198,7 +216,7 @@ def _density_data(
     return doc, terminal_rows
 
 
-def cmd_density(args) -> tuple[str, int]:
+def cmd_density(args) -> tuple[dict[str | None, str], int]:
     placement = Placement(args.placement)
     mode = TerminalMode(args.mode)
     cap = MAX_CLOSED_FORM_NODES if placement is Placement.NORMAL else MAX_ORACLE_NODES
@@ -208,7 +226,7 @@ def cmd_density(args) -> tuple[str, int]:
 
     doc, terminal_rows = _density_data(row, placement, mode)
     if args.format == "json":
-        return _json_text(doc), EXIT_OK
+        return {args.out: _json_text(doc)}, EXIT_OK
 
     peak, first, terminal_max = doc["m"], doc["p"], doc.get("terminal_max")
     shown = " ".join(map(str, doc["maximizers"]))
@@ -233,7 +251,7 @@ def cmd_density(args) -> tuple[str, int]:
     table_rows = zip(enumerate(doc["profile"], start=1), terminal_rows)
     lines = [row_format("i", "S", *slot_headers)]
     lines += [row_format(cut, value, *slots) for (cut, value), slots in table_rows]
-    return "\n".join(lines + summary) + "\n", EXIT_OK
+    return {args.out: "\n".join(lines + summary) + "\n"}, EXIT_OK
 
 
 def _route(row: HypercubeRow, placement: Placement, mode: TerminalMode):
@@ -246,28 +264,27 @@ def _route(row: HypercubeRow, placement: Placement, mode: TerminalMode):
     return net, intervals, assignment
 
 
-def cmd_route(args) -> tuple[str, int]:
+def cmd_route(args) -> tuple[dict[str | None, str], int]:
     placement = Placement(args.placement)
     mode = TerminalMode(args.mode)
     row = _parse_row(args.n, MAX_ROUTE_NODES)
-    spec = RenderSpec(
-        cell_width=args.cell_width,
-        cell_height=args.cell_height,
-        show_tracks=not args.hide_tracks,
-    )
+    spec = RenderSpec(args.cell_width, args.cell_height, show_tracks=not args.hide_tracks)
     net, intervals, assignment = _route(row, placement, mode)
-    # net.wires is in canonical order, the order of every table below.
-    by_wire = assignment.by_wire
-
+    texts = {}
+    if args.emit_netlist is not None:
+        texts[args.emit_netlist] = netlist.dump_netlist(net)
+    if args.format == "csv" or args.emit_assignment is not None:
+        table = routing.dump_assignment(intervals, assignment)
+    if args.emit_assignment is not None:
+        texts[args.emit_assignment] = table
     if args.format == "text":
         text = render_text(net, assignment, spec)
     elif args.format == "svg":
         text = render_svg(net, assignment, spec)
     elif args.format == "csv":
-        lines = ["dim,left_col,right_col,track"]
-        lines += [f"{w.dim},{w.left_col},{w.right_col},{by_wire[w]}" for w in net.wires]
-        text = "\n".join(lines) + "\n"
+        text = "dim,left_col,right_col,track\n" + table.replace(" ", ",")
     else:
+        by_wire = assignment.by_wire
         doc = _density_data(row, placement, mode, net)[0]
         doc["tracks"] = assignment.track_count
         doc["wires"] = [
@@ -275,16 +292,12 @@ def cmd_route(args) -> tuple[str, int]:
             for w in net.wires
         ]
         text = _json_text(doc)
-
-    # Every text that can fail has been made, so a failed route writes no file.
-    if args.emit_netlist:
-        _write(netlist.dump_netlist(net), args.emit_netlist)
-    if args.emit_assignment:
-        _write(routing.dump_assignment(intervals, assignment), args.emit_assignment)
-    return text, EXIT_OK
+    # Set last, so a path given to both --out and an --emit-* flag gets the --out text.
+    texts[args.out] = text
+    return texts, EXIT_OK
 
 
-def cmd_compare(args) -> tuple[str, int]:
+def cmd_compare(args) -> tuple[dict[str | None, str], int]:
     row = _parse_row(args.n, MAX_COMPARE_NODES)
 
     metrics = {}
@@ -300,7 +313,7 @@ def cmd_compare(args) -> tuple[str, int]:
         }
 
     if args.format == "json":
-        return _json_text({"n": row.n, **metrics}), EXIT_OK
+        return {args.out: _json_text({"n": row.n, **metrics})}, EXIT_OK
 
     labels = [
         ("max_density", "max density"),
@@ -320,10 +333,10 @@ def cmd_compare(args) -> tuple[str, int]:
     normal, gray = metrics["normal"], metrics["gray"]
     lines = [row_format("metric" if csv else "", "normal", "gray")]
     lines += [row_format(key if csv else label, normal[key], gray[key]) for key, label in labels]
-    return "\n".join(lines) + "\n", EXIT_OK
+    return {args.out: "\n".join(lines) + "\n"}, EXIT_OK
 
 
-def cmd_check(args) -> tuple[str, int]:
+def cmd_check(args) -> tuple[dict[str | None, str], int]:
     max_n = _parse_row(args.max_n, MAX_ORACLE_NODES, "--max-n").n
     lines = []
     total = 0
@@ -339,7 +352,7 @@ def cmd_check(args) -> tuple[str, int]:
         lines.append(line)
     verdict = f"{failed} check(s) failed" if failed else "all checks passed"
     lines.append(f"{verdict}, {total} assertions, rows up to {max_n} nodes")
-    return "\n".join(lines) + "\n", EXIT_CHECK_FAILED if failed else EXIT_OK
+    return {args.out: "\n".join(lines) + "\n"}, EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 def _count(text: str) -> int:
@@ -383,8 +396,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text, code = args.func(args)
-        _write(text, args.out)
+        texts, code = args.func(args)
+        _write(texts)
         return code
     except (UsageError, LayoutError) as exc:
         print(f"cuberow: error: {exc}", file=sys.stderr)

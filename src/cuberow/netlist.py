@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import NamedTuple
 
 from cuberow import density
@@ -247,19 +247,28 @@ def dump_netlist(net: Netlist) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Outside the header's names, a netlist or assignment text holds only ASCII
-# digits and whitespace; int() alone would also take a sign, an underscore
-# or a non-ASCII digit.
+# Below the netlist header, both formats hold only ASCII digits and
+# whitespace; int() alone would also take a sign, "_" or a non-ASCII digit.
 _NON_DIGIT = re.compile(r"[^0-9\s]", re.ASCII)
 
 
-def _require_digits(text: str, start: int, what: str) -> None:
-    # One search over the whole body; the offending line is found on failure.
+def _rows(text: str, start: int, lines, kind: str, width: int):
+    """Yield ``(line, ints)`` per line of ``lines``, the body of ``text`` from
+    ``start`` on.  A line that is not ``width`` runs of ASCII digits, each
+    short enough for int(), raises :class:`NetlistFormatError` naming it."""
     bad = _NON_DIGIT.search(text, start)
     if bad:
-        end = text.find("\n", bad.start())
-        line = text[text.rfind("\n", 0, bad.start()) + 1 : end if end >= 0 else None]
-        raise NetlistFormatError(f"non-integer field in {what}{line!r}")
+        line = text[text.rfind("\n", 0, bad.start()) + 1 :].partition("\n")[0]
+        raise NetlistFormatError(f"non-integer field in {kind} line {line!r}")
+    for line in lines:
+        fields = line.split()
+        if len(fields) != width:
+            raise NetlistFormatError(f"bad {kind} line {line!r}, want {width} fields")
+        try:
+            ints = tuple(map(int, fields))
+        except ValueError:  # only ASCII digits get here, so a field too long for int()
+            raise NetlistFormatError(f"bad {kind} line {line!r}: a field is too long to parse") from None
+        yield line, ints
 
 
 def load_netlist(text: str) -> Netlist:
@@ -272,7 +281,7 @@ def load_netlist(text: str) -> Netlist:
     terminals, that no terminal slot of a node carries two wires.  Together
     these make the wires exactly the row's hypercube links.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = list(filter(str.strip, text.splitlines()))
     if not lines:
         raise NetlistFormatError("empty netlist text")
     header = lines[0].split()
@@ -286,8 +295,6 @@ def load_netlist(text: str) -> Netlist:
         mode = TerminalMode(header[2])
     except ValueError as exc:
         raise NetlistFormatError(f"bad header {lines[0]!r}: {exc}") from None
-    # The header is the first line that is not blank, so this finds it.
-    _require_digits(text, text.find(lines[0]) + len(lines[0]), "")
 
     dims = row.dims
     # A dimension has n/2 links, so with this total and no link listed twice
@@ -303,14 +310,9 @@ def load_netlist(text: str) -> Netlist:
     step = dims + 1
     link_seen = bytearray(step * row.n)
     slot_seen = bytearray(step * row.n) if mode is TerminalMode.DIM_ORDERED else None
-    for line in lines[1:]:
-        fields = line.split()
-        if len(fields) != 5:
-            raise NetlistFormatError(f"bad wire line {line!r}, want 5 fields")
-        try:
-            dim, left, lslot, right, rslot = map(int, fields)
-        except ValueError:  # only ASCII digits get here, so a field too long for int()
-            raise NetlistFormatError(f"bad wire line {line!r}: a field is too long to parse") from None
+    # The header is the first line that is not blank, so this finds its end.
+    body = text.find(lines[0]) + len(lines[0])
+    for line, (dim, left, lslot, right, rslot) in _rows(text, body, islice(lines, 1, None), "wire", 5):
         if not 1 <= dim <= dims:
             raise NetlistFormatError(f"dimension {dim} outside 1..{dims}")
         if not 0 <= left < right < row.n:

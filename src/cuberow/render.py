@@ -9,6 +9,7 @@ on its track with vertical stubs dropping to its two terminals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from cuberow.errors import RenderSizeError
 from cuberow.netlist import Netlist, Placement, gray_code
@@ -100,18 +101,6 @@ def _fmt(value: float) -> str:
     return f"{value:g}"
 
 
-class _Formatted(dict):
-    """``_fmt(position(k))`` by integer ``k``, formatted on first use only."""
-
-    def __init__(self, position):
-        super().__init__()
-        self.position = position
-
-    def __missing__(self, key: int) -> str:
-        text = self[key] = _fmt(self.position(key))
-        return text
-
-
 def render_svg(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = RenderSpec()) -> str:
     """Standalone SVG drawing of the routed row, colored by dimension."""
     n, dims = net.row.n, net.row.dims
@@ -125,8 +114,8 @@ def render_svg(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = Ren
 
     # Ticks and wire ends share their coordinates' text.  Terminal ``slot``
     # of column ``col`` sits in sub-column ``col * step + slot - 1``.
-    xs = _Formatted(lambda sub: margin + sub * cw + cw / 2)
-    ys = _Formatted(lambda track: margin + (ntracks - 1 - track) * ch + ch / 2)
+    xs = cache(lambda sub: _fmt(margin + sub * cw + cw / 2))
+    ys = cache(lambda track: _fmt(margin + (ntracks - 1 - track) * ch + ch / 2))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -145,7 +134,7 @@ def render_svg(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = Ren
         )
         parts += [
             f'<line x1="{sx}" y1="{node_top}" x2="{sx}" y2="{tick_end}" stroke="black"/>'
-            for sx in map(xs.__getitem__, range(col * step, col * step + dims))
+            for sx in map(xs, range(col * step, col * step + dims))
         ]
         parts.append(
             f'<text x="{_fmt(x + dims * cw / 2)}" y="{node_top + ch + ch // 2}" '
@@ -158,9 +147,9 @@ def render_svg(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = Ren
         for w in net.wires:
             dim, left, right, left_slot, right_slot = w
             color = _DIM_COLORS[(dim - 1) % len(_DIM_COLORS)]
-            y = ys[by_wire[w]]
-            xa = xs[left * step + left_slot - 1]
-            xb = xs[right * step + right_slot - 1]
+            y = ys(by_wire[w])
+            xa = xs(left * step + left_slot - 1)
+            xb = xs(right * step + right_slot - 1)
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="'
                 f'{xa},{node_top} {xa},{y} {xb},{y} {xb},{node_top}"/>'

@@ -16,8 +16,8 @@ from itertools import count, repeat
 from operator import itemgetter, sub
 from typing import NamedTuple
 
-from cuberow.errors import IncompleteAssignmentError, LayoutError, NetlistFormatError
-from cuberow.netlist import Netlist, TerminalMode, Wire, _require_digits, gap_cut_index
+from cuberow.errors import IncompleteAssignmentError, LayoutError
+from cuberow.netlist import Netlist, TerminalMode, Wire, _rows, gap_cut_index
 
 __all__ = [
     "IntervalWire",
@@ -204,16 +204,4 @@ def load_assignment(text: str) -> list[tuple[int, int, int, int]]:
     digits or is too long to parse, raises :class:`NetlistFormatError`
     naming the line.
     """
-    _require_digits(text, 0, "assignment line ")
-    out = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        fields = line.split()
-        if len(fields) != 4:
-            raise NetlistFormatError(f"bad assignment line {line!r}, want 4 fields")
-        try:
-            out.append(tuple(map(int, fields)))
-        except ValueError:  # only ASCII digits get here, so a field too long for int()
-            raise NetlistFormatError(f"bad assignment line {line!r}: a field is too long to parse") from None
-    return out
+    return [ints for _, ints in _rows(text, 0, filter(str.strip, text.splitlines()), "assignment", 4)]

@@ -1,5 +1,6 @@
 """The command-line surface: tables, drawings, machine formats, exit codes."""
 
+import ast
 import io
 import json
 import os
@@ -7,9 +8,11 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import cuberow
 from cuberow import density, netlist, oracle, selfcheck
 from cuberow.cli import (
     EXIT_CHECK_FAILED,
@@ -449,6 +452,56 @@ class TestUnwritableOutput:
         assert err.startswith(f"cuberow: error: cannot write {target}")
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("flag", ["--out", "--emit-netlist", "--emit-assignment"])
+    def test_empty_path_is_a_usage_error(self, flag):
+        # Only an absent option means stdout; an empty path names no file.
+        code, out, err = run_cli("route", "--n", "8", flag, "")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "cuberow: error: cannot write : No such file or directory\n"
+
+    def test_unwritable_out_leaves_the_emitted_files_alone(self, tmp_path):
+        kept, absent = tmp_path / "row.netlist", tmp_path / "row.tracks"
+        kept.write_text("other bytes\n")
+        code, _, err = run_cli(
+            "route", "--n", "8", "--emit-netlist", str(kept), "--emit-assignment", str(absent),
+            "--out", str(tmp_path / "missing" / "x"),
+        )
+        assert code == EXIT_USAGE and err.startswith("cuberow: error: cannot write ")
+        assert kept.read_text() == "other bytes\n"
+        assert not absent.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    def test_out_to_a_device_still_writes_the_emitted_file(self, tmp_path):
+        # A device cannot be truncated; the writer truncates regular files only.
+        emitted = tmp_path / "row.netlist"
+        code, _, _ = run_cli(
+            "route", "--n", "8", "--format", "csv", "--emit-netlist", str(emitted), "--out", "/dev/null"
+        )
+        assert code == EXIT_OK
+        assert load_netlist(emitted.read_text()).row.n == 8
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_file_write_removes_the_created_files(self, tmp_path):
+        emitted = tmp_path / "row.netlist"
+        code, out, err = run_cli(
+            "route", "--n", "8", "--emit-netlist", str(emitted), "--emit-assignment", "/dev/full"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("cuberow: error: cannot write /dev/full: ")
+        assert not emitted.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_leaves_no_emitted_file(self, tmp_path):
+        emitted = tmp_path / "row.netlist"
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "cuberow", "route", "--n", "8", "--emit-netlist", str(emitted)],
+                stdout=full, stderr=subprocess.PIPE, text=True,
+            )
+        assert result.returncode == EXIT_USAGE
+        assert result.stderr.startswith("cuberow: error: cannot write stdout: ")
+        assert not emitted.exists()
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize(
         "argv",
@@ -469,6 +522,41 @@ class TestUnwritableOutput:
             )
         assert result.returncode == EXIT_USAGE
         assert result.stderr.startswith("cuberow: error: cannot write stdout: ")
+
+
+def _output_sites(tree: ast.AST):
+    """Nodes that open a file or reach stdout: a call to ``open`` (plain or
+    as an attribute, such as ``os.open``), any use of ``sys.stdout``, and a
+    ``print`` call without ``file=``, which prints to stdout."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            if name == "open" or (name == "print" and not any(k.arg == "file" for k in node.keywords)):
+                yield node
+        elif isinstance(node, ast.Attribute) and node.attr == "stdout":
+            if isinstance(node.value, ast.Name) and node.value.id == "sys":
+                yield node
+
+
+class TestOneWriter:
+    def test_only_cli_write_opens_files_or_touches_stdout(self):
+        strays, in_write = [], 0
+        for path in sorted(Path(cuberow.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            allowed = set()
+            if path.name == "cli.py":
+                (write,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_write"]
+                allowed = {id(node) for node in ast.walk(write)}
+            for node in _output_sites(tree):
+                in_write += id(node) in allowed
+                if id(node) not in allowed:
+                    strays.append(f"{path.name}:{node.lineno}")
+        assert strays == []
+        assert in_write > 0  # the rule still sees the writer it protects
+
+    def test_the_rule_catches_each_kind_of_site(self):
+        source = "open(p)\nos.open(p, 0)\nsys.stdout.write(t)\nprint(t)\nprint(t, file=sys.stderr)\n"
+        assert sorted(node.lineno for node in _output_sites(ast.parse(source))) == [1, 2, 3, 4]
 
 
 class TestInternalErrorPath:

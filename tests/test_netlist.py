@@ -32,6 +32,7 @@ from cuberow.netlist import (
     total_wirelength,
 )
 from cuberow.oracle import crossing_profile
+from cuberow.routing import dump_assignment, left_edge_route, load_assignment, wire_intervals
 
 
 class TestGrayCode:
@@ -396,6 +397,38 @@ class TestSerialization:
         with pytest.raises(NetlistFormatError, match="too long to parse") as error:
             load_netlist(bad)
         assert repr(line) in str(error.value)
+
+    @pytest.mark.parametrize(
+        "load, kind, width",
+        [(load_netlist, "wire", 5), (load_assignment, "assignment", 4)],
+        ids=["netlist", "assignment"],
+    )
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (lambda line: line + " 1", "bad {kind} line {bad!r}, want {width} fields"),
+            (lambda line: line.replace(" ", " x", 1), "non-integer field in {kind} line {bad!r}"),
+            (
+                lambda line: line.replace(" ", " " + "0" * 5000, 1),
+                "bad {kind} line {bad!r}: a field is too long to parse",
+            ),
+        ],
+        ids=["field-count", "non-digit", "too-long"],
+    )
+    def test_each_loader_names_the_line_of_a_lexical_fault(self, load, kind, width, fault, message):
+        # Every other line of the text is valid, the netlist's header and
+        # wire count included, so only the lexical rules can reject it.
+        net = build_netlist(HypercubeRow(4))
+        intervals = wire_intervals(net)
+        if load is load_netlist:
+            text = dump_netlist(net)
+        else:
+            text = dump_assignment(intervals, left_edge_route(intervals))
+        lines = text.splitlines()
+        lines[-1] = bad = fault(lines[-1])
+        with pytest.raises(NetlistFormatError) as error:
+            load("\n".join(lines) + "\n")
+        assert str(error.value) == message.format(kind=kind, bad=bad, width=width)
 
     def test_zero_padded_fields_load(self):
         good = dump_netlist(build_netlist(HypercubeRow(4)))

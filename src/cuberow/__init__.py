@@ -19,7 +19,6 @@ from cuberow.density import (
     max_density_cuts,
 )
 from cuberow.errors import (
-    DegenerateRowError,
     IncompleteAssignmentError,
     InvalidCutError,
     InvalidDimensionError,

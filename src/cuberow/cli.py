@@ -36,10 +36,6 @@ class UsageError(Exception):
     pass
 
 
-class InternalError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -48,8 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_row(n: int, cap: int, flag: str = "--n") -> HypercubeRow:
-    if n < 2 or n & (n - 1):
-        raise UsageError(f"{flag} must be a power of two with n >= 2, got {n}")
+    # The cap first, so a size above it names the flag and this command's cap.
     if n > cap:
         raise UsageError(f"{flag} {n} exceeds this command's cap of {cap}")
     return HypercubeRow(n)
@@ -260,7 +255,7 @@ def _route(row: HypercubeRow, placement: Placement, mode: TerminalMode):
     assignment = routing.left_edge_route(intervals)
     cert = routing.verify_assignment(intervals, assignment)
     if not cert.ok:
-        raise InternalError(f"routing verification failed: {cert.reason} {cert.detail}")
+        raise RuntimeError(f"routing verification failed: {cert.reason} {cert.detail}")
     return net, intervals, assignment
 
 
@@ -402,9 +397,6 @@ def main(argv=None) -> int:
     except (UsageError, LayoutError) as exc:
         print(f"cuberow: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InternalError as exc:
-        print(f"cuberow: internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except BrokenPipeError:
         return EXIT_OK
     except Exception as exc:  # anything else is a bug, not a usage problem

@@ -18,12 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from cuberow import kernels
-from cuberow.errors import (
-    DegenerateRowError,
-    InvalidCutError,
-    InvalidDimensionError,
-    RowSizeError,
-)
+from cuberow.errors import InvalidCutError, InvalidDimensionError, RowSizeError
 
 # Contract cap: every operation is exact up to this many nodes.  Density
 # values stay far below 2**63, but inputs beyond the cap are rejected rather
@@ -33,17 +28,15 @@ MAX_NODES = 2**30
 
 @dataclass(frozen=True)
 class HypercubeRow:
-    """A single-row layout instance: ``n = 2**dims`` nodes, one per column."""
+    """A single-row layout instance: ``n = 2**dims >= 2`` nodes, one per column."""
 
     n: int
 
     def __post_init__(self):
         if isinstance(self.n, bool) or not isinstance(self.n, int):
             raise RowSizeError(f"node count must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise RowSizeError(f"node count must be positive, got {self.n}")
-        if self.n & (self.n - 1):
-            raise RowSizeError(f"node count must be a power of two, got {self.n}")
+        if self.n < 2 or self.n & (self.n - 1):
+            raise RowSizeError(f"node count must be a power of two with n >= 2, got {self.n}")
         if self.n > MAX_NODES:
             raise RowSizeError(f"node count {self.n} exceeds the supported cap {MAX_NODES}")
 
@@ -90,10 +83,9 @@ def cut_density_profile(row: HypercubeRow) -> list[int]:
 
 
 def max_cut_density(row: HypercubeRow) -> int:
-    """Peak crossing count over the interior cuts; 0 for a single node.
+    """Peak crossing count over the interior cuts.
 
-    Closed form ``(4n - (-1)**dims - 3) / 6``, which equals ``floor(2n/3)``
-    for every row with at least two nodes.
+    Closed form ``(4n - (-1)**dims - 3) / 6``, which equals ``floor(2n/3)``.
     """
     sign = -1 if row.dims & 1 else 1
     return (4 * row.n - sign - 3) // 6
@@ -101,8 +93,6 @@ def max_cut_density(row: HypercubeRow) -> int:
 
 def leftmost_max_cut(row: HypercubeRow) -> int:
     """Smallest interior cut whose density equals the peak: ``(n - (-1)**dims)/3``."""
-    if row.n < 2:
-        raise DegenerateRowError("a single-node row has no interior cut")
     sign = -1 if row.dims & 1 else 1
     return (row.n - sign) // 3
 
@@ -132,12 +122,10 @@ def max_density_cuts(row: HypercubeRow) -> list[int]:
     except that the final pair may also be 11 when the width is even; an odd
     width instead ends with a single 1 bit.
     """
-    if row.n < 2:
-        raise DegenerateRowError("a single-node row has no interior cut")
     width = row.dims
     npairs = width // 2
     choices = [(0b01, 0b10)] * npairs
-    if width % 2 == 0 and npairs:
+    if width % 2 == 0:
         choices[-1] = (0b01, 0b10, 0b11)
     cuts = []
     for combo in product(*choices):

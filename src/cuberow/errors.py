@@ -6,7 +6,7 @@ class LayoutError(ValueError):
 
 
 class RowSizeError(LayoutError):
-    """Node count is not a supported power of two."""
+    """Node count is not a power of two in 2..MAX_NODES."""
 
 
 class InvalidCutError(LayoutError):
@@ -15,10 +15,6 @@ class InvalidCutError(LayoutError):
 
 class InvalidDimensionError(LayoutError):
     """Link dimension outside 1..dims."""
-
-
-class DegenerateRowError(LayoutError):
-    """Operation needs at least two nodes."""
 
 
 class NetlistFormatError(LayoutError):

@@ -23,12 +23,7 @@ from typing import NamedTuple
 
 from cuberow import density
 from cuberow.density import HypercubeRow
-from cuberow.errors import (
-    DegenerateRowError,
-    InvalidCutError,
-    LayoutError,
-    NetlistFormatError,
-)
+from cuberow.errors import InvalidCutError, LayoutError, NetlistFormatError
 from cuberow.kernels import _excess_above
 
 
@@ -167,7 +162,7 @@ def total_wirelength(net: Netlist) -> int:
 
 
 def max_wirelength(net: Netlist) -> int:
-    """Longest horizontal span; 0 for a wireless single-node row."""
+    """Longest horizontal span; 0 for a netlist with no wires."""
     return max((w.span for w in net.wires), default=0)
 
 
@@ -222,8 +217,6 @@ def max_terminal_cut_density(row: HypercubeRow) -> tuple[int, list[tuple[int, in
     maximum for every row bigger than two nodes, and it lands only on cuts
     that already attain the intercolumn maximum.
     """
-    if row.n < 2:
-        raise DegenerateRowError("terminal density needs at least two nodes")
     best = -1
     where: list[tuple[int, int]] = []
     for cut in range(1, row.n + 1):

@@ -25,6 +25,10 @@ __all__ = [
     "coverage_bound",
 ]
 
+# Largest instance the exhaustive track search takes; its cost grows
+# exponentially in the wire count.
+EXACT_SEARCH_WIRES = 24
+
 
 @dataclass(frozen=True)
 class CrossingTable:
@@ -120,18 +124,18 @@ def coverage_bound(intervals) -> int:
     return best
 
 
-def brute_track_count(intervals, exact_limit: int = 24) -> int:
+def brute_track_count(intervals) -> int:
     """Exact minimum track count by exhaustive branch and bound.
 
     Assigns intervals in left-to-right order, trying every compatible
     existing track plus one fresh track, pruning branches that cannot beat
     the best complete assignment found so far.  No interval-graph shortcuts
     are taken; that independence is the point.  Instances above
-    ``exact_limit`` wires raise :class:`TooManyWiresError`.
+    ``EXACT_SEARCH_WIRES`` wires raise :class:`TooManyWiresError`.
     """
-    if len(intervals) > exact_limit:
+    if len(intervals) > EXACT_SEARCH_WIRES:
         raise TooManyWiresError(
-            f"{len(intervals)} wires exceed the exact-search cap of {exact_limit}"
+            f"{len(intervals)} wires exceed the exact-search cap of {EXACT_SEARCH_WIRES}"
         )
     order = sorted(intervals, key=lambda iv: (iv.lo, iv.hi))
     best = len(order)  # one track per wire always works

@@ -33,6 +33,7 @@ from cuberow.netlist import (
     total_wirelength,
 )
 from cuberow.oracle import (
+    EXACT_SEARCH_WIRES,
     brute_maximizers,
     brute_track_count,
     crossing_profile,
@@ -130,7 +131,7 @@ def test_criterion_6_router_optimality():
                 try:
                     assert assignment.track_count == brute_track_count(intervals)
                 except TooManyWiresError:
-                    assert len(intervals) > 24
+                    assert len(intervals) > EXACT_SEARCH_WIRES
 
 
 def test_criterion_7_gray_code_equalities():

@@ -91,7 +91,7 @@ class TestDensityCommand:
     def test_rejects_non_power_of_two(self):
         code, _, err = run_cli("density", "--n", "7")
         assert code == EXIT_USAGE
-        assert "power of two" in err
+        assert err == "cuberow: error: node count must be a power of two with n >= 2, got 7\n"
 
     def test_rejects_svg(self):
         code, _, err = run_cli("density", "--n", "8", "--format", "svg")
@@ -559,6 +559,37 @@ class TestOneWriter:
         assert sorted(node.lineno for node in _output_sites(ast.parse(source))) == [1, 2, 3, 4]
 
 
+def _raised_names(tree: ast.AST):
+    """The class each ``raise`` statement names: ``raise E``, ``raise E(...)``
+    or ``raise module.E(...)``, with or without ``from``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+            elif isinstance(exc, ast.Attribute):
+                yield exc.attr
+
+
+class TestEveryErrorIsRaised:
+    def test_each_error_type_has_a_raise_site(self):
+        package = Path(cuberow.__file__).parent
+        errors = ast.parse((package / "errors.py").read_text())
+        defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+        raised = set()
+        for path in package.glob("*.py"):
+            raised.update(_raised_names(ast.parse(path.read_text(), str(path))))
+        assert "LayoutError" in defined  # the rule still reads the module it guards
+        assert sorted(defined - raised) == []
+
+    def test_the_rule_catches_each_kind_of_site(self):
+        source = (
+            "raise A\nraise B('x')\nraise errors.C('x') from None\n"
+            "raise\nraise f()()\nx = D('never raised')\n"
+        )
+        assert sorted(_raised_names(ast.parse(source))) == ["A", "B", "C"]
+
+
 class TestInternalErrorPath:
     def test_verification_failure_exits_3(self, monkeypatch):
         from cuberow import cli
@@ -569,9 +600,39 @@ class TestInternalErrorPath:
             "verify_assignment",
             lambda intervals, assignment: RouteCertificate(False, "overlap", "rigged"),
         )
-        code, _, err = run_cli("route", "--n", "4")
+        code, out, err = run_cli("route", "--n", "4")
         assert code == EXIT_INTERNAL
-        assert "internal error" in err
+        assert out == ""
+        assert err == "cuberow: internal error: RuntimeError: routing verification failed: overlap rigged\n"
+
+
+class TestRowSize:
+    @pytest.mark.parametrize(
+        "argv",
+        [("density", "--n", "1"), ("route", "--n", "1"), ("check", "--max-n", "1")],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_single_node_is_not_a_row(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "cuberow: error: node count must be a power of two with n >= 2, got 1\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("density", "--n", str(2**21)), "--n 2097152 exceeds this command's cap of 1048576"),
+            (("density", "--n", "2000000"), "--n 2000000 exceeds this command's cap of 1048576"),
+            (("density", "--n", str(2**31)), "--n 2147483648 exceeds this command's cap of 1048576"),
+            (("check", "--max-n", "8192"), "--max-n 8192 exceeds this command's cap of 4096"),
+        ],
+    )
+    def test_a_size_above_the_cap_names_the_flag_and_the_cap(self, argv, message):
+        # The cap is checked before the row rule, so a size past it never
+        # reports the library's own limit, or the power-of-two rule.
+        code, _, err = run_cli(*argv)
+        assert code == EXIT_USAGE
+        assert err == f"cuberow: error: {message}\n"
 
 
 class TestProcessLevel:

@@ -15,27 +15,22 @@ from cuberow.density import (
     max_cut_density,
     max_density_cuts,
 )
-from cuberow.errors import (
-    DegenerateRowError,
-    InvalidCutError,
-    InvalidDimensionError,
-    RowSizeError,
-)
+from cuberow.errors import InvalidCutError, InvalidDimensionError, RowSizeError
 from cuberow.netlist import build_netlist
 from cuberow.oracle import brute_link_count, brute_maximizers, crossing_profile
 
 
 class TestHypercubeRow:
     def test_valid_sizes(self):
-        for n in (1, 2, 4, 8, 1024, 2**30):
+        for n in (2, 4, 8, 1024, 2**30):
             assert HypercubeRow(n).n == n
 
     def test_dims(self):
-        assert HypercubeRow(1).dims == 0
+        assert HypercubeRow(2).dims == 1
         assert HypercubeRow(8).dims == 3
         assert HypercubeRow(1024).dims == 10
 
-    @pytest.mark.parametrize("bad", [0, -2, 3, 6, 100, 2**30 + 1, 2**31])
+    @pytest.mark.parametrize("bad", [0, 1, -2, 3, 6, 100, 2**30 + 1, 2**31])
     def test_rejects_bad_sizes(self, bad):
         with pytest.raises(RowSizeError):
             HypercubeRow(bad)
@@ -86,7 +81,6 @@ class TestCutDensity:
         row = HypercubeRow(8)
         assert cut_density(row, 3) == 5
         assert cut_density(row, 4) == 4
-        assert cut_density(HypercubeRow(1), 0) == 0
 
     def test_full_profile_n8(self):
         row = HypercubeRow(8)
@@ -144,11 +138,6 @@ class TestPeakFormulas:
         assert leftmost_max_cut(HypercubeRow(2)) == 1
         assert leftmost_max_cut(HypercubeRow(16)) == 5
 
-    def test_single_node_row(self):
-        assert max_cut_density(HypercubeRow(1)) == 0
-        with pytest.raises(DegenerateRowError):
-            leftmost_max_cut(HypercubeRow(1))
-
     @pytest.mark.parametrize("d", range(1, 13))
     def test_peak_equals_two_thirds_floor(self, d):
         assert max_cut_density(HypercubeRow(2**d)) == (2 * 2**d) // 3
@@ -182,7 +171,7 @@ class TestBitsumForm:
 
 
 class TestBatchProfiles:
-    @pytest.mark.parametrize("d", range(0, 13))
+    @pytest.mark.parametrize("d", range(1, 13))
     def test_profile_matches_scalar(self, d):
         row = HypercubeRow(2**d)
         profile = cut_density_profile(row)
@@ -203,10 +192,6 @@ class TestMaximizers:
         assert max_density_cuts(HypercubeRow(2)) == [1]
         assert max_density_cuts(HypercubeRow(4)) == [1, 2, 3]
         assert max_density_cuts(HypercubeRow(32)) == [11, 13, 19, 21]
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateRowError):
-            max_density_cuts(HypercubeRow(1))
 
     @pytest.mark.parametrize("d", range(1, 11))
     def test_matches_oracle_scan(self, d):

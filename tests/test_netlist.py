@@ -8,12 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cuberow.density import HypercubeRow, cut_density, max_cut_density, max_density_cuts
-from cuberow.errors import (
-    DegenerateRowError,
-    InvalidCutError,
-    LayoutError,
-    NetlistFormatError,
-)
+from cuberow.errors import InvalidCutError, LayoutError, NetlistFormatError
 from cuberow.kernels import _excess_above
 from cuberow.netlist import (
     Netlist,
@@ -75,7 +70,7 @@ class TestBuildNetlist:
         assert (3, 0, 7) in [(w.dim, w.left_col, w.right_col) for w in net.wires]
         assert gray_code(0) == 0 and gray_code(7) == 4
 
-    @pytest.mark.parametrize("d", range(0, 13))
+    @pytest.mark.parametrize("d", range(1, 13))
     @pytest.mark.parametrize("placement", list(Placement))
     def test_size_invariants(self, d, placement):
         row = HypercubeRow(2**d)
@@ -103,7 +98,7 @@ class TestBuildNetlist:
     @pytest.mark.parametrize("placement", list(Placement))
     @pytest.mark.parametrize("mode", list(TerminalMode))
     def test_wires_are_in_canonical_tuple_order(self, placement, mode):
-        for d in range(0, 9):
+        for d in range(1, 9):
             wires = build_netlist(HypercubeRow(2**d), placement, mode).wires
             assert sorted(wires) == list(wires)
             assert [(w.dim, w.left_col) for w in wires] == sorted((w.dim, w.left_col) for w in wires)
@@ -267,10 +262,6 @@ class TestMaxTerminalDensity:
         assert value == 11
         assert attained == [(7, 1), (9, 3), (10, 3), (11, 1), (11, 3)]
 
-    def test_degenerate(self):
-        with pytest.raises(DegenerateRowError):
-            max_terminal_cut_density(HypercubeRow(1))
-
     @pytest.mark.parametrize("d", range(2, 11))
     def test_one_track_penalty(self, d):
         row = HypercubeRow(2**d)
@@ -357,6 +348,7 @@ class TestSerialization:
         "text",
         [
             "",
+            "1 normal free\n",
             "8 normal\n",
             "7 normal free\n",
             "8 sideways free\n",
@@ -386,6 +378,23 @@ class TestSerialization:
     def test_rejects_fields_that_are_not_ascii_digits(self, old, new, message):
         # int() alone takes each of these and the text loads as the real netlist.
         bad = dump_netlist(build_netlist(HypercubeRow(4))).replace(old, new, 1)
+        with pytest.raises(NetlistFormatError, match=message):
+            load_netlist(bad)
+
+    @pytest.mark.parametrize(
+        "placement, old, new, message",
+        [
+            (Placement.NORMAL, "1 0 1 1 1", "0 0 1 1 1", "dimension 0 outside 1..2"),
+            (Placement.NORMAL, "1 0 1 1 1", "3 0 1 1 1", "dimension 3 outside 1..2"),
+            (Placement.NORMAL, "1 2 1 3 1", "1 4 1 5 1", r"bad column pair \(4, 5\)"),
+            (Placement.NORMAL, "1 2 1 3 1", "1 3 1 2 1", r"bad column pair \(3, 2\)"),
+            (Placement.NORMAL, "1 2 1 3 1", "1 1 1 2 1", "columns 1 and 2 do not hold a dimension-1 pair"),
+            (Placement.GRAY, "2 0 2 3 2", "2 0 2 2 2", "columns 0 and 2 do not hold a dimension-2 pair"),
+        ],
+    )
+    def test_each_structural_check_names_its_fault(self, placement, old, new, message):
+        # One fault per text, so each check is the only one that can catch it.
+        bad = dump_netlist(build_netlist(HypercubeRow(4), placement)).replace(old, new, 1)
         with pytest.raises(NetlistFormatError, match=message):
             load_netlist(bad)
 

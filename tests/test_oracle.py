@@ -76,12 +76,6 @@ class TestCrossingProfile:
         table = crossing_profile(net)
         assert sum(table.gap_profile()) == total_wirelength(net)
 
-    def test_single_node_row(self):
-        net = build_netlist(HypercubeRow(1))
-        table = crossing_profile(net)
-        assert list(table.counts) == [0, 0]
-        assert table.fine_max() == 0
-
     def test_accessors_agree(self):
         net = build_netlist(HypercubeRow(8), mode=TerminalMode.DIM_ORDERED)
         table = crossing_profile(net)
@@ -97,12 +91,7 @@ class TestBruteMaximizers:
         assert brute_maximizers(build_netlist(HypercubeRow(4))) == [1, 2, 3]
         assert brute_maximizers(build_netlist(HypercubeRow(2))) == [1]
 
-    def test_single_node_row(self):
-        assert brute_maximizers(build_netlist(HypercubeRow(1))) == []
-
     def test_table_scan_on_the_smallest_rows(self):
-        single = crossing_profile(build_netlist(HypercubeRow(1)))
-        assert single.gap_maximizers() == [] and single.interior_gap_max() == 0
         pair = crossing_profile(build_netlist(HypercubeRow(2)))
         assert pair.gap_maximizers() == [1] and pair.interior_gap_max() == 1
 

@@ -50,8 +50,9 @@ def _parse_row(n: int, cap: int, flag: str = "--n") -> HypercubeRow:
     return HypercubeRow(n)
 
 
-def _write(texts: dict[str | None, str]) -> None:
-    """Write each text to the file its key names, or to stdout under None.
+def _write(texts: dict[str | None, list[str]]) -> None:
+    """Write each text, a list of chunks, to the file its key names, or to
+    stdout under None.
 
     Every file is opened in append mode, which changes none, before any is
     written, and stdout is written last.  If an open or a write fails, the
@@ -67,10 +68,10 @@ def _write(texts: dict[str | None, str]) -> None:
             with handle:
                 if os.path.isfile(path):  # as "w" would; a device or pipe cannot be truncated
                     handle.truncate(0)
-                handle.write(texts[path])
+                handle.writelines(texts[path])
         path = None
         if None in texts:
-            sys.stdout.write(texts[None])
+            sys.stdout.writelines(texts[None])
             sys.stdout.flush()
     except BrokenPipeError:
         raise
@@ -95,6 +96,9 @@ def _flat_encoder(depth: int):
 
 
 _CONTAINERS = (list, tuple, dict)
+
+# Items per encoder call in a long list of scalars.
+_CHUNK = 2**16
 
 
 def _holds_only_scalars(items) -> bool:
@@ -124,7 +128,17 @@ def _encode(value, depth: int, parts: list[str]) -> None:
         return
     inner = "\n" + "  " * (depth + 1)
     if _holds_only_scalars(items):
-        parts += (opener, inner, _flat_encoder(depth + 1)(value)[1:-1])
+        encode = _flat_encoder(depth + 1)
+        if closer == "}" or len(value) <= _CHUNK:
+            parts += (opener, inner, encode(value)[1:-1])
+        else:
+            # A long list or tuple goes to the encoder one slice at a time,
+            # so no text of the whole sequence is ever made.
+            parts.append(opener)
+            separator = inner
+            for start in range(0, len(value), _CHUNK):
+                parts += (separator, encode(value[start : start + _CHUNK])[1:-1])
+                separator = "," + inner
     elif closer == "]" and _is_record_list(value):
         # One call for the whole list, with the record fields' separator
         # everywhere; a raw newline only ever comes from a separator, and a
@@ -146,17 +160,18 @@ def _encode(value, depth: int, parts: list[str]) -> None:
     parts += ("\n" + "  " * depth, closer)
 
 
-def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2) + "\\n"``, byte for byte.
+def _json_text(obj) -> list[str]:
+    """The chunks of ``json.dumps(obj, indent=2) + "\\n"``, byte for byte.
 
-    Every list or dict that holds only scalars is encoded by one call to the
-    C encoder; only the levels above those containers are walked here, and
-    the parts are joined once.
+    Every list or dict that holds only scalars is encoded by the C encoder,
+    in one call, or one call per ``_CHUNK`` items for a longer list or tuple;
+    only the levels above those containers are walked here.  The chunks are
+    returned as they are, never joined into one string.
     """
     parts: list[str] = []
     _encode(obj, 0, parts)
     parts.append("\n")
-    return "".join(parts)
+    return parts
 
 
 def _density_data(
@@ -211,7 +226,7 @@ def _density_data(
     return doc, terminal_rows
 
 
-def cmd_density(args) -> tuple[dict[str | None, str], int]:
+def cmd_density(args) -> tuple[dict[str | None, list[str]], int]:
     placement = Placement(args.placement)
     mode = TerminalMode(args.mode)
     cap = MAX_CLOSED_FORM_NODES if placement is Placement.NORMAL else MAX_ORACLE_NODES
@@ -246,7 +261,8 @@ def cmd_density(args) -> tuple[dict[str | None, str], int]:
     table_rows = zip(enumerate(doc["profile"], start=1), terminal_rows)
     lines = [row_format("i", "S", *slot_headers)]
     lines += [row_format(cut, value, *slots) for (cut, value), slots in table_rows]
-    return {args.out: "\n".join(lines + summary) + "\n"}, EXIT_OK
+    lines += summary
+    return {args.out: ["\n".join(lines), "\n"]}, EXIT_OK
 
 
 def _route(row: HypercubeRow, placement: Placement, mode: TerminalMode):
@@ -259,7 +275,7 @@ def _route(row: HypercubeRow, placement: Placement, mode: TerminalMode):
     return net, intervals, assignment
 
 
-def cmd_route(args) -> tuple[dict[str | None, str], int]:
+def cmd_route(args) -> tuple[dict[str | None, list[str]], int]:
     placement = Placement(args.placement)
     mode = TerminalMode(args.mode)
     row = _parse_row(args.n, MAX_ROUTE_NODES)
@@ -267,17 +283,17 @@ def cmd_route(args) -> tuple[dict[str | None, str], int]:
     net, intervals, assignment = _route(row, placement, mode)
     texts = {}
     if args.emit_netlist is not None:
-        texts[args.emit_netlist] = netlist.dump_netlist(net)
+        texts[args.emit_netlist] = [netlist.dump_netlist(net)]
     if args.format == "csv" or args.emit_assignment is not None:
         table = routing.dump_assignment(intervals, assignment)
     if args.emit_assignment is not None:
-        texts[args.emit_assignment] = table
+        texts[args.emit_assignment] = [table]
     if args.format == "text":
-        text = render_text(net, assignment, spec)
+        chunks = [render_text(net, assignment, spec)]
     elif args.format == "svg":
-        text = render_svg(net, assignment, spec)
+        chunks = [render_svg(net, assignment, spec)]
     elif args.format == "csv":
-        text = "dim,left_col,right_col,track\n" + table.replace(" ", ",")
+        chunks = ["dim,left_col,right_col,track\n", table.replace(" ", ",")]
     else:
         by_wire = assignment.by_wire
         doc = _density_data(row, placement, mode, net)[0]
@@ -286,13 +302,13 @@ def cmd_route(args) -> tuple[dict[str | None, str], int]:
             {"dim": w.dim, "left_col": w.left_col, "right_col": w.right_col, "track": by_wire[w]}
             for w in net.wires
         ]
-        text = _json_text(doc)
+        chunks = _json_text(doc)
     # Set last, so a path given to both --out and an --emit-* flag gets the --out text.
-    texts[args.out] = text
+    texts[args.out] = chunks
     return texts, EXIT_OK
 
 
-def cmd_compare(args) -> tuple[dict[str | None, str], int]:
+def cmd_compare(args) -> tuple[dict[str | None, list[str]], int]:
     row = _parse_row(args.n, MAX_COMPARE_NODES)
 
     metrics = {}
@@ -328,10 +344,10 @@ def cmd_compare(args) -> tuple[dict[str | None, str], int]:
     normal, gray = metrics["normal"], metrics["gray"]
     lines = [row_format("metric" if csv else "", "normal", "gray")]
     lines += [row_format(key if csv else label, normal[key], gray[key]) for key, label in labels]
-    return {args.out: "\n".join(lines) + "\n"}, EXIT_OK
+    return {args.out: ["\n".join(lines), "\n"]}, EXIT_OK
 
 
-def cmd_check(args) -> tuple[dict[str | None, str], int]:
+def cmd_check(args) -> tuple[dict[str | None, list[str]], int]:
     max_n = _parse_row(args.max_n, MAX_ORACLE_NODES, "--max-n").n
     lines = []
     total = 0
@@ -347,7 +363,7 @@ def cmd_check(args) -> tuple[dict[str | None, str], int]:
         lines.append(line)
     verdict = f"{failed} check(s) failed" if failed else "all checks passed"
     lines.append(f"{verdict}, {total} assertions, rows up to {max_n} nodes")
-    return {args.out: "\n".join(lines) + "\n"}, EXIT_CHECK_FAILED if failed else EXIT_OK
+    return {args.out: ["\n".join(lines), "\n"]}, EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 def _count(text: str) -> int:

@@ -78,7 +78,13 @@ def cut_density(row: HypercubeRow, cut: int) -> int:
 
 
 def cut_density_profile(row: HypercubeRow) -> list[int]:
-    """Density at every cut 0..n, by the column-degree recurrence (batch kernel)."""
+    """Density at every cut 0..n, by the column-degree recurrence (batch kernel).
+
+    The recurrence covers the cuts up to n/2; the entries past the middle
+    are their mirror S(n - i) = S(i), the very same int objects.  Callers
+    that check the symmetry therefore compare against an independent form,
+    such as :func:`cut_density`, not against the list itself.
+    """
     return kernels.density_profile(row.n)
 
 

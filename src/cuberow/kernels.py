@@ -7,7 +7,7 @@ valid here: every ``n`` is a power of two.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, islice
 
 
 def accumulate_spans(num_cuts: int, lows: list[int], highs: list[int]) -> list[int]:
@@ -30,10 +30,18 @@ def density_profile(n: int) -> list[int]:
 
     Column ``i`` sends ``dims - popcount(i)`` wires to the right and receives
     ``popcount(i)`` from the left, so ``S(i+1) = S(i) + dims - 2*popcount(i)``
-    starting from ``S(0) = 0``.
+    starting from ``S(0) = 0``.  The recurrence runs over the cuts up to
+    ``n/2`` only; the rest of the list is their mirror ``S(n - i) = S(i)``,
+    holding the very same int objects, so the second half costs neither
+    arithmetic nor int memory.
     """
     dims = n.bit_length() - 1
-    return list(accumulate((dims - 2 * i.bit_count() for i in range(n)), initial=0))
+    half = n // 2
+    profile = list(accumulate((dims - 2 * i.bit_count() for i in range(half)), initial=0))
+    # The middle cut is its own mirror, so it is not repeated; a one-node
+    # row has no middle cut and mirrors its only entry.
+    profile.extend(islice(reversed(profile), 1 - n % 2, None))
+    return profile
 
 
 def bitsum_profile(n: int) -> list[int]:

@@ -90,21 +90,30 @@ def check_closed_forms(row: HypercubeRow) -> int:
 @_sweep(MAX_COARSE_NODES)
 def check_symmetry_and_bounds(row: HypercubeRow) -> int:
     """Mirror symmetry of densities (per dimension and total) and the peak
-    bound min(m, m - (p - cut)) at every interior cut."""
+    bound min(m, m - (p - cut)) at every interior cut.
+
+    The profile mirrors its own first half, so S(n - cut) is summed from the
+    per-dimension counts instead of read from the profile."""
     n, checked = row.n, 0
     profile = density.cut_density_profile(row)
     peak = density.max_cut_density(row)
     first = density.leftmost_max_cut(row)
+    # links[dim - 1][cut] for the interior cuts; index 0 is unused.
+    links = [
+        [0, *(density.dimension_link_count(row, cut, dim) for cut in range(1, n))]
+        for dim in range(1, row.dims + 1)
+    ]
+    summed = [sum(counts) for counts in zip(*links)]
     for cut in range(1, n):
-        if profile[cut] != profile[n - cut]:
+        if profile[cut] != summed[n - cut]:
             raise _Mismatch(checked, f": S({cut}) != S({n - cut})")
         bound = min(peak, peak - (first - cut))
         if profile[cut] > bound:
             raise _Mismatch(checked, f" cut={cut}: {profile[cut]} exceeds bound {bound}")
         checked += 2
-    for dim in range(1, row.dims + 1):
+    for dim, counts in enumerate(links, start=1):
         for cut in range(1, n):
-            if density.dimension_link_count(row, cut, dim) != density.dimension_link_count(row, n - cut, dim):
+            if counts[cut] != counts[n - cut]:
                 raise _Mismatch(checked, f" dim={dim} cut={cut}: per-dimension symmetry broken")
             checked += 1
     if profile[first] != peak:

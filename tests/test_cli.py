@@ -327,11 +327,13 @@ CHECK_FAULTS = [
         {"closed-forms"},
     ),
     (
+        # S(n - cut) is summed from the per-dimension counts, so the bumped
+        # counts at cut 1 first show as S(15) against the profile.
         "symmetry-and-bounds",
         (density, "dimension_link_count"),
         _bump_where(lambda row, cut, dim: row.n >= 16 and cut == 1),
-        83,
-        "n=16 dim=1 cut=1: per-dimension symmetry broken",
+        81,
+        "n=16: S(15) != S(1)",
         {"symmetry-and-bounds"},
     ),
     (
@@ -491,6 +493,13 @@ class TestUnwritableOutput:
         assert not emitted.exists()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_of_many_chunks_is_a_usage_error(self):
+        # The profile of 131071 cuts is written as more than one chunk.
+        code, out, err = run_cli("density", "--n", "131072", "--format", "json", "--out", "/dev/full")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("cuberow: error: cannot write /dev/full: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_stdout_leaves_no_emitted_file(self, tmp_path):
         emitted = tmp_path / "row.netlist"
         with open("/dev/full", "w") as full:
@@ -511,6 +520,7 @@ class TestUnwritableOutput:
             ("check", "--max-n", "2"),
             ("route", "--n", "2"),
             ("route", "--n", "1024", "--format", "json"),
+            ("density", "--n", "131072", "--format", "json"),
         ],
     )
     def test_full_stdout_is_a_usage_error(self, argv):

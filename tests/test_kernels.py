@@ -1,5 +1,7 @@
 """The batch kernels on small inputs and against each other."""
 
+from itertools import accumulate
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -23,6 +25,19 @@ class TestProfiles:
         assert kernels.density_profile(4) == [0, 2, 2, 2, 0]
         assert kernels.bitsum_profile(4) == [0, 2, 2, 2, 0]
         assert kernels.density_profile(1) == [0, 0]
+
+    def test_profile_equals_the_full_recurrence(self):
+        for d in range(17):
+            n = 2**d
+            full = list(accumulate((d - 2 * i.bit_count() for i in range(n)), initial=0))
+            assert kernels.density_profile(n) == full
+
+    def test_second_half_holds_the_first_halfs_ints(self):
+        # What keeps the profile's memory to one int object per mirror pair.
+        for d in range(17):
+            n = 2**d
+            profile = kernels.density_profile(n)
+            assert all(profile[i] is profile[n - i] for i in range(n + 1))
 
     def test_profiles_cross_agree(self):
         for d in range(1, 12):

@@ -59,7 +59,7 @@ _record_lists = st.lists(_records | _scalars | st.lists(_scalars, max_size=3), m
 
 @given(_values)
 def test_json_text_matches_json_dumps(value):
-    assert cli._json_text(value) == _reference(value)
+    assert "".join(cli._json_text(value)) == _reference(value)
 
 
 @given(
@@ -70,7 +70,7 @@ def test_json_text_matches_json_dumps(value):
     )
 )
 def test_json_text_matches_json_dumps_on_record_lists(value):
-    assert cli._json_text(value) == _reference(value)
+    assert "".join(cli._json_text(value)) == _reference(value)
 
 
 @pytest.mark.parametrize(
@@ -95,7 +95,35 @@ def test_json_text_matches_json_dumps_on_record_lists(value):
     ],
 )
 def test_json_text_matches_json_dumps_on_edge_cases(value):
-    assert cli._json_text(value) == _reference(value)
+    assert "".join(cli._json_text(value)) == _reference(value)
+
+
+def _long_lists():
+    # Scalar lists on both sides of the chunk size, in each place a list can
+    # sit.
+    for length in (cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1, 2 * cli._CHUNK + 1):
+        numbers = list(range(-(length // 2), length - length // 2))
+        yield f"list-{length}", numbers
+        yield f"tuple-{length}", tuple(numbers)
+        yield f"under-a-key-{length}", {"n": length, "profile": numbers, "m": None}
+    mixed = [None, True, False, -1, 2.5, float("nan"), "é\n", "", "\"", 10**30]
+    yield "mixed-scalars", (mixed * (2 * cli._CHUNK // len(mixed) + 1))[: 2 * cli._CHUNK + 1]
+
+
+@pytest.mark.parametrize("value", [value for _, value in _long_lists()], ids=[name for name, _ in _long_lists()])
+def test_long_scalar_lists_are_encoded_in_chunks(value):
+    chunks = cli._json_text(value)
+    assert isinstance(chunks, list) and "".join(chunks) == _reference(value)
+    # A raw newline only comes from an item separator, so no chunk holds
+    # more than _CHUNK items.
+    assert max(chunk.count("\n") for chunk in chunks) < cli._CHUNK
+
+
+def test_a_long_dict_is_encoded_whole():
+    value = {f"k{i}": i for i in range(cli._CHUNK + 1)}
+    chunks = cli._json_text(value)
+    assert "".join(chunks) == _reference(value)
+    assert max(chunk.count("\n") for chunk in chunks) == cli._CHUNK
 
 
 def _json_commands():

@@ -129,11 +129,11 @@ def _encode(value, depth: int, parts: list[str]) -> None:
     inner = "\n" + "  " * (depth + 1)
     if _holds_only_scalars(items):
         encode = _flat_encoder(depth + 1)
-        if closer == "}" or len(value) <= _CHUNK:
+        if closer == "}":
             parts += (opener, inner, encode(value)[1:-1])
         else:
-            # A long list or tuple goes to the encoder one slice at a time,
-            # so no text of the whole sequence is ever made.
+            # A list or tuple goes to the encoder one slice at a time, so no
+            # text of a long sequence is ever made whole.
             parts.append(opener)
             separator = inner
             for start in range(0, len(value), _CHUNK):
@@ -163,8 +163,8 @@ def _encode(value, depth: int, parts: list[str]) -> None:
 def _json_text(obj) -> list[str]:
     """The chunks of ``json.dumps(obj, indent=2) + "\\n"``, byte for byte.
 
-    Every list or dict that holds only scalars is encoded by the C encoder,
-    in one call, or one call per ``_CHUNK`` items for a longer list or tuple;
+    Every list or dict that holds only scalars is encoded by the C encoder:
+    a dict in one call, a list or tuple in one call per ``_CHUNK`` items;
     only the levels above those containers are walked here.  The chunks are
     returned as they are, never joined into one string.
     """

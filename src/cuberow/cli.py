@@ -174,75 +174,47 @@ def _json_text(obj) -> list[str]:
     return parts
 
 
-def _density_data(
-    row: HypercubeRow,
-    placement: Placement,
-    mode: TerminalMode,
-    net: netlist.Netlist | None = None,
-):
-    """The JSON density document, with ``tracks`` None, and the slot rows.
+def _density_data(row: HypercubeRow, placement: Placement, mode: TerminalMode) -> dict:
+    """The JSON density document, with ``tracks`` None, from the closed forms.
 
-    The normal placement takes the closed forms.  The gray placement reads
-    everything from one oracle crossing table, of ``net`` when the caller
-    has already built the row's netlist: a wire crosses the same gaps under
-    either terminal mode, so one netlist gives both the gap profile and the
-    slot cuts.  Slot rows (cuts 1..n-1; None in free mode) are an iterator
-    that computes each row as it is consumed.
+    A gray row has the normal row's crossing count at every cut (see
+    :mod:`cuberow.density`), so both placements take the same formulas.
     """
-    terminal_rows = None
-    terminal_max = None
-    if placement is Placement.NORMAL:
-        profile = density.cut_density_profile(row)
-        peak = density.max_cut_density(row)
-        cuts = density.max_density_cuts(row)
-        if mode is TerminalMode.DIM_ORDERED:
-            terminal_rows = (netlist.terminal_cut_densities(row, cut) for cut in range(1, row.n))
-            terminal_max = netlist.max_terminal_cut_density(row)[0]
-    else:
-        if net is None:
-            net = netlist.build_netlist(row, placement, mode)
-        table = oracle.crossing_profile(net)
-        profile = table.gap_profile()
-        cuts = table.gap_maximizers()
-        peak = table.gap(cuts[0])
-        if mode is TerminalMode.DIM_ORDERED:
-            slots = range(1, row.dims + 1)
-            terminal_rows = ([table.node_cut(col, slot) for slot in slots] for col in range(row.n - 1))
-            terminal_max = table.fine_max()
-    # Both profile sources return a fresh list per call, so trim in place.
+    profile = density.cut_density_profile(row)
+    # The profile is a fresh list per call, so trim in place.
     del profile[row.n :], profile[0]
-    doc = {
+    cuts = density.max_density_cuts(row)
+    return {
         "n": row.n,
         "placement": placement.value,
         "mode": mode.value,
         "profile": profile,
-        "m": peak,
+        "m": density.max_cut_density(row),
         "p": cuts[0],
         "maximizers": cuts,
         "tracks": None,
     }
-    if terminal_max is not None:
-        doc["terminal_max"] = terminal_max
-    return doc, terminal_rows
 
 
 def cmd_density(args) -> tuple[dict[str | None, list[str]], int]:
     placement = Placement(args.placement)
     mode = TerminalMode(args.mode)
-    cap = MAX_CLOSED_FORM_NODES if placement is Placement.NORMAL else MAX_ORACLE_NODES
-    row = _parse_row(args.n, cap)
+    row = _parse_row(args.n, MAX_CLOSED_FORM_NODES)
     if args.format == "svg":
         raise UsageError("svg output is available for the route command only")
 
-    doc, terminal_rows = _density_data(row, placement, mode)
+    doc = _density_data(row, placement, mode)
+    slot_headers, terminal_rows = [], repeat(())
+    if mode is TerminalMode.DIM_ORDERED:
+        doc["terminal_max"] = netlist.max_terminal_cut_density(row)[0]
+        slot_headers = [f"T{slot}" for slot in range(1, row.dims + 1)]
+        # Slot rows for cuts 1..n-1, each computed as the table consumes it.
+        terminal_rows = (netlist.terminal_cut_densities(row, cut) for cut in range(1, row.n))
     if args.format == "json":
         return {args.out: _json_text(doc)}, EXIT_OK
 
     peak, first, terminal_max = doc["m"], doc["p"], doc.get("terminal_max")
     shown = " ".join(map(str, doc["maximizers"]))
-    slot_headers = [f"T{slot}" for slot in range(1, row.dims + 1)]
-    if terminal_rows is None:
-        slot_headers, terminal_rows = [], repeat(())
     cells = 2 + len(slot_headers)
     # One format string for the whole table, one format call per row; only
     # the summary lines differ between the formats.
@@ -296,8 +268,11 @@ def cmd_route(args) -> tuple[dict[str | None, list[str]], int]:
         chunks = ["dim,left_col,right_col,track\n", table.replace(" ", ",")]
     else:
         by_wire = assignment.by_wire
-        doc = _density_data(row, placement, mode, net)[0]
+        doc = _density_data(row, placement, mode)
         doc["tracks"] = assignment.track_count
+        if mode is TerminalMode.DIM_ORDERED:
+            # The routed channel's fine-cut peak, certified equal to the tracks.
+            doc["terminal_max"] = assignment.density
         doc["wires"] = [
             {"dim": w.dim, "left_col": w.left_col, "right_col": w.right_col, "track": by_wire[w]}
             for w in net.wires

@@ -8,6 +8,11 @@ peaks, and at exactly which cuts the peak is attained.  Everything here is
 formula-driven; :mod:`cuberow.oracle` recomputes the same quantities by brute
 force so the two routes can be checked against each other.
 
+The counts hold as well for a row in reflected gray order.  There a
+dimension-k link joins columns x and x XOR (2**k - 1): mirrored, nested
+pairs inside each aligned block of 2**k columns, of which min(t, 2**k - t)
+cross offset t, the same ramp as in column order.  Only the lengths differ.
+
 Cut positions are plain integers: cut ``i`` has ``i`` node columns to its
 left, so ``i = 0`` and ``i = n`` are the (always empty) outer cuts.
 """

@@ -10,6 +10,10 @@ and the oracle: each column contributes one cut just after each of its
 ``dims`` terminal slots, plus the intercolumn gap to its right.  Fine index
 ``col * (dims + 1) + slot`` addresses the cut after ``slot`` (1-based), and
 ``slot = dims + 1`` is the gap; index 0 is the gap left of the whole row.
+Both placements have the same count at every fine cut: the gap counts are
+the same (see :mod:`cuberow.density`), and in either placement a column's
+dimension-k wire leaves to the right exactly when bit k-1 of the column is
+clear, so the slot-cut formulas here serve gray rows too.
 """
 
 from __future__ import annotations
@@ -177,10 +181,10 @@ def _gap_profile(n: int) -> list[int]:
 def terminal_cut_density(row: HypercubeRow, cut: int, slot: int) -> int:
     """Wires crossing the fine cut just right of ``slot`` on column ``cut - 1``.
 
-    Defined for the normal placement with dimension-ordered terminals.  The
-    count decomposes as the intercolumn density at ``cut`` plus the bit
-    excess of ``cut - 1`` above ``slot``: every dimension whose bit is set
-    on that node enters from the left, every clear one leaves to the right,
+    Under dimension-ordered terminals, in either placement, the count
+    decomposes as the intercolumn density at ``cut`` plus the bit excess of
+    ``cut - 1`` above ``slot``: every dimension whose bit is set on that
+    column enters from the left, every clear one leaves to the right,
     and only the dimensions above ``slot`` shift the tally either way.
     """
     if not 1 <= cut <= row.n:

@@ -188,20 +188,31 @@ def check_router(row: HypercubeRow) -> int:
 
 @_sweep(MAX_FINE_NODES)
 def check_gray_equalities(row: HypercubeRow) -> int:
-    """Gray placement must match normal on peak density and total length,
+    """The gray row's oracle table must equal the closed forms at every fine
+    cut, gaps and slot cuts alike, and its total length the normal row's,
     with the known span extremes (n/2 normal, n-1 reflected gray)."""
+    n, checked = row.n, 0
     normal = netlist.build_netlist(row, Placement.NORMAL)
-    gray = netlist.build_netlist(row, Placement.GRAY)
-    gray_peak = oracle.crossing_profile(gray).interior_gap_max()
-    if gray_peak != density.max_cut_density(row):
-        raise _Mismatch(0, f": gray peak {gray_peak} vs m {density.max_cut_density(row)}")
+    gray = netlist.build_netlist(row, Placement.GRAY, TerminalMode.DIM_ORDERED)
+    table = oracle.crossing_profile(gray)
+    for cut, want in enumerate(density.cut_density_profile(row)):
+        got = table.gap(cut)
+        if got != want:
+            raise _Mismatch(checked, f" cut={cut}: gray oracle {got} vs formula {want}")
+        checked += 1
+    for col in range(n):
+        for slot, want in enumerate(netlist.terminal_cut_densities(row, col + 1), start=1):
+            got = table.node_cut(col, slot)
+            if got != want:
+                raise _Mismatch(checked, f" col={col} slot={slot}: gray oracle {got} vs formula {want}")
+            checked += 1
     if netlist.total_wirelength(gray) != netlist.total_wirelength(normal):
-        raise _Mismatch(0, ": total wirelength differs")
-    if netlist.max_wirelength(normal) != row.n // 2 or netlist.max_wirelength(gray) != row.n - 1:
+        raise _Mismatch(checked, ": total wirelength differs")
+    if netlist.max_wirelength(normal) != n // 2 or netlist.max_wirelength(gray) != n - 1:
         raise _Mismatch(
-            0, f": span extremes {netlist.max_wirelength(normal)}, {netlist.max_wirelength(gray)}"
+            checked + 1, f": span extremes {netlist.max_wirelength(normal)}, {netlist.max_wirelength(gray)}"
         )
-    return 3
+    return checked + 2
 
 
 @_sweep(MAX_COARSE_NODES, start=8)

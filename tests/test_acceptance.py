@@ -30,6 +30,7 @@ from cuberow.netlist import (
     build_netlist,
     max_terminal_cut_density,
     max_wirelength,
+    terminal_cut_density,
     total_wirelength,
 )
 from cuberow.oracle import (
@@ -137,12 +138,20 @@ def test_criterion_6_router_optimality():
 
 
 def test_criterion_7_gray_code_equalities():
-    """criterion 7: gray rows match on peak density and total length, spans n/2 vs n-1"""
+    """criterion 7: gray = closed forms at every fine cut, equal total length, spans n/2 vs n-1"""
     for d in FINE_DIMS:
         row = HypercubeRow(2**d)
         normal = build_netlist(row)
         gray = build_netlist(row, Placement.GRAY)
-        assert crossing_profile(gray).interior_gap_max() == max_cut_density(row)
+        free = crossing_profile(gray)
+        assert free.gap_profile() == cut_density_profile(row)
+        assert free.interior_gap_max() == max_cut_density(row)
+        # Pinned terminals: every gap and every slot cut of every column.
+        table = crossing_profile(build_netlist(row, Placement.GRAY, TerminalMode.DIM_ORDERED))
+        assert table.gap_profile() == cut_density_profile(row)
+        for col in range(row.n):
+            for slot in range(1, d + 1):
+                assert table.node_cut(col, slot) == terminal_cut_density(row, col + 1, slot)
         assert total_wirelength(gray) == total_wirelength(normal)
         assert max_wirelength(normal) == row.n // 2
         assert max_wirelength(gray) == row.n - 1

@@ -23,7 +23,7 @@ from cuberow.cli import (
 )
 from cuberow.density import HypercubeRow
 from cuberow.netlist import load_netlist
-from cuberow.oracle import brute_maximizers, crossing_profile
+from cuberow.oracle import crossing_profile
 from cuberow.routing import load_assignment
 
 JSON_FIELDS = ["n", "placement", "mode", "profile", "m", "p", "maximizers", "tracks"]
@@ -34,6 +34,15 @@ def run_cli(*argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def run_module(*argv, **kwargs):
+    """Run ``python -m cuberow`` in a child process that imports the same
+    package as these tests, whether or not the caller's PYTHONPATH names it."""
+    source = str(Path(cuberow.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-m", "cuberow", *argv], env=env, text=True, **kwargs)
 
 
 class TestDensityCommand:
@@ -55,24 +64,29 @@ class TestDensityCommand:
         assert "peak terminal density: 6" in out
         assert out.splitlines()[0].split() == ["i", "S", "T1", "T2", "T3"]
 
-    def test_gray_placement_uses_oracle(self):
-        code, out, _ = run_cli("density", "--n", "8", "--placement", "gray", "--format", "json")
-        assert code == EXIT_OK
-        payload = json.loads(out)
-        assert payload["profile"] == [3, 4, 5, 4, 5, 4, 3]
-        assert payload["m"] == 5
-
     @pytest.mark.parametrize("d", range(1, 11))
     def test_gray_summary_matches_oracle(self, d):
+        # The gray row takes the closed forms; the oracle counts its wires.
         row = HypercubeRow(2**d)
-        code, out, _ = run_cli("density", "--n", str(row.n), "--placement", "gray", "--format", "json")
-        payload = json.loads(out)
-        net = netlist.build_netlist(row, netlist.Placement.GRAY)
-        cuts = brute_maximizers(net)
+        gray = ("density", "--n", str(row.n), "--placement", "gray")
+        code, out, _ = run_cli(*gray, "--format", "json")
         assert code == EXIT_OK
-        assert payload["maximizers"] == cuts
-        assert payload["p"] == cuts[0]
-        assert payload["m"] == crossing_profile(net).interior_gap_max()
+        payload = json.loads(out)
+        table = crossing_profile(netlist.build_netlist(row, netlist.Placement.GRAY))
+        cuts = table.gap_maximizers()
+        assert payload["profile"] == table.gap_profile()[1 : row.n]
+        assert payload["m"] == table.interior_gap_max()
+        assert (payload["p"], payload["maximizers"]) == (cuts[0], cuts)
+
+        code, out, _ = run_cli(*gray, "--mode", "dim-ordered", "--format", "csv")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        table = crossing_profile(
+            netlist.build_netlist(row, netlist.Placement.GRAY, netlist.TerminalMode.DIM_ORDERED)
+        )
+        slots = [[int(v) for v in line.split(",")[2:]] for line in lines[1:-1]]
+        assert slots == [[table.node_cut(col, s) for s in range(1, d + 1)] for col in range(row.n - 1)]
+        assert lines[-1].endswith(f" terminal_max={table.fine_max()}")
 
     def test_json_schema(self):
         code, out, _ = run_cli("density", "--n", "8", "--format", "json")
@@ -99,8 +113,10 @@ class TestDensityCommand:
         assert "route" in err
 
     def test_rejects_oversized_gray(self):
-        code, _, err = run_cli("density", "--n", str(2**13), "--placement", "gray")
+        # Both placements share the closed forms' cap.
+        code, _, err = run_cli("density", "--n", str(2**21), "--placement", "gray")
         assert code == EXIT_USAGE
+        assert err == "cuberow: error: --n 2097152 exceeds this command's cap of 1048576\n"
 
 
 class TestRouteCommand:
@@ -206,6 +222,17 @@ class TestRouteCommand:
         code, out, _ = run_cli(*argv, "--emit-netlist", str(emitted[0]), "--emit-assignment", str(emitted[1]))
         assert code == EXIT_USAGE and out == ""
         assert [path.exists() for path in emitted] == [False, False]
+
+    @pytest.mark.parametrize("placement", ["normal", "gray"])
+    def test_json_terminal_max_matches_the_closed_form(self, placement):
+        # route reports the routed channel's peak; density and the library
+        # compute it from the closed form.
+        for d in range(1, 11):
+            row = HypercubeRow(2**d)
+            argv = ("--n", str(row.n), "--placement", placement, "--mode", "dim-ordered", "--format", "json")
+            routed = json.loads(run_cli("route", *argv)[1])["terminal_max"]
+            tabled = json.loads(run_cli("density", *argv)[1])["terminal_max"]
+            assert routed == tabled == netlist.max_terminal_cut_density(row)[0]
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_json_byte_stable(self, n):
@@ -374,7 +401,7 @@ CHECK_FAULTS = [
         "gray-equalities",
         (netlist, "max_wirelength"),
         _bump_where(lambda net: net.row.n >= 16),
-        9,
+        139,
         "n=16: span extremes 9, 16",
         {"gray-equalities"},
     ),
@@ -393,6 +420,21 @@ CHECK_FAULTS = [
 ]
 
 
+# A second gray-equalities fault, in the slot-cut recurrence alone.  The
+# terminal-density check reads that recurrence only for its peak, which the
+# bumped cut does not reach, so only the gray sweep of every fine cut fails.
+GRAY_SLOT_FAULT = (
+    "gray-equalities",
+    (netlist, "terminal_cut_densities"),
+    lambda real: lambda row, cut: [
+        value + (row.n >= 16 and (cut, slot) == (2, 1)) for slot, value in enumerate(real(row, cut), start=1)
+    ],
+    78,
+    "n=16 col=1 slot=1: gray oracle 3 vs formula 4",
+    {"gray-equalities"},
+)
+
+
 class TestEveryCheckCanFail:
     @pytest.fixture(autouse=True)
     def fresh_gap_profile(self):
@@ -404,8 +446,8 @@ class TestEveryCheckCanFail:
 
     @pytest.mark.parametrize(
         "name, target, fault, assertions, detail, failing",
-        CHECK_FAULTS,
-        ids=[case[0] for case in CHECK_FAULTS],
+        [pytest.param(*case, id=case[0]) for case in CHECK_FAULTS]
+        + [pytest.param(*GRAY_SLOT_FAULT, id="gray-equalities-slot-cut")],
     )
     def test_fault_is_reported(self, monkeypatch, name, target, fault, assertions, detail, failing):
         module, attr = target
@@ -503,9 +545,8 @@ class TestUnwritableOutput:
     def test_full_stdout_leaves_no_emitted_file(self, tmp_path):
         emitted = tmp_path / "row.netlist"
         with open("/dev/full", "w") as full:
-            result = subprocess.run(
-                [sys.executable, "-m", "cuberow", "route", "--n", "8", "--emit-netlist", str(emitted)],
-                stdout=full, stderr=subprocess.PIPE, text=True,
+            result = run_module(
+                "route", "--n", "8", "--emit-netlist", str(emitted), stdout=full, stderr=subprocess.PIPE
             )
         assert result.returncode == EXIT_USAGE
         assert result.stderr.startswith("cuberow: error: cannot write stdout: ")
@@ -527,9 +568,7 @@ class TestUnwritableOutput:
         # A process of its own, so that the status also covers the
         # interpreter's final flush of stdout.
         with open("/dev/full", "w") as full:
-            result = subprocess.run(
-                [sys.executable, "-m", "cuberow", *argv], stdout=full, stderr=subprocess.PIPE, text=True
-            )
+            result = run_module(*argv, stdout=full, stderr=subprocess.PIPE)
         assert result.returncode == EXIT_USAGE
         assert result.stderr.startswith("cuberow: error: cannot write stdout: ")
 
@@ -647,21 +686,13 @@ class TestRowSize:
 
 class TestProcessLevel:
     def test_module_entry_point_matches_in_process(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "cuberow", "route", "--n", "8", "--format", "json"],
-            capture_output=True,
-            text=True,
-        )
+        result = run_module("route", "--n", "8", "--format", "json", capture_output=True)
         assert result.returncode == EXIT_OK
         _, in_process, _ = run_cli("route", "--n", "8", "--format", "json")
         assert result.stdout == in_process
 
     def test_usage_error_exit_code(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "cuberow", "density", "--n", "8", "--format", "bogus"],
-            capture_output=True,
-            text=True,
-        )
+        result = run_module("density", "--n", "8", "--format", "bogus", capture_output=True)
         assert result.returncode == EXIT_USAGE
 
 

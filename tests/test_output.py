@@ -183,8 +183,8 @@ GOLDEN = [
     # At this size a value is exactly as wide as "normal".
     ("compare --n 1024", "afec1cc958c1d6aeff24c3420c85ad5df7d74dbaf3e06ef57c7e72c31ca96324"),
     ("compare --n 1024 --format csv", "b2495d2309d64e7b36454d0a2238a60311de5a5464177a64e5eaec9eed52c2d0"),
-    ("check --max-n 64", "e12a09def5083879c10af0acabff0ed9f377eaa8e8480e777cde53b9d561dd19"),
-    ("check --max-n 2048", "5916a1e5aad21202807b057818cde9fc2e9cc51063af2de3f38bf73fddc6ef90"),
+    ("check --max-n 64", "a748782dc09661a1374b8f74281d340733298cebf9caeeaacd40e24fc9017d4a"),
+    ("check --max-n 2048", "dcb16280f46e2464ba946fb53daf43b0a6104f05ec9b5a4f35bf45f5ad585717"),
     ("route --n 1024 --placement normal --mode free --format json", "df7613399dffafc1da2e580dd828aecdfc4c4af47d241d0ca8aebebc8eec97b2"),
     ("route --n 1024 --placement normal --mode dim-ordered --format json", "5fad1173f9b37489b6137c378402be5216cd136b0d6c71272c16b8cdefe7207b"),
     ("route --n 1024 --placement gray --mode free --format json", "cc3385cb917a2d01592498faa801a47316c8fa869b3c60199743445ceb6eaad5"),

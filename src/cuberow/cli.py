@@ -13,7 +13,7 @@ import functools
 import json
 import os
 import sys
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 from cuberow import density, netlist, oracle, routing, selfcheck
 from cuberow.density import HypercubeRow
@@ -99,6 +99,8 @@ _CONTAINERS = (list, tuple, dict)
 
 # Items per encoder call in a long list of scalars.
 _CHUNK = 2**16
+# Rows per chunk of a text or csv density table.
+_TABLE_ROWS = 2**12
 
 
 def _holds_only_scalars(items) -> bool:
@@ -217,24 +219,27 @@ def cmd_density(args) -> tuple[dict[str | None, list[str]], int]:
     shown = " ".join(map(str, doc["maximizers"]))
     cells = 2 + len(slot_headers)
     # One format string for the whole table, one format call per row; only
-    # the summary lines differ between the formats.
+    # the summary lines differ between the formats.  Each row's line ends in
+    # its newline.
     if args.format == "csv":
-        row_format = ",".join(["{}"] * cells).format
+        row_format = (",".join(["{}"] * cells) + "\n").format
         summary = [f"# m={peak} p={first} maximizers={shown}"]
         if terminal_max is not None:
             summary[0] += f" terminal_max={terminal_max}"
     else:
         width = max(len(str(row.n)), len(str(peak + 1)), 3)
-        row_format = "  ".join([f"{{:>{width}}}"] * cells).format
+        row_format = ("  ".join([f"{{:>{width}}}"] * cells) + "\n").format
         summary = [f"m = {peak}   p = {first}   maximizers: {shown}"]
         if terminal_max is not None:
             summary.append(f"peak terminal density: {terminal_max}")
-    # Each slot row becomes part of its line as it is computed.
+    # Each slot row becomes part of its line as it is computed, and the lines
+    # are joined one block of rows at a time, so no str per row is held.
     table_rows = zip(enumerate(doc["profile"], start=1), terminal_rows)
-    lines = [row_format("i", "S", *slot_headers)]
-    lines += [row_format(cut, value, *slots) for (cut, value), slots in table_rows]
-    lines += summary
-    return {args.out: ["\n".join(lines), "\n"]}, EXIT_OK
+    lines = (row_format(cut, value, *slots) for (cut, value), slots in table_rows)
+    chunks = [row_format("i", "S", *slot_headers)]
+    chunks += iter(lambda: "".join(islice(lines, _TABLE_ROWS)), "")
+    chunks.append("\n".join(summary) + "\n")
+    return {args.out: chunks}, EXIT_OK
 
 
 def _route(row: HypercubeRow, placement: Placement, mode: TerminalMode):

@@ -21,8 +21,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from itertools import accumulate, islice
+from functools import lru_cache, partial
+from itertools import accumulate, compress, cycle, islice, repeat
+from operator import add, itemgetter, sub, xor
 from typing import NamedTuple
 
 from cuberow import density
@@ -96,6 +97,13 @@ class Wire(_WireFields):
         return self.right_col - self.left_col
 
 
+# Builds a Wire from a tuple of its fields without the column check, for
+# callers that have already made sure left_col < right_col.
+_new_wire = partial(tuple.__new__, Wire)
+# Field getters in Wire's field order after ``dim``.
+_left_col, _right_col, _left_slot, _right_slot = map(itemgetter, range(1, 5))
+
+
 @dataclass(frozen=True)
 class Netlist:
     row: HypercubeRow
@@ -139,35 +147,36 @@ def build_netlist(
         if sorted(slot_order) != list(range(1, dims + 1)):
             raise LayoutError(f"slot_order must permute 1..{dims}, got {slot_order!r}")
 
-    if placement is Placement.NORMAL:
-        col_of = range(row.n)
-    else:
-        # Column of each node: the inverse permutation of the gray sequence.
-        col_of = sorted(range(row.n), key=gray_code)
-
+    # For dimension k, the left ends are the lower half of each aligned block
+    # of 2^k columns.  A normal row joins column x to x + 2^(k-1); a gray row
+    # to its mirror x XOR (2^k - 1), since flipping bit k-1 of a node flips
+    # the low k bits of its column.  Either way the right end is the larger,
+    # and the wires come out in canonical (dim, left_col) order.
+    cols = list(range(row.n))  # one int object per column, shared by every wire
+    gray = placement is Placement.GRAY
     wires = []
     for dim in range(1, dims + 1):
         half = 1 << (dim - 1)
         slot = slot_order[dim - 1] if slot_order is not None else dim
-        for node in range(row.n):
-            if node & half:
-                continue
-            a = col_of[node]
-            b = col_of[node | half]
-            wires.append(Wire(dim, a, b, slot, slot) if a < b else Wire(dim, b, a, slot, slot))
-    # Tuple order is the canonical (dim, left_col) order.
-    wires.sort()
+        lefts = list(compress(cols, cycle([True] * half + [False] * half)))
+        ends = map(xor, lefts, repeat(2 * half - 1)) if gray else map(add, lefts, repeat(half))
+        rights = map(cols.__getitem__, ends)
+        wires += map(_new_wire, zip(repeat(dim), lefts, rights, repeat(slot), repeat(slot)))
     return Netlist(row, placement, mode, tuple(wires))
+
+
+def _spans(wires):
+    return map(sub, map(_right_col, wires), map(_left_col, wires))
 
 
 def total_wirelength(net: Netlist) -> int:
     """Sum of horizontal spans over all wires, in column units."""
-    return sum(w.span for w in net.wires)
+    return sum(_spans(net.wires))
 
 
 def max_wirelength(net: Netlist) -> int:
     """Longest horizontal span; 0 for a netlist with no wires."""
-    return max((w.span for w in net.wires), default=0)
+    return max(_spans(net.wires), default=0)
 
 
 @lru_cache(maxsize=1)
@@ -330,5 +339,6 @@ def load_netlist(text: str) -> Netlist:
                 col, slot = (left, lslot) if slot_seen[lcut] else (right, rslot)
                 raise NetlistFormatError(f"terminal slot {slot} of column {col} carries two wires")
             slot_seen[lcut] = slot_seen[rcut] = 1
-        wires.append(Wire(dim, left, right, lslot, rslot))
+        # The column check above is the one Wire() would repeat.
+        wires.append(_new_wire((dim, left, right, lslot, rslot)))
     return Netlist(row, placement, mode, tuple(wires))

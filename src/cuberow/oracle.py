@@ -11,6 +11,7 @@ The oracle is deliberately unclever.  Keep it that way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from cuberow import kernels
 from cuberow.errors import TooManyWiresError
@@ -117,11 +118,7 @@ def coverage_bound(intervals) -> int:
     events = sorted(
         [(iv.lo, 1) for iv in intervals] + [(iv.hi + 1, -1) for iv in intervals]
     )
-    best = running = 0
-    for _, delta in events:
-        running += delta
-        best = max(best, running)
-    return best
+    return max(accumulate(delta for _, delta in events), default=0)
 
 
 def brute_track_count(intervals) -> int:

@@ -11,13 +11,24 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import heappop, heappush
 from itertools import count, repeat
-from operator import itemgetter, sub
+from operator import add, itemgetter, le, mul, sub
 from typing import NamedTuple
 
 from cuberow.errors import IncompleteAssignmentError, LayoutError
-from cuberow.netlist import Netlist, TerminalMode, Wire, _rows, gap_cut_index
+from cuberow.netlist import (
+    Netlist,
+    TerminalMode,
+    Wire,
+    _left_col,
+    _left_slot,
+    _right_col,
+    _right_slot,
+    _rows,
+    gap_cut_index,
+)
 
 __all__ = [
     "IntervalWire",
@@ -69,6 +80,11 @@ class IntervalWire(_IntervalFields):
         return self.lo <= other.hi and other.lo <= self.hi
 
 
+# Builds an IntervalWire from a tuple of its fields without the range check,
+# for callers that have already made sure lo <= hi.
+_new_interval = partial(tuple.__new__, IntervalWire)
+
+
 @dataclass(frozen=True)
 class TrackAssignment:
     """Wire -> 0-based track index, with the realized track count."""
@@ -98,12 +114,19 @@ def wire_intervals(net: Netlist) -> list[IntervalWire]:
     # Fine index of gap ``cut`` is cut * step, of slot ``s`` on column
     # ``col`` is col * step + s (see cuberow.netlist).
     step = gap_cut_index(net.row, 1)
+    wires = net.wires
+    lefts = map(mul, map(_left_col, wires), repeat(step))
+    rights = map(mul, map(_right_col, wires), repeat(step))
     if net.mode is TerminalMode.FREE:
-        return [IntervalWire(w, (w.left_col + 1) * step, w.right_col * step) for w in net.wires]
-    return [
-        IntervalWire(w, w.left_col * step + w.left_slot, w.right_col * step + w.right_slot - 1)
-        for w in net.wires
-    ]
+        lows = list(map(add, lefts, repeat(step)))
+        highs = list(rights)
+    else:
+        lows = list(map(add, lefts, map(_left_slot, wires)))
+        highs = list(map(add, rights, map(sub, map(_right_slot, wires), repeat(1))))
+    if not all(map(le, lows, highs)):
+        for fields in zip(wires, lows, highs):
+            IntervalWire(*fields)  # raises for the first empty range
+    return list(map(_new_interval, zip(wires, lows, highs)))
 
 
 def channel_density(intervals: list[IntervalWire]) -> int:

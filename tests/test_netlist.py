@@ -103,6 +103,30 @@ class TestBuildNetlist:
             assert sorted(wires) == list(wires)
             assert [(w.dim, w.left_col) for w in wires] == sorted((w.dim, w.left_col) for w in wires)
 
+    @pytest.mark.parametrize("d", range(1, 11))
+    @pytest.mark.parametrize("placement", list(Placement))
+    @pytest.mark.parametrize(
+        "mode, rotate",
+        [(TerminalMode.FREE, False), (TerminalMode.DIM_ORDERED, False), (TerminalMode.DIM_ORDERED, True)],
+    )
+    def test_wires_are_the_hypercube_links(self, d, placement, mode, rotate):
+        # From the definition: column c holds node gray_code(c) in a gray row,
+        # and the dimension-k link joins nodes u and u XOR 2^(k-1).
+        n = 2**d
+        node_at = gray_code if placement is Placement.GRAY else (lambda col: col)
+        col_of = {node_at(col): col for col in range(n)}
+        slot_order = tuple(range(2, d + 1)) + (1,) if rotate else tuple(range(1, d + 1))
+        links = set()
+        for k in range(1, d + 1):
+            slot = slot_order[k - 1]
+            for u in range(n):
+                a, b = col_of[u], col_of[u ^ 1 << (k - 1)]
+                links.add((k, min(a, b), max(a, b), slot, slot))
+        net = build_netlist(HypercubeRow(n), placement, mode, slot_order if rotate else None)
+        assert len(net.wires) == len(links) and set(net.wires) == links
+        assert all(type(w) is Wire for w in net.wires)
+        assert all(type(w) is Wire for w in load_netlist(dump_netlist(net)).wires)
+
     def test_slot_order_permutes_slots(self):
         net = build_netlist(
             HypercubeRow(8),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cuberow.density import HypercubeRow, max_cut_density
 from cuberow.errors import IncompleteAssignmentError, LayoutError, NetlistFormatError
-from cuberow.netlist import Placement, TerminalMode, Wire, build_netlist
+from cuberow.netlist import Netlist, Placement, TerminalMode, Wire, build_netlist
 from cuberow.oracle import brute_track_count, coverage_bound
 from cuberow.routing import (
     IntervalWire,
@@ -73,6 +73,19 @@ class TestWireIntervals:
             IntervalWire._make((w, 5, 4))
         with pytest.raises(LayoutError):
             IntervalWire(w, 4, 5)._replace(lo=6)
+
+    @pytest.mark.parametrize(
+        "n, wires, shown",
+        [
+            (2, (Wire(1, 0, 1, 5, 0),), "[5, 1]"),
+            (4, (Wire(1, 0, 1, 1, 1), Wire(1, 2, 3, 8, 0), Wire(2, 0, 2, 9, 0)), "[14, 8]"),
+        ],
+    )
+    def test_names_the_first_empty_range(self, n, wires, shown):
+        # No built netlist has one: only a slot past the row's dimensions does.
+        net = Netlist(HypercubeRow(n), Placement.NORMAL, TerminalMode.DIM_ORDERED, wires)
+        with pytest.raises(LayoutError, match=re.escape(f"empty crossing range {shown}")):
+            wire_intervals(net)
 
     @pytest.mark.parametrize("mode", list(TerminalMode))
     def test_intervals_follow_the_netlist_order(self, mode):

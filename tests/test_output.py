@@ -191,6 +191,14 @@ GOLDEN = [
     ("route --n 1024 --placement gray --mode dim-ordered --format json", "765a3f8c41d04709fd6aebf23f36f5b3bcdc35ef0bc3586413062e8648fcbbbf"),
     ("route --n 1024 --placement gray --mode free --format svg", "04ab89e1ca4bc84dea5ed8fda6eebda131a76a32494a5915944abae957664dd6"),
     ("route --n 1024 --placement normal --mode dim-ordered --format csv", "fe8035c4ef0f5cad6da42fbf1381b92001e45caf1bc85f1988fb4a7c8d73a54e"),
+    ("route --n 64 --placement normal --mode free --format text", "48a163457e19ea1f205dcdf525b7c5c3a2eb669c9ee35b325bbd1cb1bc41638c"),
+    ("route --n 64 --placement normal --mode dim-ordered --format text", "0a2ba7de4b890017b78ed8b55495f4b42e027e99e57f2ba03b3a9934474c1fa0"),
+    ("route --n 64 --placement gray --mode free --format text", "dca6d91326e8444b9d08c45cad3eb35652b89317767603e3a608e3867ae56d14"),
+    ("route --n 64 --placement gray --mode dim-ordered --format text", "c5b64791f1e96fd225e18dac22c7d765d1c2e008973374864ffeae6e05ae3a1b"),
+    ("route --n 16 --format text --hide-tracks", "7697f8d8c8e7a926f9f11c08dfe6af47a2718f8abc9eca23cceb0b46e0d5fbf8"),
+    ("route --n 64 --format svg --hide-tracks", "e48f224230830916d44bbcd71269b131f0798e802f0bf858e67d1b3cd361cf3e"),
+    # Half-pixel coordinates, all below 10^5.
+    ("route --n 512 --format svg --cell-width 7 --cell-height 5", "bf219621ba73a5d2d02c61d53b40920553f19b315ba84477bc9949d46e0689eb"),
 ]
 
 

@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 from itertools import chain, islice, repeat
 
@@ -48,6 +49,30 @@ def _parse_row(n: int, cap: int, flag: str = "--n") -> HypercubeRow:
     if n > cap:
         raise UsageError(f"{flag} {n} exceeds this command's cap of {cap}")
     return HypercubeRow(n)
+
+
+def _regular_file(path: str):
+    """What identifies the regular file ``path`` names, or None for a device,
+    a pipe or a path that cannot be looked up.  A missing file is named by
+    its resolved path, which is where it would be created."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return os.path.realpath(path) if path else None
+    except OSError:
+        return None
+    return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
+
+
+def _refuse_shared_files(paths: dict[str, str | None]) -> None:
+    """Two flags naming one regular file would keep only one of their texts."""
+    flags = {}
+    for flag, path in paths.items():
+        key = None if path is None else _regular_file(path)
+        if key in flags:
+            raise UsageError(f"{flags[key]} and {flag} name the same file: {path}")
+        if key is not None:
+            flags[key] = flag
 
 
 def _write(texts: dict[str | None, list[str]]) -> None:
@@ -256,6 +281,9 @@ def cmd_route(args) -> tuple[dict[str | None, list[str]], int]:
     placement = Placement(args.placement)
     mode = TerminalMode(args.mode)
     row = _parse_row(args.n, MAX_ROUTE_NODES)
+    _refuse_shared_files(
+        {"--out": args.out, "--emit-netlist": args.emit_netlist, "--emit-assignment": args.emit_assignment}
+    )
     spec = RenderSpec(args.cell_width, args.cell_height, show_tracks=not args.hide_tracks)
     net, intervals, assignment = _route(row, placement, mode)
     texts = {}
@@ -283,7 +311,6 @@ def cmd_route(args) -> tuple[dict[str | None, list[str]], int]:
             for w in net.wires
         ]
         chunks = _json_text(doc)
-    # Set last, so a path given to both --out and an --emit-* flag gets the --out text.
     texts[args.out] = chunks
     return texts, EXIT_OK
 

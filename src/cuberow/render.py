@@ -3,13 +3,13 @@
 Both renderers share one geometry: every node occupies one sub-column per
 terminal slot plus a trailing gap sub-column, tracks are stacked above the
 node row (track 0 nearest the nodes), and each wire is a horizontal segment
-on its track with vertical stubs dropping to its two terminals.
+on its track with vertical stubs dropping to its two terminals.  That
+geometry is stated once, by :func:`_drawn`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 from cuberow.errors import RenderSizeError
 from cuberow.netlist import Netlist, Placement, gray_code
@@ -48,6 +48,29 @@ def _node_label(net: Netlist, col: int) -> str:
     return str(gray_code(col) if net.placement is Placement.GRAY else col)
 
 
+def _drawn(net: Netlist, assignment: TrackAssignment, spec: RenderSpec):
+    """The number of track rows drawn, and the drawn wires.
+
+    Each wire comes as ``(dim, row, xa, xb)``: its dimension, its track row
+    counted from the top (track 0 is the row nearest the nodes), and the
+    sub-columns of its two terminals.  With tracks hidden there are no rows
+    and no wires.
+    """
+    if not spec.show_tracks:
+        return 0, ()
+    rows = assignment.track_count
+    return rows, _wire_cells(net, assignment.by_wire, rows)
+
+
+def _wire_cells(net: Netlist, by_wire, rows: int):
+    # Terminal ``slot`` of column ``col`` sits in sub-column
+    # ``col * (dims + 1) + slot - 1``.
+    step = net.row.dims + 1
+    for w in net.wires:
+        dim, left, right, left_slot, right_slot = w
+        yield dim, rows - 1 - by_wire[w], left * step + left_slot - 1, right * step + right_slot - 1
+
+
 def render_text(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = RenderSpec()) -> str:
     """ASCII drawing: track rows over a terminal-tick row and node labels."""
     n, dims = net.row.n, net.row.dims
@@ -57,65 +80,56 @@ def render_text(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = Re
         raise RenderSizeError(
             f"text rendering needs {width} columns, cap is {MAX_TEXT_COLUMNS}"
         )
-    ntracks = assignment.track_count if spec.show_tracks else 0
-    grid = [[" "] * width for _ in range(ntracks)]
+    rows, wires = _drawn(net, assignment, spec)
+    wires = list(wires)  # walked twice
+    grid = [[" "] * width for _ in range(rows)]
 
-    def x_of(col: int, slot: int) -> int:
-        return col * step + slot - 1
+    # Horizontal spans first, then stubs; stubs crossing a foreign span
+    # become '+' so the weave stays readable.
+    for _, r, xa, xb in wires:
+        for x in range(xa, xb + 1):
+            grid[r][x] = "-"
+    for _, r, xa, xb in wires:
+        grid[r][xa] = "+"
+        grid[r][xb] = "+"
+        for rr in range(r + 1, rows):
+            for x in (xa, xb):
+                grid[rr][x] = "+" if grid[rr][x] == "-" else "|"
 
-    if spec.show_tracks:
-        # Horizontal spans first, then stubs; stubs crossing a foreign span
-        # become '+' so the weave stays readable.
-        for w in net.wires:
-            r = ntracks - 1 - assignment.by_wire[w]
-            xa, xb = x_of(w.left_col, w.left_slot), x_of(w.right_col, w.right_slot)
-            for x in range(xa, xb + 1):
-                grid[r][x] = "-"
-        for w in net.wires:
-            r = ntracks - 1 - assignment.by_wire[w]
-            xa, xb = x_of(w.left_col, w.left_slot), x_of(w.right_col, w.right_slot)
-            grid[r][xa] = "+"
-            grid[r][xb] = "+"
-            for rr in range(r + 1, ntracks):
-                for x in (xa, xb):
-                    grid[rr][x] = "+" if grid[rr][x] == "-" else "|"
-
-    ticks = [" "] * width
-    labels = [" "] * width
-    for col in range(n):
-        for slot in range(1, dims + 1):
-            ticks[x_of(col, slot)] = str(slot % 10)
-        label = _node_label(net, col)[:dims]
-        for k, ch in enumerate(label):
-            labels[col * step + k] = ch
+    # Each column's slots 1..dims, then its gap sub-column.
+    ticks = ("".join(str(slot % 10) for slot in range(1, dims + 1)) + " ") * n
+    labels = "".join(_node_label(net, col)[:dims].ljust(step) for col in range(n))
 
     lines = ["".join(r).rstrip() for r in grid]
-    lines.append("".join(ticks).rstrip())
-    lines.append("".join(labels).rstrip())
+    lines.append(ticks.rstrip())
+    lines.append(labels.rstrip())
     lines.append("")
     lines.append(f"tracks: {assignment.track_count}  channel density: {assignment.density}")
     return "\n".join(lines) + "\n"
 
 
-def _fmt(value: float) -> str:
-    return f"{value:g}"
+def _half(twice: int) -> str:
+    """The exact decimal text of ``twice / 2``: an integer or one ending in .5."""
+    whole, odd = divmod(abs(twice), 2)
+    return ("-" if twice < 0 else "") + str(whole) + (".5" if odd else "")
 
 
 def render_svg(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = RenderSpec()) -> str:
-    """Standalone SVG drawing of the routed row, colored by dimension."""
+    """Standalone SVG drawing of the routed row, colored by dimension.
+
+    Cell centres fall on half pixels, so those coordinates are computed as
+    integers equal to twice their value and printed exactly by :func:`_half`.
+    """
     n, dims = net.row.n, net.row.dims
     step = dims + 1
     cw, ch = spec.cell_width, spec.cell_height
     margin = 2 * cw
-    ntracks = assignment.track_count if spec.show_tracks else 0
-    node_top = margin + (ntracks + 1) * ch
+    rows, wires = _drawn(net, assignment, spec)
+    node_top = margin + (rows + 1) * ch
     width = 2 * margin + n * step * cw
     height = node_top + 2 * ch + margin
-
-    # Ticks and wire ends share their coordinates' text.  Terminal ``slot``
-    # of column ``col`` sits in sub-column ``col * step + slot - 1``.
-    xs = cache(lambda sub: _fmt(margin + sub * cw + cw / 2))
-    ys = cache(lambda track: _fmt(margin + (ntracks - 1 - track) * ch + ch / 2))
+    # Twice the centre of sub-column 0 and of track row 0.
+    x0, y0 = 2 * margin + cw, 2 * margin + ch
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -132,28 +146,25 @@ def render_svg(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = Ren
             f'<rect x="{x}" y="{node_top}" width="{dims * cw}" height="{2 * ch}" '
             'fill="#f2f2f2" stroke="black"/>'
         )
+        first = x0 + col * step * 2 * cw
         parts += [
             f'<line x1="{sx}" y1="{node_top}" x2="{sx}" y2="{tick_end}" stroke="black"/>'
-            for sx in map(xs, range(col * step, col * step + dims))
+            for sx in map(_half, range(first, first + dims * 2 * cw, 2 * cw))
         ]
         parts.append(
-            f'<text x="{_fmt(x + dims * cw / 2)}" y="{node_top + ch + ch // 2}" '
+            f'<text x="{_half(2 * x + dims * cw)}" y="{node_top + ch + ch // 2}" '
             'font-family="monospace" font-size="'
             f'{ch}" text-anchor="middle">{_node_label(net, col)}</text>'
         )
 
-    if spec.show_tracks:
-        by_wire = assignment.by_wire
-        for w in net.wires:
-            dim, left, right, left_slot, right_slot = w
-            color = _DIM_COLORS[(dim - 1) % len(_DIM_COLORS)]
-            y = ys(by_wire[w])
-            xa = xs(left * step + left_slot - 1)
-            xb = xs(right * step + right_slot - 1)
-            parts.append(
-                f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="'
-                f'{xa},{node_top} {xa},{y} {xb},{y} {xb},{node_top}"/>'
-            )
+    for dim, row, xa, xb in wires:
+        color = _DIM_COLORS[(dim - 1) % len(_DIM_COLORS)]
+        y = _half(y0 + row * 2 * ch)
+        xa, xb = _half(x0 + xa * 2 * cw), _half(x0 + xb * 2 * cw)
+        parts.append(
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="'
+            f'{xa},{node_top} {xa},{y} {xb},{y} {xb},{node_top}"/>'
+        )
 
     # The empty last part gives the final newline without copying the text.
     parts += ("</svg>", "")

@@ -480,6 +480,45 @@ def test_out_file_holds_what_stdout_would(tmp_path, argv):
     assert target.read_text() == run_cli(*argv)[1]
 
 
+class TestOneFileNamedTwice:
+    """Two route outputs naming one regular file would leave only one text in
+    it, so the command refuses before any file is created or changed."""
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("--emit-netlist", "--emit-assignment"), ("--out", "--emit-netlist"), ("--out", "--emit-assignment")],
+    )
+    @pytest.mark.parametrize("spelling", ["F", "./F"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_is_a_usage_error(self, tmp_path, monkeypatch, first, second, spelling, existing):
+        monkeypatch.chdir(tmp_path)
+        if existing:
+            Path("F").write_text("other bytes\n")
+        code, out, err = run_cli("route", "--n", "8", first, spelling, second, "F")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"cuberow: error: {first} and {second} name the same file: F\n"
+        assert os.listdir(tmp_path) == (["F"] if existing else [])
+        if existing:
+            assert Path("F").read_text() == "other bytes\n"
+
+    def test_two_links_to_one_file(self, tmp_path):
+        (tmp_path / "F").write_text("other bytes\n")
+        os.link(tmp_path / "F", tmp_path / "G")
+        code, _, err = run_cli(
+            "route", "--n", "8", "--emit-netlist", str(tmp_path / "F"), "--emit-assignment", str(tmp_path / "G")
+        )
+        assert code == EXIT_USAGE
+        assert err == f"cuberow: error: --emit-netlist and --emit-assignment name the same file: {tmp_path / 'G'}\n"
+        assert (tmp_path / "F").read_text() == "other bytes\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    def test_a_device_may_be_named_twice(self):
+        code, out, _ = run_cli(
+            "route", "--n", "8", "--out", "/dev/null", "--emit-netlist", "/dev/null", "--emit-assignment", "/dev/null"
+        )
+        assert (code, out) == (EXIT_OK, "")
+
+
 class TestUnwritableOutput:
     @pytest.mark.parametrize(
         "argv",

@@ -1,10 +1,13 @@
 """The CLI's output bytes: the JSON encoder against ``json.dumps``, and the
 stdout digests of a fixed set of small commands."""
 
+import functools
 import hashlib
 import io
 import json
+import re
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -12,9 +15,9 @@ from hypothesis import strategies as st
 
 from cuberow import cli
 from cuberow.density import HypercubeRow
-from cuberow.netlist import Netlist, Placement, TerminalMode, Wire
+from cuberow.netlist import Netlist, Placement, TerminalMode, Wire, build_netlist
 from cuberow.render import RenderSpec, render_svg
-from cuberow.routing import TrackAssignment
+from cuberow.routing import TrackAssignment, left_edge_route, wire_intervals
 
 PAIRS = [(p, m) for p in ("normal", "gray") for m in ("free", "dim-ordered")]
 
@@ -221,3 +224,56 @@ def test_svg_places_any_track_and_slot_by_the_formula():
     # x = 20 + (col * 2 + slot - 1) * 10 + 5; y = 20 + (1 - 1 - track) * 10 + 5
     assert 'points="25,40 25,35 45,35 45,40"' in svg
     assert 'points="15,40 15,-5 35,-5 35,40"' in svg
+
+
+@pytest.mark.parametrize(
+    "argv, exact",
+    [
+        # The last terminal tick sits at 66 + (4095 * 13 + 11) * 33 + 16.5.
+        (("--n", "4096", "--cell-width", "33"), '<line x1="1757200.5"'),
+        # Track row 0's centre is 24 + 2000001 / 2.
+        (("--n", "8", "--cell-height", "2000001"), ",1000024.5 "),
+    ],
+    ids=["wide-cells", "tall-cells"],
+)
+def test_svg_coordinates_are_exact(argv, exact):
+    svg = stdout_of("route", "--format", "svg", *argv)
+    args = cli.build_parser().parse_args(["route", *argv])
+    row, cw, ch = HypercubeRow(args.n), args.cell_width, args.cell_height
+    net = build_netlist(row, Placement.NORMAL, TerminalMode.FREE)
+    assignment = left_edge_route(wire_intervals(net))
+    step, margin, top = row.dims + 1, 2 * cw, assignment.track_count - 1
+
+    # Twice each coordinate, in integers.
+    def x(col, slot):
+        return 2 * margin + (2 * (col * step + slot - 1) + 1) * cw
+
+    def y(track):
+        return 2 * margin + (2 * (top - track) + 1) * ch
+
+    node_top = 2 * (margin + (top + 2) * ch)
+    ticks = [x(col, slot) for col in range(row.n) for slot in range(1, row.dims + 1)]
+    labels = [2 * (margin + col * step * cw) + row.dims * cw for col in range(row.n)]
+    wires = [
+        [x(w.left_col, w.left_slot), node_top, x(w.left_col, w.left_slot), y(track),
+         x(w.right_col, w.right_slot), y(track), x(w.right_col, w.right_slot), node_top]
+        for w, track in ((w, assignment.by_wire[w]) for w in net.wires)
+    ]
+
+    # Twice each printed number; many repeat, so each distinct text is read once.
+    @functools.cache
+    def twice(text):
+        value = 2 * Fraction(text)
+        assert value.denominator == 1, text
+        return value.numerator
+
+    def numbers(pattern):
+        return list(map(twice, re.findall(pattern, svg)))
+
+    assert numbers(r'<line x1="([^"]*)"') == ticks
+    assert numbers(r'<line x1="[^"]*" y1="[^"]*" x2="([^"]*)"') == ticks
+    assert numbers(r'<text x="([^"]*)"') == labels
+    assert [
+        list(map(twice, re.split("[ ,]", points))) for points in re.findall(r'points="([^"]*)"', svg)
+    ] == wires
+    assert exact in svg

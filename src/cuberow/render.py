@@ -38,9 +38,10 @@ class RenderSpec:
     show_tracks: bool = True
 
     def __post_init__(self):
-        if self.cell_width <= 0 or self.cell_height <= 0:
+        # Integers, since the drawing's coordinates are computed exactly in them.
+        if not all(isinstance(size, int) and size > 0 for size in (self.cell_width, self.cell_height)):
             raise RenderSizeError(
-                f"cell size must be positive, got {self.cell_width}x{self.cell_height}"
+                f"cell size must be positive integers, got {self.cell_width}x{self.cell_height}"
             )
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from cuberow import cli
 from cuberow.density import HypercubeRow
+from cuberow.errors import RenderSizeError
 from cuberow.netlist import Netlist, Placement, TerminalMode, Wire, build_netlist
 from cuberow.render import RenderSpec, render_svg
 from cuberow.routing import TrackAssignment, left_edge_route, wire_intervals
@@ -277,3 +278,9 @@ def test_svg_coordinates_are_exact(argv, exact):
         list(map(twice, re.split("[ ,]", points))) for points in re.findall(r'points="([^"]*)"', svg)
     ] == wires
     assert exact in svg
+
+
+@pytest.mark.parametrize("sizes", [(12, -1), (12.0, 12), (12, 0.5), ("12", 12)])
+def test_cell_sizes_must_be_positive_integers(sizes):
+    with pytest.raises(RenderSizeError, match="cell size must be positive integers"):
+        RenderSpec(*sizes)

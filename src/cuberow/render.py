@@ -50,26 +50,26 @@ def _node_label(net: Netlist, col: int) -> str:
 
 
 def _drawn(net: Netlist, assignment: TrackAssignment, spec: RenderSpec):
-    """The number of track rows drawn, and the drawn wires.
+    """The number of track rows drawn, and a generator of the drawn wires.
 
     Each wire comes as ``(dim, row, xa, xb)``: its dimension, its track row
     counted from the top (track 0 is the row nearest the nodes), and the
-    sub-columns of its two terminals.  With tracks hidden there are no rows
-    and no wires.
+    sub-columns of its two terminals; terminal ``slot`` of column ``col``
+    sits in sub-column ``col * (dims + 1) + slot - 1``.  With tracks hidden
+    there are no rows and no wires.
     """
     if not spec.show_tracks:
         return 0, ()
-    rows = assignment.track_count
-    return rows, _wire_cells(net, assignment.by_wire, rows)
-
-
-def _wire_cells(net: Netlist, by_wire, rows: int):
-    # Terminal ``slot`` of column ``col`` sits in sub-column
-    # ``col * (dims + 1) + slot - 1``.
-    step = net.row.dims + 1
-    for w in net.wires:
-        dim, left, right, left_slot, right_slot = w
-        yield dim, rows - 1 - by_wire[w], left * step + left_slot - 1, right * step + right_slot - 1
+    rows, by_wire, step = assignment.track_count, assignment.by_wire, net.row.dims + 1
+    return rows, (
+        (
+            w.dim,
+            rows - 1 - by_wire[w],
+            w.left_col * step + w.left_slot - 1,
+            w.right_col * step + w.right_slot - 1,
+        )
+        for w in net.wires
+    )
 
 
 def render_text(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = RenderSpec()) -> str:

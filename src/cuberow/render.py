@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from cuberow.errors import RenderSizeError
+from cuberow.errors import LayoutError, RenderSizeError
 from cuberow.netlist import Netlist, Placement, gray_code
-from cuberow.routing import TrackAssignment
+from cuberow.routing import TrackAssignment, _tracks
 
 MAX_TEXT_COLUMNS = 512
 
@@ -60,15 +60,15 @@ def _drawn(net: Netlist, assignment: TrackAssignment, spec: RenderSpec):
     """
     if not spec.show_tracks:
         return 0, ()
-    rows, by_wire, step = assignment.track_count, assignment.by_wire, net.row.dims + 1
+    rows, wires, step = assignment.track_count, net.wires, net.row.dims + 1
     return rows, (
         (
             w.dim,
-            rows - 1 - by_wire[w],
+            rows - 1 - track,
             w.left_col * step + w.left_slot - 1,
             w.right_col * step + w.right_slot - 1,
         )
-        for w in net.wires
+        for w, track in zip(wires, _tracks(assignment, wires))
     )
 
 
@@ -83,6 +83,10 @@ def render_text(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = Re
         )
     rows, wires = _drawn(net, assignment, spec)
     wires = list(wires)  # walked twice
+    stray = next((r for _, r, _, _ in wires if not 0 <= r < rows), None)
+    if stray is not None:
+        # A row drawn above or below the grid; a negative index would wrap.
+        raise LayoutError(f"track {rows - 1 - stray} outside 0..{rows - 1}")
     grid = [[" "] * width for _ in range(rows)]
 
     # Horizontal spans first, then stubs; stubs crossing a foreign span

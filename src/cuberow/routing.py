@@ -15,7 +15,7 @@ from functools import partial
 from heapq import heappop, heappush
 from itertools import count, repeat
 from operator import add, itemgetter, le, mul, sub
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from cuberow.errors import IncompleteAssignmentError, LayoutError
 from cuberow.netlist import (
@@ -102,6 +102,15 @@ class RouteCertificate:
     offenders: tuple[Wire, ...] = field(default=())
 
 
+def _tracks(assignment: TrackAssignment, wires) -> Iterator[int]:
+    """Each wire's track, lazily and in the order given.  A wire missing
+    from the assignment raises :class:`IncompleteAssignmentError`."""
+    try:
+        yield from map(assignment.by_wire.__getitem__, wires)
+    except KeyError as exc:
+        raise IncompleteAssignmentError(f"no track assigned to wire {exc.args[0]}") from None
+
+
 def wire_intervals(net: Netlist) -> list[IntervalWire]:
     """Map each wire to the fine cuts it crosses, in the netlist's order.
 
@@ -172,11 +181,7 @@ def verify_assignment(intervals: list[IntervalWire], assignment: TrackAssignment
     (gap reported otherwise).  A wire missing from the assignment raises
     :class:`IncompleteAssignmentError` instead of returning a certificate.
     """
-    try:
-        tracks = list(map(assignment.by_wire.__getitem__, map(_wires, intervals)))
-    except KeyError as exc:
-        raise IncompleteAssignmentError(f"no track assigned to wire {exc.args[0]}") from None
-
+    tracks = list(_tracks(assignment, map(_wires, intervals)))
     track_count = assignment.track_count
     if tracks and not (0 <= min(tracks) and max(tracks) < track_count):
         track, iv = next((t, iv) for t, iv in zip(tracks, intervals) if not 0 <= t < track_count)
@@ -215,8 +220,8 @@ def verify_assignment(intervals: list[IntervalWire], assignment: TrackAssignment
 
 def dump_assignment(intervals: list[IntervalWire], assignment: TrackAssignment) -> str:
     """Text form, one canonical-order line per wire: ``dim left right track``."""
-    by_wire = assignment.by_wire
-    rows = [f"{w.dim} {w.left_col} {w.right_col} {by_wire[w]}" for w, _, _ in sorted(intervals)]
+    wires = list(map(_wires, sorted(intervals)))
+    rows = [f"{w.dim} {w.left_col} {w.right_col} {t}" for w, t in zip(wires, _tracks(assignment, wires))]
     return "\n".join(rows) + ("\n" if rows else "")
 
 

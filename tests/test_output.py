@@ -15,10 +15,16 @@ from hypothesis import strategies as st
 
 from cuberow import cli
 from cuberow.density import HypercubeRow
-from cuberow.errors import RenderSizeError
+from cuberow.errors import IncompleteAssignmentError, LayoutError, RenderSizeError
 from cuberow.netlist import Netlist, Placement, TerminalMode, Wire, build_netlist
-from cuberow.render import RenderSpec, render_svg
-from cuberow.routing import TrackAssignment, left_edge_route, wire_intervals
+from cuberow.render import RenderSpec, render_svg, render_text
+from cuberow.routing import (
+    TrackAssignment,
+    dump_assignment,
+    left_edge_route,
+    verify_assignment,
+    wire_intervals,
+)
 
 PAIRS = [(p, m) for p in ("normal", "gray") for m in ("free", "dim-ordered")]
 
@@ -225,6 +231,34 @@ def test_svg_places_any_track_and_slot_by_the_formula():
     # x = 20 + (col * 2 + slot - 1) * 10 + 5; y = 20 + (1 - 1 - track) * 10 + 5
     assert 'points="25,40 25,35 45,35 45,40"' in svg
     assert 'points="15,40 15,-5 35,-5 35,40"' in svg
+
+
+@pytest.mark.parametrize("track", [-1, 2, 3])
+def test_text_refuses_a_track_outside_its_rows(track):
+    # Two tracks draw two rows; a row index below 0 would wrap to another row.
+    wires = (Wire(1, 0, 1, 1, 1),)
+    net = Netlist(HypercubeRow(2), Placement.NORMAL, TerminalMode.FREE, wires)
+    with pytest.raises(LayoutError, match=f"^track {track} outside 0..1$"):
+        render_text(net, TrackAssignment({wires[0]: track}, 2, 1))
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [
+        lambda net, assignment: render_text(net, assignment),
+        lambda net, assignment: render_svg(net, assignment),
+        lambda net, assignment: dump_assignment(wire_intervals(net), assignment),
+        lambda net, assignment: verify_assignment(wire_intervals(net), assignment),
+    ],
+    ids=["render_text", "render_svg", "dump_assignment", "verify_assignment"],
+)
+def test_every_reader_of_an_assignment_names_a_wire_without_a_track(reader):
+    net = build_netlist(HypercubeRow(8), Placement.NORMAL, TerminalMode.FREE)
+    routed = left_edge_route(wire_intervals(net))
+    missing = net.wires[5]
+    by_wire = {w: t for w, t in routed.by_wire.items() if w != missing}
+    with pytest.raises(IncompleteAssignmentError, match=re.escape(f"no track assigned to wire {missing}")):
+        reader(net, TrackAssignment(by_wire, routed.track_count, routed.density))
 
 
 @pytest.mark.parametrize(

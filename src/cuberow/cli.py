@@ -37,6 +37,10 @@ class UsageError(Exception):
     pass
 
 
+# A command's output: (path, chunks) pairs, with None for stdout.
+_Texts = list[tuple[str | None, list[str]]]
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -51,61 +55,58 @@ def _parse_row(n: int, cap: int, flag: str = "--n") -> HypercubeRow:
     return HypercubeRow(n)
 
 
-def _regular_file(path: str):
-    """What identifies the regular file ``path`` names, or None for a device,
-    a pipe or a path that cannot be looked up.  A missing file is named by
-    its resolved path, which is where it would be created."""
-    try:
-        st = os.stat(path)
-    except FileNotFoundError:
-        return os.path.realpath(path) if path else None
-    except OSError:
-        return None
-    return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
-
-
-def _refuse_shared_files(paths: dict[str, str | None]) -> None:
-    """Two flags naming one regular file would keep only one of their texts."""
-    flags = {}
-    for flag, path in paths.items():
-        key = None if path is None else _regular_file(path)
-        if key in flags:
-            raise UsageError(f"{flags[key]} and {flag} name the same file: {path}")
-        if key is not None:
-            flags[key] = flag
-
-
-def _write(texts: dict[str | None, list[str]]) -> None:
-    """Write each text, a list of chunks, to the file its key names, or to
-    stdout under None.
+def _write(texts: _Texts) -> None:
+    """Write each text, a list of chunks, to the file its path names, or to
+    stdout for None.
 
     Every file is opened in append mode, which changes none, before any is
-    written, and stdout is written last.  If an open or a write fails, the
-    files this call created are removed.
+    written, and stdout is written last.  One ``fstat`` of each handle says
+    whether it is a regular file, which is truncated as "w" would, and which
+    file it is: a regular file opened twice would keep only one of its texts,
+    so that is an error naming both paths.  A device or pipe may be named
+    more than once.  If an open or a write fails, or a file is named twice,
+    the files this call created are removed.
     """
-    handles, path = {}, None
+    opened, files, owners, stdout, path = [], [], {}, None, None
     try:
-        for path in texts:
-            if path is not None:
-                created = not os.path.exists(path)
-                handles[path] = open(path, "a"), created
-        for path, (handle, _) in handles.items():
+        for path, chunks in texts:
+            if path is None:
+                stdout = chunks
+                continue
+            # Resolved, so that a dangling symlink keeps its link and loses
+            # only the file made through it.
+            real = os.path.realpath(path)
+            created = not os.path.exists(real)
+            handle = open(path, "a")
+            opened.append((handle, real if created else None))
+            st = os.fstat(handle.fileno())
+            regular = stat.S_ISREG(st.st_mode)
+            if regular:
+                key = st.st_dev, st.st_ino
+                # By the key, never by identity: equal argv strings may be one object.
+                if key in owners:
+                    raise UsageError(f"{owners[key]} and {path} name the same file")
+                owners[key] = path
+            files.append((path, handle, regular, chunks))
+        for path, handle, regular, chunks in files:
             with handle:
-                if os.path.isfile(path):  # as "w" would; a device or pipe cannot be truncated
+                if regular:
                     handle.truncate(0)
-                handle.writelines(texts[path])
+                handle.writelines(chunks)
         path = None
-        if None in texts:
-            sys.stdout.writelines(texts[None])
+        if stdout is not None:
+            sys.stdout.writelines(stdout)
             sys.stdout.flush()
     except BrokenPipeError:
         raise
-    except OSError as exc:
-        where = "stdout" if path is None else path
-        for path, (handle, created) in handles.items():
+    except (OSError, UsageError) as exc:
+        for handle, created in opened:
             handle.close()
-            if created:
-                os.remove(path)
+            if created is not None:
+                os.remove(created)
+        if isinstance(exc, UsageError):
+            raise
+        where = "stdout" if path is None else path
         raise UsageError(f"cannot write {where}: {exc.strerror or exc}") from None
 
 
@@ -223,12 +224,10 @@ def _density_data(row: HypercubeRow, placement: Placement, mode: TerminalMode) -
     }
 
 
-def cmd_density(args) -> tuple[dict[str | None, list[str]], int]:
+def cmd_density(args) -> tuple[_Texts, int]:
     placement = Placement(args.placement)
     mode = TerminalMode(args.mode)
     row = _parse_row(args.n, MAX_CLOSED_FORM_NODES)
-    if args.format == "svg":
-        raise UsageError("svg output is available for the route command only")
 
     doc = _density_data(row, placement, mode)
     slot_headers, terminal_rows = [], repeat(())
@@ -238,7 +237,7 @@ def cmd_density(args) -> tuple[dict[str | None, list[str]], int]:
         # Slot rows for cuts 1..n-1, each computed as the table consumes it.
         terminal_rows = (netlist.terminal_cut_densities(row, cut) for cut in range(1, row.n))
     if args.format == "json":
-        return {args.out: _json_text(doc)}, EXIT_OK
+        return [(args.out, _json_text(doc))], EXIT_OK
 
     peak, first, terminal_max = doc["m"], doc["p"], doc.get("terminal_max")
     shown = " ".join(map(str, doc["maximizers"]))
@@ -264,7 +263,7 @@ def cmd_density(args) -> tuple[dict[str | None, list[str]], int]:
     chunks = [row_format("i", "S", *slot_headers)]
     chunks += iter(lambda: "".join(islice(lines, _TABLE_ROWS)), "")
     chunks.append("\n".join(summary) + "\n")
-    return {args.out: chunks}, EXIT_OK
+    return [(args.out, chunks)], EXIT_OK
 
 
 def _route(row: HypercubeRow, placement: Placement, mode: TerminalMode):
@@ -277,22 +276,19 @@ def _route(row: HypercubeRow, placement: Placement, mode: TerminalMode):
     return net, intervals, assignment
 
 
-def cmd_route(args) -> tuple[dict[str | None, list[str]], int]:
+def cmd_route(args) -> tuple[_Texts, int]:
     placement = Placement(args.placement)
     mode = TerminalMode(args.mode)
     row = _parse_row(args.n, MAX_ROUTE_NODES)
-    _refuse_shared_files(
-        {"--out": args.out, "--emit-netlist": args.emit_netlist, "--emit-assignment": args.emit_assignment}
-    )
     spec = RenderSpec(args.cell_width, args.cell_height, show_tracks=not args.hide_tracks)
     net, intervals, assignment = _route(row, placement, mode)
-    texts = {}
+    texts = []
     if args.emit_netlist is not None:
-        texts[args.emit_netlist] = [netlist.dump_netlist(net)]
+        texts.append((args.emit_netlist, [netlist.dump_netlist(net)]))
     if args.format == "csv" or args.emit_assignment is not None:
         table = routing.dump_assignment(intervals, assignment)
     if args.emit_assignment is not None:
-        texts[args.emit_assignment] = [table]
+        texts.append((args.emit_assignment, [table]))
     if args.format == "text":
         chunks = [render_text(net, assignment, spec)]
     elif args.format == "svg":
@@ -300,22 +296,21 @@ def cmd_route(args) -> tuple[dict[str | None, list[str]], int]:
     elif args.format == "csv":
         chunks = ["dim,left_col,right_col,track\n", table.replace(" ", ",")]
     else:
-        by_wire = assignment.by_wire
         doc = _density_data(row, placement, mode)
         doc["tracks"] = assignment.track_count
         if mode is TerminalMode.DIM_ORDERED:
             # The routed channel's fine-cut peak, certified equal to the tracks.
             doc["terminal_max"] = assignment.density
         doc["wires"] = [
-            {"dim": w.dim, "left_col": w.left_col, "right_col": w.right_col, "track": by_wire[w]}
-            for w in net.wires
+            {"dim": w.dim, "left_col": w.left_col, "right_col": w.right_col, "track": track}
+            for w, track in zip(net.wires, routing._tracks(assignment, net.wires))
         ]
         chunks = _json_text(doc)
-    texts[args.out] = chunks
+    texts.append((args.out, chunks))
     return texts, EXIT_OK
 
 
-def cmd_compare(args) -> tuple[dict[str | None, list[str]], int]:
+def cmd_compare(args) -> tuple[_Texts, int]:
     row = _parse_row(args.n, MAX_COMPARE_NODES)
 
     metrics = {}
@@ -331,7 +326,7 @@ def cmd_compare(args) -> tuple[dict[str | None, list[str]], int]:
         }
 
     if args.format == "json":
-        return {args.out: _json_text({"n": row.n, **metrics})}, EXIT_OK
+        return [(args.out, _json_text({"n": row.n, **metrics}))], EXIT_OK
 
     labels = [
         ("max_density", "max density"),
@@ -351,10 +346,10 @@ def cmd_compare(args) -> tuple[dict[str | None, list[str]], int]:
     normal, gray = metrics["normal"], metrics["gray"]
     lines = [row_format("metric" if csv else "", "normal", "gray")]
     lines += [row_format(key if csv else label, normal[key], gray[key]) for key, label in labels]
-    return {args.out: ["\n".join(lines), "\n"]}, EXIT_OK
+    return [(args.out, ["\n".join(lines), "\n"])], EXIT_OK
 
 
-def cmd_check(args) -> tuple[dict[str | None, list[str]], int]:
+def cmd_check(args) -> tuple[_Texts, int]:
     max_n = _parse_row(args.max_n, MAX_ORACLE_NODES, "--max-n").n
     lines = []
     total = 0
@@ -370,7 +365,7 @@ def cmd_check(args) -> tuple[dict[str | None, list[str]], int]:
         lines.append(line)
     verdict = f"{failed} check(s) failed" if failed else "all checks passed"
     lines.append(f"{verdict}, {total} assertions, rows up to {max_n} nodes")
-    return {args.out: ["\n".join(lines), "\n"]}, EXIT_CHECK_FAILED if failed else EXIT_OK
+    return [(args.out, ["\n".join(lines), "\n"])], EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 def _count(text: str) -> int:
@@ -384,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cuberow", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, summary, formats in (
-        ("density", cmd_density, "cut-density table with peak summary", ["text", "json", "csv", "svg"]),
+        ("density", cmd_density, "cut-density table with peak summary", ["text", "json", "csv"]),
         ("route", cmd_route, "route the row and draw or tabulate it", ["text", "svg", "json", "csv"]),
         ("compare", cmd_compare, "normal vs gray placement metrics", ["text", "json", "csv"]),
         ("check", cmd_check, "run the formula-versus-oracle suite", None),

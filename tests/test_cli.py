@@ -108,9 +108,12 @@ class TestDensityCommand:
         assert err == "cuberow: error: node count must be a power of two with n >= 2, got 7\n"
 
     def test_rejects_svg(self):
-        code, _, err = run_cli("density", "--n", "8", "--format", "svg")
-        assert code == EXIT_USAGE
-        assert "route" in err
+        # Only route draws; argparse refuses the choice, through _Parser's exit 1.
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit) as stop:
+            main(["density", "--n", "8", "--format", "svg"])
+        assert stop.value.code == EXIT_USAGE
+        assert "invalid choice: 'svg'" in err.getvalue()
 
     def test_rejects_oversized_gray(self):
         # Both placements share the closed forms' cap.
@@ -482,7 +485,8 @@ def test_out_file_holds_what_stdout_would(tmp_path, argv):
 
 class TestOneFileNamedTwice:
     """Two route outputs naming one regular file would leave only one text in
-    it, so the command refuses before any file is created or changed."""
+    it, so the command refuses, naming both paths, and leaves no file created
+    or changed."""
 
     @pytest.mark.parametrize(
         "first, second",
@@ -496,7 +500,10 @@ class TestOneFileNamedTwice:
             Path("F").write_text("other bytes\n")
         code, out, err = run_cli("route", "--n", "8", first, spelling, second, "F")
         assert (code, out) == (EXIT_USAGE, "")
-        assert err == f"cuberow: error: {first} and {second} name the same file: F\n"
+        # The writer opens the emitted files first, then --out.
+        paths = {first: spelling, second: "F"}
+        named = [paths[flag] for flag in ("--emit-netlist", "--emit-assignment", "--out") if flag in paths]
+        assert err == f"cuberow: error: {named[0]} and {named[1]} name the same file\n"
         assert os.listdir(tmp_path) == (["F"] if existing else [])
         if existing:
             assert Path("F").read_text() == "other bytes\n"
@@ -508,8 +515,17 @@ class TestOneFileNamedTwice:
             "route", "--n", "8", "--emit-netlist", str(tmp_path / "F"), "--emit-assignment", str(tmp_path / "G")
         )
         assert code == EXIT_USAGE
-        assert err == f"cuberow: error: --emit-netlist and --emit-assignment name the same file: {tmp_path / 'G'}\n"
+        assert err == f"cuberow: error: {tmp_path / 'F'} and {tmp_path / 'G'} name the same file\n"
         assert (tmp_path / "F").read_text() == "other bytes\n"
+
+    def test_a_dangling_symlink_and_its_target(self, tmp_path):
+        (tmp_path / "L").symlink_to(tmp_path / "T")
+        code, _, err = run_cli(
+            "route", "--n", "8", "--emit-netlist", str(tmp_path / "L"), "--emit-assignment", str(tmp_path / "T")
+        )
+        assert code == EXIT_USAGE
+        assert err == f"cuberow: error: {tmp_path / 'L'} and {tmp_path / 'T'} name the same file\n"
+        assert os.listdir(tmp_path) == ["L"] and (tmp_path / "L").is_symlink()
 
     @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
     def test_a_device_may_be_named_twice(self):
@@ -552,6 +568,17 @@ class TestUnwritableOutput:
         assert code == EXIT_USAGE and err.startswith("cuberow: error: cannot write ")
         assert kept.read_text() == "other bytes\n"
         assert not absent.exists()
+
+    def test_unwritable_out_keeps_a_dangling_symlink(self, tmp_path):
+        # What the command made through the link is removed, not the link.
+        link, target = tmp_path / "L", tmp_path / "target"
+        link.symlink_to(target)
+        code, _, err = run_cli(
+            "route", "--n", "8", "--emit-netlist", str(link), "--out", str(tmp_path / "missing" / "x")
+        )
+        assert code == EXIT_USAGE and err.startswith("cuberow: error: cannot write ")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert os.listdir(tmp_path) == ["L"]
 
     @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
     def test_out_to_a_device_still_writes_the_emitted_file(self, tmp_path):

@@ -27,6 +27,7 @@ from cuberow.errors import (
     RenderSizeError,
     RowSizeError,
     TooManyWiresError,
+    UnknownChoiceError,
 )
 from cuberow.netlist import (
     Netlist,

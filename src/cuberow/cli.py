@@ -14,7 +14,7 @@ import json
 import os
 import stat
 import sys
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, starmap
 
 from cuberow import density, netlist, oracle, routing, selfcheck
 from cuberow.density import HypercubeRow
@@ -55,6 +55,13 @@ def _parse_row(n: int, cap: int, flag: str = "--n") -> HypercubeRow:
     return HypercubeRow(n)
 
 
+def _regular_file(fd: int) -> tuple[int, int] | None:
+    """The ``(st_dev, st_ino)`` of the file open on ``fd`` if it is a
+    regular file, else None."""
+    st = os.fstat(fd)
+    return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
+
+
 def _write(texts: _Texts) -> None:
     """Write each text, a list of chunks, to the file its path names, or to
     stdout for None.
@@ -62,16 +69,22 @@ def _write(texts: _Texts) -> None:
     Every file is opened in append mode, which changes none, before any is
     written, and stdout is written last.  One ``fstat`` of each handle says
     whether it is a regular file, which is truncated as "w" would, and which
-    file it is: a regular file opened twice would keep only one of its texts,
-    so that is an error naming both paths.  A device or pipe may be named
-    more than once.  If an open or a write fails, or a file is named twice,
-    the files this call created are removed.
+    file it is: a regular file opened twice, or opened while stdout writes
+    to it, would keep only one of its texts, so that is an error naming both
+    paths.  A device or pipe may be named more than once.  If an open or a
+    write fails, or a file is named twice, the files this call created are
+    removed.
     """
-    opened, files, owners, stdout, path = [], [], {}, None, None
+    stdout = next((chunks for path, chunks in texts if path is None), None)
+    opened, files, owners, path = [], [], {}, None
     try:
+        if stdout is not None:
+            try:  # a None key, for a device or pipe, is never looked up
+                owners[_regular_file(sys.stdout.fileno())] = "stdout"
+            except ValueError:  # no descriptor, as under redirect_stdout
+                pass
         for path, chunks in texts:
             if path is None:
-                stdout = chunks
                 continue
             # Resolved, so that a dangling symlink keeps its link and loses
             # only the file made through it.
@@ -79,15 +92,13 @@ def _write(texts: _Texts) -> None:
             created = not os.path.exists(real)
             handle = open(path, "a")
             opened.append((handle, real if created else None))
-            st = os.fstat(handle.fileno())
-            regular = stat.S_ISREG(st.st_mode)
-            if regular:
-                key = st.st_dev, st.st_ino
+            key = _regular_file(handle.fileno())
+            if key is not None:
                 # By the key, never by identity: equal argv strings may be one object.
                 if key in owners:
                     raise UsageError(f"{owners[key]} and {path} name the same file")
                 owners[key] = path
-            files.append((path, handle, regular, chunks))
+            files.append((path, handle, key is not None, chunks))
         for path, handle, regular, chunks in files:
             with handle:
                 if regular:
@@ -125,7 +136,8 @@ _CONTAINERS = (list, tuple, dict)
 
 # Items per encoder call in a long list of scalars.
 _CHUNK = 2**16
-# Rows per chunk of a text or csv density table.
+# Rows per chunk of a text or csv density table, and records per chunk of
+# a JSON list of int-only records.
 _TABLE_ROWS = 2**12
 
 
@@ -133,14 +145,22 @@ def _holds_only_scalars(items) -> bool:
     return not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, items)))
 
 
-def _is_record_list(value) -> bool:
-    # A list of non-empty dicts whose values are all scalars, such as the
-    # route command's wire table.
-    return (
-        all(issubclass(kind, dict) for kind in set(map(type, value)))
-        and all(value)
-        and _holds_only_scalars(chain.from_iterable(map(dict.values, value)))
-    )
+def _int_record_format(value, inner: str):
+    # The format of one record at the indent ``inner`` if every item is a
+    # non-empty dict with the first one's keys in order and only values of
+    # type int, as in the route wire table; else None (a bool included).
+    first = value[0]
+    keys = list(first) if type(first) is dict else None
+    if not (
+        keys
+        and set(map(type, value)) == {dict}
+        and all(map(keys.__eq__, map(list, value)))
+        and set(map(type, chain.from_iterable(map(dict.values, value)))) == {int}
+    ):
+        return None
+    # '"key": ' as the encoder writes it, with the braces escaped for format.
+    names = (_scalar_text({key: 0})[1:-2].replace("{", "{{").replace("}", "}}") for key in keys)
+    return "{{" + ",".join(inner + "  " + name + "{}" for name in names) + inner + "}}"
 
 
 def _encode(value, depth: int, parts: list[str]) -> None:
@@ -167,15 +187,15 @@ def _encode(value, depth: int, parts: list[str]) -> None:
             for start in range(0, len(value), _CHUNK):
                 parts += (separator, encode(value[start : start + _CHUNK])[1:-1])
                 separator = "," + inner
-    elif closer == "]" and _is_record_list(value):
-        # One call for the whole list, with the record fields' separator
-        # everywhere; a raw newline only ever comes from a separator, and a
-        # separator followed by "{" only between records, where the
-        # record-level newlines are spliced in.
-        fields = inner + "  "
-        text = _flat_encoder(depth + 2)(value)[2:-2]
-        between = inner + "}," + inner + "{" + fields
-        parts += (opener, inner, "{", fields, text.replace("}," + fields + "{", between), inner, "}")
+    elif closer == "]" and (record := _int_record_format(value, inner)):
+        # One format call per record, its separator included; an int's text
+        # is its str().  The records are joined a block at a time, so no
+        # text of a long list is made whole.
+        separator = "," + inner
+        records = starmap((record + separator).format, map(dict.values, value))
+        parts += (opener, inner)
+        parts += iter(lambda: "".join(islice(records, _TABLE_ROWS)), "")
+        parts[-1] = parts[-1].removesuffix(separator)
     else:
         parts.append(opener)
         # '"key": ' as the encoder writes it, non-str keys coerced as it does.
@@ -192,8 +212,10 @@ def _json_text(obj) -> list[str]:
     """The chunks of ``json.dumps(obj, indent=2) + "\\n"``, byte for byte.
 
     Every list or dict that holds only scalars is encoded by the C encoder:
-    a dict in one call, a list or tuple in one call per ``_CHUNK`` items;
-    only the levels above those containers are walked here.  The chunks are
+    a dict in one call, a list or tuple in one call per ``_CHUNK`` items.
+    A list of int-only records that share one key order is formatted one
+    record at a time and joined ``_TABLE_ROWS`` records to a chunk.  Only
+    the levels above those containers are walked here.  The chunks are
     returned as they are, never joined into one string.
     """
     parts: list[str] = []

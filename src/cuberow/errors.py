@@ -17,6 +17,10 @@ class InvalidDimensionError(LayoutError):
     """Link dimension outside 1..dims."""
 
 
+class UnknownChoiceError(LayoutError):
+    """Placement or terminal mode that names none of its enum's members."""
+
+
 class NetlistFormatError(LayoutError):
     """Malformed netlist or track-assignment text."""
 

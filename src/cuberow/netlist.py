@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from cuberow import density
 from cuberow.density import HypercubeRow
-from cuberow.errors import InvalidCutError, LayoutError, NetlistFormatError
+from cuberow.errors import InvalidCutError, LayoutError, NetlistFormatError, UnknownChoiceError
 from cuberow.kernels import _excess_above
 
 
@@ -139,7 +139,15 @@ def build_netlist(
     dimension, uniformly on every node: entry k-1 is the slot for dimension
     k.  It requires dimension-ordered mode (the identity order is the
     mode's definition; other uniform orders exist for penalty experiments).
+    ``placement`` and ``mode`` may also be given by their values, such as
+    ``"gray"``; any other value raises :class:`UnknownChoiceError`.
     """
+    # The members are tested by identity below, and a str enum's value
+    # compares equal to its member without being it.
+    try:
+        placement, mode = Placement(placement), TerminalMode(mode)
+    except ValueError as exc:
+        raise UnknownChoiceError(str(exc)) from None
     dims = row.dims
     if slot_order is not None:
         if mode is not TerminalMode.DIM_ORDERED:

@@ -5,6 +5,10 @@ terminal slot plus a trailing gap sub-column, tracks are stacked above the
 node row (track 0 nearest the nodes), and each wire is a horizontal segment
 on its track with vertical stubs dropping to its two terminals.  That
 geometry is stated once, by :func:`_drawn`.
+
+SVG coordinates are exact at every cell size: a cell centre on a half
+pixel is printed as an integer whole part and ".5", and whether it has
+the half depends only on the parity of the cell size along its axis.
 """
 
 from __future__ import annotations
@@ -38,8 +42,9 @@ class RenderSpec:
     show_tracks: bool = True
 
     def __post_init__(self):
-        # Integers, since the drawing's coordinates are computed exactly in them.
-        if not all(isinstance(size, int) and size > 0 for size in (self.cell_width, self.cell_height)):
+        # Plain integers, since the drawing's coordinates are computed exactly
+        # in them and printed as they are: a bool would print as "True".
+        if not all(type(size) is int and size > 0 for size in (self.cell_width, self.cell_height)):
             raise RenderSizeError(
                 f"cell size must be positive integers, got {self.cell_width}x{self.cell_height}"
             )
@@ -113,17 +118,14 @@ def render_text(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = Re
     return "\n".join(lines) + "\n"
 
 
-def _half(twice: int) -> str:
-    """The exact decimal text of ``twice / 2``: an integer or one ending in .5."""
-    whole, odd = divmod(abs(twice), 2)
-    return ("-" if twice < 0 else "") + str(whole) + (".5" if odd else "")
-
-
 def render_svg(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = RenderSpec()) -> str:
     """Standalone SVG drawing of the routed row, colored by dimension.
 
-    Cell centres fall on half pixels, so those coordinates are computed as
-    integers equal to twice their value and printed exactly by :func:`_half`.
+    Cell centres fall on half pixels.  Whether a coordinate has a half is the
+    same across the drawing for each kind of coordinate: every x has one
+    when the cell width is odd, every y when the cell height is, and every
+    node label's x when ``dims`` times the cell width is.  So a coordinate
+    is printed exactly as its whole part, an integer, and that suffix.
     """
     n, dims = net.row.n, net.row.dims
     step = dims + 1
@@ -133,8 +135,9 @@ def render_svg(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = Ren
     node_top = margin + (rows + 1) * ch
     width = 2 * margin + n * step * cw
     height = node_top + 2 * ch + margin
-    # Twice the centre of sub-column 0 and of track row 0.
-    x0, y0 = 2 * margin + cw, 2 * margin + ch
+    xs, ys, ls = (".5" if size % 2 else "" for size in (cw, ch, dims * cw))
+    # The whole parts of the centres of sub-column 0 and of track row 0.
+    x0, y0 = margin + cw // 2, margin + ch // 2
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -145,30 +148,35 @@ def render_svg(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = Ren
     ]
 
     tick_end = node_top + ch // 3
+    tick = f'<line x1="{{0}}{xs}" y1="{node_top}" x2="{{0}}{xs}" y2="{tick_end}" stroke="black"/>'.format
     for col in range(n):
         x = margin + col * step * cw
         parts.append(
             f'<rect x="{x}" y="{node_top}" width="{dims * cw}" height="{2 * ch}" '
             'fill="#f2f2f2" stroke="black"/>'
         )
-        first = x0 + col * step * 2 * cw
-        parts += [
-            f'<line x1="{sx}" y1="{node_top}" x2="{sx}" y2="{tick_end}" stroke="black"/>'
-            for sx in map(_half, range(first, first + dims * 2 * cw, 2 * cw))
-        ]
+        first = x0 + col * step * cw
+        parts += map(tick, range(first, first + dims * cw, cw))
         parts.append(
-            f'<text x="{_half(2 * x + dims * cw)}" y="{node_top + ch + ch // 2}" '
+            f'<text x="{x + dims * cw // 2}{ls}" y="{node_top + ch + ch // 2}" '
             'font-family="monospace" font-size="'
             f'{ch}" text-anchor="middle">{_node_label(net, col)}</text>'
         )
 
+    # Nodes and ticks lie right of 0, but a wire of a hand-made netlist or
+    # assignment may not.  A negative whole part w with a half stands for
+    # w + 0.5, whose text is "-", then ~w (that is -w - 1), then the half:
+    # -1 gives "-0.5".  Each text is made once and printed twice.
     for dim, row, xa, xb in wires:
+        y, xa, xb = y0 + row * ch, x0 + xa * cw, x0 + xb * cw
+        if y < 0 or xa < 0 or xb < 0:
+            y, xa, xb = (f"-{~w}" if w < 0 and s else str(w) for w, s in ((y, ys), (xa, xs), (xb, xs)))
+        else:
+            y, xa, xb = str(y), str(xa), str(xb)
         color = _DIM_COLORS[(dim - 1) % len(_DIM_COLORS)]
-        y = _half(y0 + row * 2 * ch)
-        xa, xb = _half(x0 + xa * 2 * cw), _half(x0 + xb * 2 * cw)
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="'
-            f'{xa},{node_top} {xa},{y} {xb},{y} {xb},{node_top}"/>'
+            f'{xa}{xs},{node_top} {xa}{xs},{y}{ys} {xb}{xs},{y}{ys} {xb}{xs},{node_top}"/>'
         )
 
     # The empty last part gives the final newline without copying the text.

@@ -156,20 +156,25 @@ def left_edge_route(intervals: list[IntervalWire]) -> TrackAssignment:
     interval starts.  With contiguous crossing ranges and no vertical
     constraints this uses exactly ``channel_density`` tracks.
     """
+    swept = sorted(intervals, key=_sweep_key)
+    highs = list(map(_highs, swept))
+    # Sweep positions by right end: ``ends[done]`` is the next to finish.
+    # An interval ending before ``lo`` started before it, so it has a track.
+    ends = sorted(range(len(swept)), key=highs.__getitem__)
+    tracks: list[int] = []
     free_tracks: list[int] = []
-    busy: list[tuple[int, int]] = []  # (hi, track)
-    by_wire: dict[Wire, int] = {}
-    next_track = 0
-    for wire, lo, hi in sorted(intervals, key=_sweep_key):
-        while busy and busy[0][0] < lo:
-            heappush(free_tracks, heappop(busy)[1])
+    done = next_track = 0
+    for lo in map(_lows, swept):
+        while highs[ends[done]] < lo:
+            heappush(free_tracks, tracks[ends[done]])
+            done += 1
         if free_tracks:
-            track = heappop(free_tracks)
+            tracks.append(heappop(free_tracks))
         else:
-            track = next_track
+            tracks.append(next_track)
             next_track += 1
-        by_wire[wire] = track
-        heappush(busy, (hi, track))
+    del highs, ends  # freed before the dict is made, which they would outlast
+    by_wire = dict(zip(map(_wires, swept), tracks))
     return TrackAssignment(by_wire, next_track, channel_density(intervals))
 
 

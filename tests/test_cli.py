@@ -527,6 +527,32 @@ class TestOneFileNamedTwice:
         assert err == f"cuberow: error: {tmp_path / 'L'} and {tmp_path / 'T'} name the same file\n"
         assert os.listdir(tmp_path) == ["L"] and (tmp_path / "L").is_symlink()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_a_path_to_the_file_stdout_writes(self, tmp_path):
+        # A process of its own, so that stdout is a regular file; the text
+        # for stdout would overwrite the one written through /dev/stdout.
+        target = tmp_path / "out.txt"
+        with open(target, "w") as out:
+            result = run_module(
+                "route", "--n", "4", "--format", "csv", "--emit-netlist", "/dev/stdout",
+                stdout=out, stderr=subprocess.PIPE,
+            )
+        assert result.returncode == EXIT_USAGE
+        assert result.stderr == "cuberow: error: stdout and /dev/stdout name the same file\n"
+        assert target.read_text() == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_a_path_to_a_piped_stdout(self):
+        # A pipe is not a regular file, so both texts go down it.
+        result = run_module(
+            "route", "--n", "4", "--format", "csv", "--emit-netlist", "/dev/stdout",
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert (result.returncode, result.stderr) == (EXIT_OK, "")
+        netlist_text, table = result.stdout.split("dim,left_col,right_col,track\n")
+        assert load_netlist(netlist_text).row.n == 4
+        assert len(table.splitlines()) == 4
+
     @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
     def test_a_device_may_be_named_twice(self):
         code, out, _ = run_cli(

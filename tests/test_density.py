@@ -1,5 +1,7 @@
 """Closed-form density operations against frozen values and the brute oracle."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -203,6 +205,28 @@ class TestMaximizers:
         cuts = max_density_cuts(HypercubeRow(2**d))
         assert cuts == sorted(cuts)
         assert cuts[0] == leftmost_max_cut(HypercubeRow(2**d))
+
+    @pytest.mark.parametrize("d", range(1, 31))
+    def test_scalar_forms_agree_up_to_the_largest_row(self, d):
+        # Random cuts of every row size the package takes, far beyond what
+        # the profiles or the oracle can build: the two closed forms, the
+        # per-dimension counts, the mirror, and the peak exactly on the
+        # maximizers.
+        row = HypercubeRow(2**d)
+        rng = random.Random(d)
+        peak, maximizers = max_cut_density(row), max_density_cuts(row)
+        peaks = set(maximizers)
+        cuts = [rng.randrange(1, row.n) for _ in range(300)]
+        cuts += rng.sample(maximizers, min(len(maximizers), 50))
+        for cut in cuts:
+            value = cut_density(row, cut)
+            assert value == cut_density_bitsum(row, cut)
+            assert value == sum(dimension_link_count(row, cut, dim) for dim in range(1, d + 1))
+            assert value == cut_density(row, row.n - cut)
+            assert (value == peak) == (cut in peaks)
+            dim = rng.randint(1, d)
+            count = dimension_link_count(row, cut, dim)
+            assert 0 <= count <= 2 ** (dim - 1) and count == dimension_link_count(row, row.n - cut, dim)
 
     def test_bisection_never_maximal_from_8(self):
         for d in range(3, 13):

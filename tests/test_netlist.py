@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cuberow.density import HypercubeRow, cut_density, max_cut_density, max_density_cuts
-from cuberow.errors import InvalidCutError, LayoutError, NetlistFormatError
+from cuberow.errors import InvalidCutError, LayoutError, NetlistFormatError, UnknownChoiceError
 from cuberow.kernels import _excess_above
 from cuberow.netlist import (
     Netlist,
@@ -142,6 +142,28 @@ class TestBuildNetlist:
             build_netlist(row, mode=TerminalMode.FREE, slot_order=(1, 2, 3))
         with pytest.raises(LayoutError):
             build_netlist(row, mode=TerminalMode.DIM_ORDERED, slot_order=(1, 1, 3))
+
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    @pytest.mark.parametrize("placement", list(Placement))
+    @pytest.mark.parametrize("mode", list(TerminalMode))
+    def test_values_stand_for_their_members(self, n, placement, mode):
+        # A str enum's value equals its member but is not it; "free" must not
+        # be routed as dim-ordered, nor "gray" built as a normal row.
+        row = HypercubeRow(n)
+        by_member = build_netlist(row, placement, mode)
+        by_value = build_netlist(row, placement.value, mode.value)
+        assert by_value.placement is placement and by_value.mode is mode
+        assert by_value.wires == by_member.wires
+        assert dump_netlist(by_value) == dump_netlist(by_member)
+        assert wire_intervals(by_value) == wire_intervals(by_member)
+
+    @pytest.mark.parametrize(
+        "placement, mode, named",
+        [("grey", "free", "'grey'"), ("normal", "dim_ordered", "'dim_ordered'"), (None, "free", "None")],
+    )
+    def test_unknown_values_are_named(self, placement, mode, named):
+        with pytest.raises(UnknownChoiceError, match=f"^{named} is not a valid "):
+            build_netlist(HypercubeRow(8), placement, mode)
 
 
 class TestWireRecord:

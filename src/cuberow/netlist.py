@@ -104,12 +104,34 @@ _new_wire = partial(tuple.__new__, Wire)
 _left_col, _right_col, _left_slot, _right_slot = map(itemgetter, range(1, 5))
 
 
+def _choices(placement, mode) -> tuple[Placement, TerminalMode]:
+    # The members are tested by identity, and a str enum's value compares
+    # equal to its member without being it, so a value such as "gray" is
+    # turned into its member here; any other value is refused.
+    try:
+        return Placement(placement), TerminalMode(mode)
+    except ValueError as exc:
+        raise UnknownChoiceError(str(exc)) from None
+
+
 @dataclass(frozen=True)
 class Netlist:
+    """A row's wires under one placement and terminal mode.
+
+    ``placement`` and ``mode`` may be given by their values, such as
+    ``"gray"``; they are stored as members, and any other value raises
+    :class:`UnknownChoiceError`.
+    """
+
     row: HypercubeRow
     placement: Placement
     mode: TerminalMode
     wires: tuple[Wire, ...]
+
+    def __post_init__(self):
+        placement, mode = _choices(self.placement, self.mode)
+        object.__setattr__(self, "placement", placement)
+        object.__setattr__(self, "mode", mode)
 
 
 def fine_cut_count(row: HypercubeRow) -> int:
@@ -142,12 +164,7 @@ def build_netlist(
     ``placement`` and ``mode`` may also be given by their values, such as
     ``"gray"``; any other value raises :class:`UnknownChoiceError`.
     """
-    # The members are tested by identity below, and a str enum's value
-    # compares equal to its member without being it.
-    try:
-        placement, mode = Placement(placement), TerminalMode(mode)
-    except ValueError as exc:
-        raise UnknownChoiceError(str(exc)) from None
+    placement, mode = _choices(placement, mode)
     dims = row.dims
     if slot_order is not None:
         if mode is not TerminalMode.DIM_ORDERED:
@@ -187,12 +204,31 @@ def max_wirelength(net: Netlist) -> int:
     return max(_spans(net.wires), default=0)
 
 
+def _ramps(bits: int) -> list[tuple[int, ...]]:
+    # Entry j: the running totals of +1 per clear bit and -1 per set bit of
+    # j, from bit 0 up to bit ``bits - 1``.
+    return [tuple(accumulate(1 - 2 * (j >> b & 1) for b in range(bits))) for j in range(1 << bits)]
+
+
 @lru_cache(maxsize=1)
-def _gap_profile(n: int) -> list[int]:
-    # Intercolumn densities of the last row size asked for.  Keyed on n, not
-    # on the row: hashing the frozen dataclass on every call is slow.  The
-    # list is shared between calls, so it is never handed to a caller.
-    return density.cut_density_profile(HypercubeRow(n))
+def _row_tables(n: int) -> tuple[list[int], int, int, list[tuple[int, ...]], list[tuple[int, ...]]]:
+    # For the last row size asked for: the intercolumn densities, the width
+    # h = ceil(dims / 2) of the low half of a node's bits and its mask, and
+    # the slot ramps of the low h bits and of the dims - h bits above them.
+    # Keyed on n, not on the row: hashing the frozen dataclass on every call
+    # is slow.  The tables are shared between calls, so none is handed to a
+    # caller.
+    dims = n.bit_length() - 1
+    half = (dims + 1) // 2
+    profile = density.cut_density_profile(HypercubeRow(n))
+    return profile, half, (1 << half) - 1, _ramps(half), _ramps(dims - half)
+
+
+def _bad_index(what: str, value, top: int) -> InvalidCutError:
+    # A bool is an int, but True would silently stand for 1.
+    if type(value) is not int:
+        return InvalidCutError(f"{what} must be an int, got {value!r}")
+    return InvalidCutError(f"{what} {value} outside 1..{top}")
 
 
 def terminal_cut_density(row: HypercubeRow, cut: int, slot: int) -> int:
@@ -203,12 +239,14 @@ def terminal_cut_density(row: HypercubeRow, cut: int, slot: int) -> int:
     ``cut - 1`` above ``slot``: every dimension whose bit is set on that
     column enters from the left, every clear one leaves to the right,
     and only the dimensions above ``slot`` shift the tally either way.
+    A ``cut`` or ``slot`` that is not an int in range, a bool included,
+    raises :class:`InvalidCutError`.
     """
-    if not 1 <= cut <= row.n:
-        raise InvalidCutError(f"cut {cut} outside 1..{row.n}")
-    if not 1 <= slot <= row.dims:
-        raise InvalidCutError(f"terminal slot {slot} outside 1..{row.dims}")
-    return _gap_profile(row.n)[cut] + _excess_above(cut - 1, row.dims, slot)
+    if type(cut) is not int or not 1 <= cut <= row.n:
+        raise _bad_index("cut", cut, row.n)
+    if type(slot) is not int or not 1 <= slot <= row.dims:
+        raise _bad_index("terminal slot", slot, row.dims)
+    return _row_tables(row.n)[0][cut] + _excess_above(cut - 1, row.dims, slot)
 
 
 def terminal_cut_densities(row: HypercubeRow, cut: int) -> list[int]:
@@ -219,15 +257,23 @@ def terminal_cut_densities(row: HypercubeRow, cut: int) -> list[int]:
     ``cut - 1``, slot ``s`` adds 1 when bit ``s - 1`` of the node is clear
     (its wire leaves to the right) and removes 1 when it is set (its wire
     arrives from the left).  The last slot lands on the density at ``cut``.
+
+    The recurrence is read from two tables built once per row size: the
+    ramps of every value of the low ceil(dims/2) bits, and of the bits
+    above them, where the high ramp starts from the low one's last total.
+    A ``cut`` that is not an int in range, a bool included, raises
+    :class:`InvalidCutError`.
     """
+    n = row.n
     # The range check also keeps cut 0 from reading profile[-1].
-    if not 1 <= cut <= row.n:
-        raise InvalidCutError(f"cut {cut} outside 1..{row.n}")
+    if type(cut) is not int or not 1 <= cut <= n:
+        raise _bad_index("cut", cut, n)
+    profile, half, mask, low, high = _row_tables(n)
     node = cut - 1
-    steps = (1 - 2 * (node >> bit & 1) for bit in range(row.dims))
-    slots = accumulate(steps, initial=_gap_profile(row.n)[node])
-    next(slots)
-    return list(slots)
+    base = profile[node]
+    ramp = low[node & mask]
+    mid = base + ramp[-1]
+    return [base + r for r in ramp] + [mid + r for r in high[node >> half]]
 
 
 def max_terminal_cut_density(row: HypercubeRow) -> tuple[int, list[tuple[int, int]]]:

@@ -440,12 +440,12 @@ GRAY_SLOT_FAULT = (
 
 class TestEveryCheckCanFail:
     @pytest.fixture(autouse=True)
-    def fresh_gap_profile(self):
+    def fresh_row_tables(self):
         # The one-entry cache would otherwise serve a profile computed under
         # another case's fault, or keep one computed under this case's.
-        netlist._gap_profile.cache_clear()
+        netlist._row_tables.cache_clear()
         yield
-        netlist._gap_profile.cache_clear()
+        netlist._row_tables.cache_clear()
 
     @pytest.mark.parametrize(
         "name, target, fault, assertions, detail, failing",

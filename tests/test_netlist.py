@@ -1,6 +1,7 @@
 """Netlist construction, wirelength metrics, terminal-slot densities, and the
 text serialization format."""
 
+import random
 from itertools import permutations
 
 import pytest
@@ -164,6 +165,20 @@ class TestBuildNetlist:
     def test_unknown_values_are_named(self, placement, mode, named):
         with pytest.raises(UnknownChoiceError, match=f"^{named} is not a valid "):
             build_netlist(HypercubeRow(8), placement, mode)
+        wires = build_netlist(HypercubeRow(8)).wires
+        with pytest.raises(UnknownChoiceError, match=f"^{named} is not a valid "):
+            Netlist(HypercubeRow(8), placement, mode, wires)
+
+    def test_a_netlist_made_by_hand_takes_values(self):
+        # Values must be read as their members: "free" routed as dim-ordered
+        # would take 6 tracks, and a str placement has no .value to dump.
+        row = HypercubeRow(8)
+        built = build_netlist(row)
+        by_hand = Netlist(row, "normal", "free", built.wires)
+        assert by_hand == built
+        assert by_hand.placement is Placement.NORMAL and by_hand.mode is TerminalMode.FREE
+        assert left_edge_route(wire_intervals(by_hand)).track_count == 5
+        assert dump_netlist(by_hand) == dump_netlist(built)
 
 
 class TestWireRecord:
@@ -244,6 +259,14 @@ class TestTerminalDensity:
         for cut in (0, 9):
             with pytest.raises(InvalidCutError):
                 terminal_cut_densities(row, cut)
+        # A bool would stand for 1, and a float or str must not escape as a
+        # bare TypeError.
+        for bad in (True, 1.0, "1"):
+            for cut, slot in ((bad, 1), (1, bad)):
+                with pytest.raises(InvalidCutError, match="must be an int"):
+                    terminal_cut_density(row, cut, slot)
+            with pytest.raises(InvalidCutError, match="must be an int"):
+                terminal_cut_densities(row, bad)
 
     def test_alternating_row_sizes(self):
         # Each request for the other size replaces the cached gap profile.
@@ -267,13 +290,29 @@ class TestTerminalDensity:
         for cut in range(1, row.n + 1):
             assert terminal_cut_density(row, cut, row.dims) == cut_density(row, cut)
 
-    @pytest.mark.parametrize("d", range(1, 11))
+    @pytest.mark.parametrize("d", range(1, 13))
     def test_batched_row_matches_scalar(self, d):
         row = HypercubeRow(2**d)
         for cut in range(1, row.n + 1):
             assert terminal_cut_densities(row, cut) == [
                 terminal_cut_density(row, cut, slot) for slot in range(1, row.dims + 1)
             ]
+
+    @pytest.mark.parametrize("d", range(13, 21))
+    def test_batched_row_matches_scalar_where_the_low_half_wraps(self, d):
+        # The row is read from ramps of the low ceil(d/2) bits and of the bits
+        # above; the seam is where the low half is all ones and the node
+        # after it, where the low half wraps to zero and the high one steps.
+        row = HypercubeRow(2**d)
+        low = 1 << (d + 1) // 2
+        wraps = range(low - 1, row.n, low)
+        nodes = {*wraps, *(node + 1 for node in wraps), 0, row.n - 1}
+        nodes.update(random.Random(d).sample(range(row.n), 200))
+        nodes.discard(row.n)
+        for cut in sorted(node + 1 for node in nodes):
+            got = terminal_cut_densities(row, cut)
+            assert got == [terminal_cut_density(row, cut, slot) for slot in range(1, d + 1)]
+            assert got[-1] == cut_density(row, cut)
 
     @pytest.mark.parametrize("d", range(1, 11))
     def test_matches_fine_cut_oracle(self, d):

@@ -9,12 +9,11 @@ invariant check failed, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import stat
 import sys
-from itertools import chain, islice, repeat, starmap
+from itertools import islice, repeat, starmap
 
 from cuberow import density, netlist, oracle, routing, selfcheck
 from cuberow.density import HypercubeRow
@@ -122,17 +121,9 @@ def _write(texts: _Texts) -> None:
 
 
 _scalar_text = json.JSONEncoder().encode
-
-
-@functools.cache
-def _flat_encoder(depth: int):
-    # Encodes a container of scalars whose items sit at ``depth``, with the
-    # items already on their own indented lines; only the newlines after the
-    # opening and before the closing bracket are left to splice in.
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
-
-
-_CONTAINERS = (list, tuple, dict)
+# A dict or list of scalars one level into a document, items on their own
+# lines; only the newlines at its brackets are left to splice in.
+_items_text = json.JSONEncoder(separators=(",\n    ", ": ")).encode
 
 # Items per encoder call in a long list of scalars.
 _CHUNK = 2**16
@@ -141,86 +132,44 @@ _CHUNK = 2**16
 _TABLE_ROWS = 2**12
 
 
-def _holds_only_scalars(items) -> bool:
-    return not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, items)))
+def _json_text(doc: dict) -> list[str]:
+    """The chunks of ``json.dumps(doc, indent=2) + "\\n"``, byte for byte,
+    for a command's document.
 
-
-def _int_record_format(value, inner: str):
-    # The format of one record at the indent ``inner`` if every item is a
-    # non-empty dict with the first one's keys in order and only values of
-    # type int, as in the route wire table; else None (a bool included).
-    first = value[0]
-    keys = list(first) if type(first) is dict else None
-    if not (
-        keys
-        and set(map(type, value)) == {dict}
-        and all(map(keys.__eq__, map(list, value)))
-        and set(map(type, chain.from_iterable(map(dict.values, value)))) == {int}
-    ):
-        return None
-    # '"key": ' as the encoder writes it, with the braces escaped for format.
-    names = (_scalar_text({key: 0})[1:-2].replace("{", "{{").replace("}", "}}") for key in keys)
-    return "{{" + ",".join(inner + "  " + name + "{}" for name in names) + inner + "}}"
-
-
-def _encode(value, depth: int, parts: list[str]) -> None:
-    if isinstance(value, dict):
-        opener, closer, items = "{", "}", value.values()
-    elif isinstance(value, (list, tuple)):
-        opener, closer, items = "[", "]", value
-    else:
-        parts.append(_scalar_text(value))
-        return
-    if not value:
-        parts.append(opener + closer)
-        return
-    inner = "\n" + "  " * (depth + 1)
-    if _holds_only_scalars(items):
-        encode = _flat_encoder(depth + 1)
-        if closer == "}":
-            parts += (opener, inner, encode(value)[1:-1])
-        else:
-            # A list or tuple goes to the encoder one slice at a time, so no
-            # text of a long sequence is ever made whole.
-            parts.append(opener)
-            separator = inner
-            for start in range(0, len(value), _CHUNK):
-                parts += (separator, encode(value[start : start + _CHUNK])[1:-1])
-                separator = "," + inner
-    elif closer == "]" and (record := _int_record_format(value, inner)):
-        # One format call per record, its separator included; an int's text
-        # is its str().  The records are joined a block at a time, so no
-        # text of a long list is made whole.
-        separator = "," + inner
-        records = starmap((record + separator).format, map(dict.values, value))
-        parts += (opener, inner)
-        parts += iter(lambda: "".join(islice(records, _TABLE_ROWS)), "")
-        parts[-1] = parts[-1].removesuffix(separator)
-    else:
-        parts.append(opener)
-        # '"key": ' as the encoder writes it, non-str keys coerced as it does.
-        prefixes = (_scalar_text({key: 0})[1:-2] for key in value) if closer == "}" else repeat("")
-        separator = inner
-        for prefix, item in zip(prefixes, items):
-            parts.append(separator + prefix)
-            _encode(item, depth + 1, parts)
-            separator = "," + inner
-    parts += ("\n" + "  " * depth, closer)
-
-
-def _json_text(obj) -> list[str]:
-    """The chunks of ``json.dumps(obj, indent=2) + "\\n"``, byte for byte.
-
-    Every list or dict that holds only scalars is encoded by the C encoder:
-    a dict in one call, a list or tuple in one call per ``_CHUNK`` items.
-    A list of int-only records that share one key order is formatted one
-    record at a time and joined ``_TABLE_ROWS`` records to a chunk.  Only
-    the levels above those containers are walked here.  The chunks are
-    returned as they are, never joined into one string.
+    ``doc`` is a non-empty dict with str keys, and each value is one of four
+    kinds: a scalar or an empty container; a dict of scalars, encoded in one
+    call; a list of scalars, encoded in one call per ``_CHUNK`` items; or a
+    list of dicts whose values are all ints and whose keys come in one
+    order, formatted one record at a time and joined ``_TABLE_ROWS`` records
+    to a chunk.  The chunks are never joined into one string.
     """
-    parts: list[str] = []
-    _encode(obj, 0, parts)
-    parts.append("\n")
+    parts, separator = ["{"], "\n  "
+    for key, value in doc.items():
+        parts.append(f"{separator}{_scalar_text(key)}: ")
+        separator = ",\n  "
+        if not value or not isinstance(value, (list, dict)):
+            parts.append(_scalar_text(value))
+        elif isinstance(value, dict):
+            parts += ("{\n    ", _items_text(value)[1:-1], "\n  }")
+        elif isinstance(value[0], dict):
+            # One format call per record, its separator included; an int's
+            # text is its str().  '"key": ' as the encoder writes it, with
+            # the braces escaped for format.
+            names = (_scalar_text(name).replace("{", "{{").replace("}", "}}") for name in value[0])
+            record = "{{" + ",".join(f"\n      {name}: {{}}" for name in names) + "\n    }},\n    "
+            records = starmap(record.format, map(dict.values, value))
+            parts.append("[\n    ")
+            parts += iter(lambda: "".join(islice(records, _TABLE_ROWS)), "")
+            parts[-1] = parts[-1].removesuffix(",\n    ")
+            parts.append("\n  ]")
+        else:
+            # One slice at a time, so no text of a long list is made whole.
+            opener = "[\n    "
+            for start in range(0, len(value), _CHUNK):
+                parts += (opener, _items_text(value[start : start + _CHUNK])[1:-1])
+                opener = ",\n    "
+            parts.append("\n  ]")
+    parts.append("\n}\n")
     return parts
 
 

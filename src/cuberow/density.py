@@ -14,7 +14,8 @@ pairs inside each aligned block of 2**k columns, of which min(t, 2**k - t)
 cross offset t, the same ramp as in column order.  Only the lengths differ.
 
 Cut positions are plain integers: cut ``i`` has ``i`` node columns to its
-left, so ``i = 0`` and ``i = n`` are the (always empty) outer cuts.
+left, so ``i = 0`` and ``i = n`` are the (always empty) outer cuts.  A cut
+or dimension that is not an int in range, a bool included, is refused.
 """
 
 from __future__ import annotations
@@ -27,7 +28,10 @@ from cuberow.errors import InvalidCutError, InvalidDimensionError, RowSizeError
 
 # Contract cap: every operation is exact up to this many nodes.  Density
 # values stay far below 2**63, but inputs beyond the cap are rejected rather
-# than silently accepted.
+# than silently accepted.  Cost: the profiles and the netlist are O(n), and
+# so are the slot rows and ``netlist.terminal_cut_density``, which read the
+# whole gap profile through ``netlist._row_tables``.  Every other scalar
+# form is O(d), and ``max_density_cuts`` is O(d) per maximizer.
 MAX_NODES = 2**30
 
 
@@ -51,9 +55,17 @@ class HypercubeRow:
         return self.n.bit_length() - 1
 
 
+def _bad_index(what: str, value, low: int, top: int) -> str:
+    # Why a cut, slot or dimension is not an int in low..top.  A bool is an
+    # int, but True would silently stand for 1.
+    if type(value) is not int:
+        return f"{what} must be an int, got {value!r}"
+    return f"{what} {value} outside {low}..{top}"
+
+
 def _check_cut(row: HypercubeRow, cut: int) -> None:
-    if not 0 <= cut <= row.n:
-        raise InvalidCutError(f"cut {cut} outside 0..{row.n}")
+    if type(cut) is not int or not 0 <= cut <= row.n:
+        raise InvalidCutError(_bad_index("cut", cut, 0, row.n))
 
 
 def dimension_link_count(row: HypercubeRow, cut: int, dim: int) -> int:
@@ -62,8 +74,8 @@ def dimension_link_count(row: HypercubeRow, cut: int, dim: int) -> int:
     A dimension-``dim`` wire spans ``2**(dim-1)`` columns, so the count ramps
     from 0 up to ``2**(dim-1)`` and back down, repeating across the row.
     """
-    if not 1 <= dim <= row.dims:
-        raise InvalidDimensionError(f"dimension {dim} outside 1..{row.dims}")
+    if type(dim) is not int or not 1 <= dim <= row.dims:
+        raise InvalidDimensionError(_bad_index("dimension", dim, 1, row.dims))
     _check_cut(row, cut)
     return _ramp(cut, dim)
 
@@ -115,8 +127,8 @@ def cut_density_bitsum(row: HypercubeRow, cut: int) -> int:
     index's bits and their excess statistics; the two must agree everywhere.
     Only interior cuts (0 < cut < n) are defined for this form.
     """
-    if not 0 < cut < row.n:
-        raise InvalidCutError(f"cut {cut} outside the open range 0..{row.n}")
+    if type(cut) is not int or not 0 < cut < row.n:
+        raise InvalidCutError(_bad_index("cut", cut, 1, row.n - 1))
     return kernels._bitsum(cut, row.dims)
 
 

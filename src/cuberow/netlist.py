@@ -27,7 +27,7 @@ from operator import add, itemgetter, sub, xor
 from typing import NamedTuple
 
 from cuberow import density
-from cuberow.density import HypercubeRow
+from cuberow.density import HypercubeRow, _bad_index
 from cuberow.errors import InvalidCutError, LayoutError, NetlistFormatError, UnknownChoiceError
 from cuberow.kernels import _excess_above
 
@@ -224,13 +224,6 @@ def _row_tables(n: int) -> tuple[list[int], int, int, list[tuple[int, ...]], lis
     return profile, half, (1 << half) - 1, _ramps(half), _ramps(dims - half)
 
 
-def _bad_index(what: str, value, top: int) -> InvalidCutError:
-    # A bool is an int, but True would silently stand for 1.
-    if type(value) is not int:
-        return InvalidCutError(f"{what} must be an int, got {value!r}")
-    return InvalidCutError(f"{what} {value} outside 1..{top}")
-
-
 def terminal_cut_density(row: HypercubeRow, cut: int, slot: int) -> int:
     """Wires crossing the fine cut just right of ``slot`` on column ``cut - 1``.
 
@@ -243,9 +236,9 @@ def terminal_cut_density(row: HypercubeRow, cut: int, slot: int) -> int:
     raises :class:`InvalidCutError`.
     """
     if type(cut) is not int or not 1 <= cut <= row.n:
-        raise _bad_index("cut", cut, row.n)
+        raise InvalidCutError(_bad_index("cut", cut, 1, row.n))
     if type(slot) is not int or not 1 <= slot <= row.dims:
-        raise _bad_index("terminal slot", slot, row.dims)
+        raise InvalidCutError(_bad_index("terminal slot", slot, 1, row.dims))
     return _row_tables(row.n)[0][cut] + _excess_above(cut - 1, row.dims, slot)
 
 
@@ -267,7 +260,7 @@ def terminal_cut_densities(row: HypercubeRow, cut: int) -> list[int]:
     n = row.n
     # The range check also keeps cut 0 from reading profile[-1].
     if type(cut) is not int or not 1 <= cut <= n:
-        raise _bad_index("cut", cut, n)
+        raise InvalidCutError(_bad_index("cut", cut, 1, n))
     profile, half, mask, low, high = _row_tables(n)
     node = cut - 1
     base = profile[node]

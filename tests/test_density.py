@@ -1,6 +1,7 @@
 """Closed-form density operations against frozen values and the brute oracle."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +171,24 @@ class TestBitsumForm:
         row = HypercubeRow(2**d)
         for cut in range(1, row.n):
             assert cut_density_bitsum(row, cut) == cut_density(row, cut)
+
+
+# A bool would stand for 1, and a float or str must not escape as a bare
+# TypeError: each raises the error of a cut or dimension out of range.
+@pytest.mark.parametrize("bad", [True, 1.0, "1"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda row, bad: cut_density(row, bad), InvalidCutError),
+        (lambda row, bad: cut_density_bitsum(row, bad), InvalidCutError),
+        (lambda row, bad: dimension_link_count(row, bad, 1), InvalidCutError),
+        (lambda row, bad: dimension_link_count(row, 3, bad), InvalidDimensionError),
+    ],
+    ids=["cut_density", "cut_density_bitsum", "link-count-cut", "link-count-dimension"],
+)
+def test_a_cut_or_dimension_must_be_an_int(call, error, bad):
+    with pytest.raises(error, match=f"must be an int, got {re.escape(repr(bad))}$"):
+        call(HypercubeRow(8), bad)
 
 
 class TestBatchProfiles:

@@ -75,6 +75,13 @@ def test_json_text_matches_json_dumps(doc):
     assert "".join(cli._json_text(doc)) == _reference(doc)
 
 
+# Documents made only of record lists, several to a document, so each is cut
+# at its separators between other keys' text.
+@given(st.dictionaries(_keys, _records, min_size=1, max_size=4))
+def test_json_text_matches_json_dumps_on_record_lists(doc):
+    assert "".join(cli._json_text(doc)) == _reference(doc)
+
+
 @pytest.mark.parametrize(
     "value",
     [

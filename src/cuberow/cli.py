@@ -15,7 +15,7 @@ import stat
 import sys
 from itertools import islice, repeat, starmap
 
-from cuberow import density, netlist, oracle, routing, selfcheck
+from cuberow import density, netlist, routing, selfcheck
 from cuberow.density import HypercubeRow
 from cuberow.errors import LayoutError
 from cuberow.netlist import Placement, TerminalMode
@@ -27,7 +27,6 @@ EXIT_CHECK_FAILED = 2
 EXIT_INTERNAL = 3
 
 MAX_CLOSED_FORM_NODES = 2**20
-MAX_ORACLE_NODES = 2**12
 MAX_ROUTE_NODES = 2**12
 MAX_COMPARE_NODES = 2**10
 
@@ -289,7 +288,7 @@ def cmd_compare(args) -> tuple[_Texts, int]:
         free_net, _, free_assignment = _route(row, placement, TerminalMode.FREE)
         ordered_assignment = _route(row, placement, TerminalMode.DIM_ORDERED)[2]
         metrics[placement.value] = {
-            "max_density": oracle.crossing_profile(free_net).interior_gap_max(),
+            "max_density": density.max_cut_density(row),
             "tracks_free": free_assignment.track_count,
             "tracks_dim_ordered": ordered_assignment.track_count,
             "total_wirelength": netlist.total_wirelength(free_net),
@@ -321,7 +320,7 @@ def cmd_compare(args) -> tuple[_Texts, int]:
 
 
 def cmd_check(args) -> tuple[_Texts, int]:
-    max_n = _parse_row(args.max_n, MAX_ORACLE_NODES, "--max-n").n
+    max_n = _parse_row(args.max_n, selfcheck.MAX_COARSE_NODES, "--max-n").n
     lines = []
     total = 0
     failed = 0

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import le
 
 from cuberow import kernels
-from cuberow.errors import TooManyWiresError
+from cuberow.errors import LayoutError, TooManyWiresError
 from cuberow.netlist import Netlist, TerminalMode, fine_cut_count
 
 __all__ = [
@@ -83,7 +84,11 @@ def _wire_fine_span(wire, step: int, free: bool) -> tuple[int, int]:
 
 
 def crossing_profile(net: Netlist) -> CrossingTable:
-    """Count, for every fine cut, the wires crossing it, one wire at a time."""
+    """Count, for every fine cut, the wires crossing it, one wire at a time.
+
+    A wire whose fine span does not lie on the row, as a hand-made one may
+    not, raises :class:`LayoutError` naming it.
+    """
     row = net.row
     step = row.dims + 1
     free = net.mode is TerminalMode.FREE
@@ -93,7 +98,13 @@ def crossing_profile(net: Netlist) -> CrossingTable:
         lo, hi = _wire_fine_span(w, step, free)
         lows.append(lo)
         highs.append(hi)
-    counts = kernels.accumulate_spans(fine_cut_count(row), lows, highs)
+    cuts = fine_cut_count(row)
+    # The kernel requires 0 <= lo <= hi < cuts of every span: one C-level
+    # pass per bound, and the wire at fault is looked for only on failure.
+    if not (0 <= min(lows, default=0) and max(highs, default=0) < cuts and all(map(le, lows, highs))):
+        w, lo, hi = next((w, lo, hi) for w, lo, hi in zip(net.wires, lows, highs) if not 0 <= lo <= hi < cuts)
+        raise LayoutError(f"wire {w} crosses fine cuts {lo}..{hi}, not a span within 0..{cuts - 1}")
+    counts = kernels.accumulate_spans(cuts, lows, highs)
     return CrossingTable(row.n, row.dims, tuple(counts))
 
 

@@ -4,7 +4,8 @@ Both renderers share one geometry: every node occupies one sub-column per
 terminal slot plus a trailing gap sub-column, tracks are stacked above the
 node row (track 0 nearest the nodes), and each wire is a horizontal segment
 on its track with vertical stubs dropping to its two terminals.  That
-geometry is stated once, by :func:`_drawn`.
+geometry, and the rule that a drawn wire lies on the row, are stated once,
+by :func:`_drawn`.
 
 SVG coordinates are exact at every cell size: a cell centre on a half
 pixel is printed as an integer whole part and ".5", and whether it has
@@ -61,20 +62,25 @@ def _drawn(net: Netlist, assignment: TrackAssignment, spec: RenderSpec):
     counted from the top (track 0 is the row nearest the nodes), and the
     sub-columns of its two terminals; terminal ``slot`` of column ``col``
     sits in sub-column ``col * (dims + 1) + slot - 1``.  With tracks hidden
-    there are no rows and no wires.
+    there are no rows and no wires.  A wire that is not on the routed row,
+    with a track outside ``0..rows-1``, a column outside ``0..n-1`` or a
+    slot outside ``1..dims``, raises :class:`LayoutError` as it comes.
     """
     if not spec.show_tracks:
         return 0, ()
-    rows, wires, step = assignment.track_count, net.wires, net.row.dims + 1
-    return rows, (
-        (
-            w.dim,
-            rows - 1 - track,
-            w.left_col * step + w.left_slot - 1,
-            w.right_col * step + w.right_slot - 1,
-        )
-        for w, track in zip(wires, _tracks(assignment, wires))
-    )
+    rows, wires, n, dims = assignment.track_count, net.wires, net.row.n, net.row.dims
+    step = dims + 1
+
+    def drawn():
+        for w, track in zip(wires, _tracks(assignment, wires)):
+            dim, left, right, left_slot, right_slot = w
+            if not 0 <= track < rows:
+                raise LayoutError(f"track {track} outside 0..{rows - 1}")
+            if not (0 <= left < n and 0 <= right < n and 0 < left_slot <= dims and 0 < right_slot <= dims):
+                raise LayoutError(f"wire {w} has a terminal off the {n}-node row")
+            yield dim, rows - 1 - track, left * step + left_slot - 1, right * step + right_slot - 1
+
+    return rows, drawn()
 
 
 def render_text(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = RenderSpec()) -> str:
@@ -88,10 +94,6 @@ def render_text(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = Re
         )
     rows, wires = _drawn(net, assignment, spec)
     wires = list(wires)  # walked twice
-    stray = next((r for _, r, _, _ in wires if not 0 <= r < rows), None)
-    if stray is not None:
-        # A row drawn above or below the grid; a negative index would wrap.
-        raise LayoutError(f"track {rows - 1 - stray} outside 0..{rows - 1}")
     grid = [[" "] * width for _ in range(rows)]
 
     # Horizontal spans first, then stubs; stubs crossing a foreign span
@@ -163,16 +165,9 @@ def render_svg(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = Ren
             f'{ch}" text-anchor="middle">{_node_label(net, col)}</text>'
         )
 
-    # Nodes and ticks lie right of 0, but a wire of a hand-made netlist or
-    # assignment may not.  A negative whole part w with a half stands for
-    # w + 0.5, whose text is "-", then ~w (that is -w - 1), then the half:
-    # -1 gives "-0.5".  Each text is made once and printed twice.
+    # Each coordinate's text is made once and printed twice.
     for dim, row, xa, xb in wires:
-        y, xa, xb = y0 + row * ch, x0 + xa * cw, x0 + xb * cw
-        if y < 0 or xa < 0 or xb < 0:
-            y, xa, xb = (f"-{~w}" if w < 0 and s else str(w) for w, s in ((y, ys), (xa, xs), (xb, xs)))
-        else:
-            y, xa, xb = str(y), str(xa), str(xb)
+        y, xa, xb = str(y0 + row * ch), str(x0 + xa * cw), str(x0 + xb * cw)
         color = _DIM_COLORS[(dim - 1) % len(_DIM_COLORS)]
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="'

@@ -136,8 +136,10 @@ def check_maximizers(row: HypercubeRow) -> int:
 
 @_sweep(MAX_FINE_NODES)
 def check_terminal_density(row: HypercubeRow) -> int:
-    """The slot-cut identity against the oracle at every (cut, slot), and the
-    one-extra-track peak landing only on intercolumn maximizers."""
+    """The slot-cut identity against the oracle at every (cut, slot), the
+    one-extra-track peak, and the (cut, slot) pairs attaining it, which must
+    be the oracle's argmax over the slot cuts and lie only on intercolumn
+    maximizers."""
     n, checked = row.n, 0
     table = oracle.crossing_profile(netlist.build_netlist(row, Placement.NORMAL, TerminalMode.DIM_ORDERED))
     for cut in range(1, n + 1):
@@ -151,11 +153,17 @@ def check_terminal_density(row: HypercubeRow) -> int:
     expect = 1 if n == 2 else density.max_cut_density(row) + 1
     if peak != expect or peak != table.fine_max():
         raise _Mismatch(checked, f": peak {peak}, expected {expect}, oracle {table.fine_max()}")
-    if n > 2:
-        maximizers = set(density.max_density_cuts(row))
-        stray = {cut for cut, _ in attained if cut not in maximizers}
-        if stray:
-            raise _Mismatch(checked, f": peak attained at non-maximizer cuts {sorted(stray)}")
+    # The slot cuts where the oracle's count is the peak, in the formula's
+    # scan order: fine index f is slot f % step of cut f // step + 1, and
+    # f % step == 0 is a gap.  The peak is the oracle's largest count, so
+    # these are the oracle's argmax over the slot cuts whenever there are any.
+    step = row.dims + 1
+    argmax = [
+        (f // step + 1, f % step) for f, count in enumerate(table.counts) if f % step and count == peak
+    ]
+    stray = sorted({cut for cut, _ in attained}.difference(density.max_density_cuts(row)))
+    if attained != argmax or stray:
+        raise _Mismatch(checked + 1, f": peak at {attained}, oracle {argmax}, non-maximizer cuts {stray}")
     return checked + 2
 
 

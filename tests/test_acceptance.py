@@ -105,12 +105,21 @@ def test_criterion_5_terminal_ordered_maximum():
         row = HypercubeRow(2**d)
         peak, attained = max_terminal_cut_density(row)
         assert peak == max_cut_density(row) + 1
-        maximizers = set(max_density_cuts(row))
-        assert {cut for cut, _ in attained} <= maximizers
         table = crossing_profile(
             build_netlist(row, Placement.NORMAL, TerminalMode.DIM_ORDERED)
         )
         assert table.fine_max() == peak
+        # Every (cut, slot) attaining the peak, in scan order, is the
+        # oracle's argmax over the slot cuts, and lies on an intercolumn
+        # maximizer.
+        slots = {
+            (cut, slot): table.node_cut(cut - 1, slot)
+            for cut in range(1, row.n + 1)
+            for slot in range(1, d + 1)
+        }
+        top = max(slots.values())
+        assert attained == [pair for pair, count in slots.items() if count == top]
+        assert {cut for cut, _ in attained} <= set(max_density_cuts(row))
     # every one of the 6 shared terminal orderings of an 8-node row pays
     # exactly the one-track penalty
     row8 = HypercubeRow(8)

@@ -282,7 +282,8 @@ class TestCompareCommand:
 
     def test_builds_each_netlist_once(self, monkeypatch):
         # Two placements times two terminal modes: the free netlist that is
-        # routed also feeds the density and wirelength rows.
+        # routed also feeds the wirelength rows, and the density row is the
+        # closed form, which builds none.
         built = []
         real = netlist.build_netlist
 
@@ -438,6 +439,28 @@ GRAY_SLOT_FAULT = (
 )
 
 
+# A terminal-density fault that drops the last (cut, slot) attaining the
+# peak.  Every pair left is still on an intercolumn maximizer, so only the
+# comparison with the oracle's argmax over the slot cuts sees it.
+def _drop_last_peak(real):
+    def patched(row):
+        peak, attained = real(row)
+        return peak, attained[:-1] if row.n >= 16 else attained
+
+    return patched
+
+
+TERMINAL_PEAK_FAULT = (
+    "terminal-density",
+    (netlist, "max_terminal_cut_density"),
+    _drop_last_peak,
+    105,
+    "n=16: peak at [(7, 1), (9, 3), (10, 3), (11, 1)], oracle [(7, 1), (9, 3), (10, 3), (11, 1), (11, 3)],"
+    " non-maximizer cuts []",
+    {"terminal-density"},
+)
+
+
 class TestEveryCheckCanFail:
     @pytest.fixture(autouse=True)
     def fresh_row_tables(self):
@@ -450,7 +473,8 @@ class TestEveryCheckCanFail:
     @pytest.mark.parametrize(
         "name, target, fault, assertions, detail, failing",
         [pytest.param(*case, id=case[0]) for case in CHECK_FAULTS]
-        + [pytest.param(*GRAY_SLOT_FAULT, id="gray-equalities-slot-cut")],
+        + [pytest.param(*GRAY_SLOT_FAULT, id="gray-equalities-slot-cut")]
+        + [pytest.param(*TERMINAL_PEAK_FAULT, id="terminal-density-dropped-peak")],
     )
     def test_fault_is_reported(self, monkeypatch, name, target, fault, assertions, detail, failing):
         module, attr = target

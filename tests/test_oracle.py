@@ -1,11 +1,13 @@
 """The brute-force oracle itself, checked against an even dumber per-cut
 count and its own stated self-consistency rules."""
 
+import re
+
 import pytest
 
 from cuberow.density import HypercubeRow
-from cuberow.errors import TooManyWiresError
-from cuberow.netlist import Placement, TerminalMode, build_netlist, total_wirelength
+from cuberow.errors import LayoutError, TooManyWiresError
+from cuberow.netlist import Netlist, Placement, TerminalMode, build_netlist, total_wirelength
 from cuberow.oracle import (
     brute_link_count,
     brute_maximizers,
@@ -83,6 +85,26 @@ class TestCrossingProfile:
         for cut in range(9):
             assert table.gap(cut) == table.counts[cut * step]
         assert table.node_cut(4, 2) == table.counts[4 * step + 2] == 6
+
+    @pytest.mark.parametrize(
+        "mode, wire, span",
+        [
+            (TerminalMode.DIM_ORDERED, Wire(1, -1, 1, 1, 1), "-2..3"),
+            (TerminalMode.DIM_ORDERED, Wire(1, 0, 9, 1, 1), "1..27"),
+            (TerminalMode.DIM_ORDERED, Wire(1, 0, 1, 5, 1), "5..3"),
+            (TerminalMode.FREE, Wire(1, 2, 5, 1, 1), "9..15"),
+        ],
+        ids=["negative-column", "column-past-the-row", "slot-past-its-partner", "free-past-the-row"],
+    )
+    def test_refuses_a_wire_off_the_row(self, mode, wire, span):
+        # A 4-node row has fine cuts 0..12.  Unchecked, the first span wrapped
+        # to the end of the count list and gave -1 at eight cuts, and the
+        # second raised a bare IndexError.
+        wires = (Wire(1, 0, 1, 1, 1), wire, Wire(2, 1, 3, 2, 2))
+        net = Netlist(HypercubeRow(4), Placement.NORMAL, mode, wires)
+        message = f"^wire {re.escape(str(wire))} crosses fine cuts {span}, not a span within 0..12$"
+        with pytest.raises(LayoutError, match=message):
+            crossing_profile(net)
 
 
 class TestBruteMaximizers:

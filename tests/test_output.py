@@ -221,25 +221,33 @@ def test_stdout_bytes_are_unchanged(command, digest):
     assert hashlib.sha256(stdout_of(*command.split()).encode()).hexdigest() == digest
 
 
-def test_svg_places_any_track_and_slot_by_the_formula():
-    # Hand-made input outside what the router produces: a track below 0 and
-    # terminal slot 0.  Cells are 10 wide and high, so the margin is 20 and
-    # with one track the node row starts at y = 40.
-    wires = (Wire(1, 0, 1, 1, 1), Wire(1, 0, 1, 0, 0))
-    net = Netlist(HypercubeRow(2), Placement.NORMAL, TerminalMode.FREE, wires)
-    svg = render_svg(net, TrackAssignment({wires[0]: -1, wires[1]: 3}, 1, 1), RenderSpec(10, 10))
-    # x = 20 + (col * 2 + slot - 1) * 10 + 5; y = 20 + (1 - 1 - track) * 10 + 5
-    assert 'points="25,40 25,35 45,35 45,40"' in svg
-    assert 'points="15,40 15,-5 35,-5 35,40"' in svg
-
-
 @pytest.mark.parametrize("track", [-1, 2, 3])
 def test_text_refuses_a_track_outside_its_rows(track):
-    # Two tracks draw two rows; a row index below 0 would wrap to another row.
+    # Two tracks draw two rows; a row index below 0 would wrap to another
+    # row, and the svg would draw the wire above or below the picture.
     wires = (Wire(1, 0, 1, 1, 1),)
     net = Netlist(HypercubeRow(2), Placement.NORMAL, TerminalMode.FREE, wires)
-    with pytest.raises(LayoutError, match=f"^track {track} outside 0..1$"):
-        render_text(net, TrackAssignment({wires[0]: track}, 2, 1))
+    for render in (render_text, render_svg):
+        with pytest.raises(LayoutError, match=f"^track {track} outside 0..1$"):
+            render(net, TrackAssignment({wires[0]: track}, 2, 1))
+
+
+@pytest.mark.parametrize(
+    "wire",
+    [Wire(1, 0, 1, 0, 1), Wire(1, 0, 1, 1, 3), Wire(1, -1, 1, 1, 1), Wire(1, 0, 4, 1, 1)],
+    ids=["slot-0", "slot-past-dims", "negative-column", "column-past-the-row"],
+)
+@pytest.mark.parametrize("render", [render_text, render_svg], ids=["text", "svg"])
+def test_renderers_refuse_a_terminal_off_the_row(render, wire):
+    # A 4-node row has columns 0..3 and slots 1..2.  Before the range rule,
+    # the text drawing wrapped slot 0 of column 0 to the last column and
+    # raised IndexError past the row, and the svg drew all four.
+    net = Netlist(HypercubeRow(4), Placement.NORMAL, TerminalMode.FREE, (wire,))
+    assignment = TrackAssignment({wire: 0}, 1, 1)
+    with pytest.raises(LayoutError, match=f"^wire {re.escape(str(wire))} has a terminal off the 4-node row$"):
+        render(net, assignment)
+    # Hidden tracks draw no wire, so none is checked.
+    assert render(net, assignment, RenderSpec(show_tracks=False)).endswith("\n")
 
 
 @pytest.mark.parametrize(
@@ -259,34 +267,6 @@ def test_every_reader_of_an_assignment_names_a_wire_without_a_track(reader):
     by_wire = {w: t for w, t in routed.by_wire.items() if w != missing}
     with pytest.raises(IncompleteAssignmentError, match=re.escape(f"no track assigned to wire {missing}")):
         reader(net, TrackAssignment(by_wire, routed.track_count, routed.density))
-
-
-@pytest.mark.parametrize("cw, ch", [(10, 10), (1, 5), (3, 1), (2, 7)])
-def test_svg_prints_coordinates_off_the_drawing_exactly(cw, ch):
-    # Hand-made terminals left of column 0 and tracks above and below the
-    # one drawn row give coordinates below 0, with halves (-0.5 among them).
-    wires = (Wire(1, 0, 1, -2, 0), Wire(1, 0, 1, -5, 1), Wire(1, 0, 1, 1, 2))
-    tracks = (1, 3, -4)
-    net = Netlist(HypercubeRow(2), Placement.NORMAL, TerminalMode.FREE, wires)
-    svg = render_svg(net, TrackAssignment(dict(zip(wires, tracks)), 1, 1), RenderSpec(cw, ch))
-    margin = 2 * cw
-    node_top = margin + 2 * ch
-
-    def x(col, slot):
-        return margin + (2 * col + slot - 1) * cw + Fraction(cw, 2)
-
-    def y(track):
-        return margin - track * ch + Fraction(ch, 2)
-
-    expected = [
-        [x(w.left_col, w.left_slot), node_top, x(w.left_col, w.left_slot), y(track),
-         x(w.right_col, w.right_slot), y(track), x(w.right_col, w.right_slot), node_top]
-        for w, track in zip(wires, tracks)
-    ]
-    printed = [re.split("[ ,]", points) for points in re.findall(r'points="([^"]*)"', svg)]
-    assert all(re.fullmatch(r"-?(0|[1-9][0-9]*)(\.5)?", text) and text != "-0" for p in printed for text in p)
-    assert [list(map(Fraction, p)) for p in printed] == expected
-    assert min(map(min, expected)) < 0
 
 
 def _svg_sizes():

@@ -15,11 +15,13 @@ import stat
 import sys
 from itertools import islice, repeat, starmap
 
-from cuberow import density, netlist, routing, selfcheck
+# Imported here are only the modules that every command uses: ``route``
+# imports ``render`` and ``check`` imports ``selfcheck``, and with it the
+# oracle, so a launch loads only what its command runs.
+from cuberow import density, netlist, routing
 from cuberow.density import HypercubeRow
 from cuberow.errors import LayoutError
 from cuberow.netlist import Placement, TerminalMode
-from cuberow.render import RenderSpec, render_svg, render_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -250,6 +252,9 @@ def cmd_route(args) -> tuple[_Texts, int]:
     placement = Placement(args.placement)
     mode = TerminalMode(args.mode)
     row = _parse_row(args.n, MAX_ROUTE_NODES)
+    # Every format checks the cell sizes, before anything is routed.
+    from cuberow.render import RenderSpec, render_svg, render_text
+
     spec = RenderSpec(args.cell_width, args.cell_height, show_tracks=not args.hide_tracks)
     net, intervals, assignment = _route(row, placement, mode)
     texts = []
@@ -320,6 +325,8 @@ def cmd_compare(args) -> tuple[_Texts, int]:
 
 
 def cmd_check(args) -> tuple[_Texts, int]:
+    from cuberow import selfcheck
+
     max_n = _parse_row(args.max_n, selfcheck.MAX_COARSE_NODES, "--max-n").n
     lines = []
     total = 0

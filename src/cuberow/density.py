@@ -20,7 +20,7 @@ or dimension that is not an int in range, a bool included, is refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 from cuberow import kernels
@@ -35,19 +35,27 @@ from cuberow.errors import InvalidCutError, InvalidDimensionError, RowSizeError
 MAX_NODES = 2**30
 
 
-@dataclass(frozen=True)
-class HypercubeRow:
-    """A single-row layout instance: ``n = 2**dims >= 2`` nodes, one per column."""
+class HypercubeRow(namedtuple("HypercubeRow", "n")):
+    """A single-row layout instance: ``n = 2**dims >= 2`` nodes, one per column.
 
-    n: int
+    A named tuple ``(n,)``, so it compares equal to the plain tuple.
+    """
 
-    def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise RowSizeError(f"node count must be an integer, got {self.n!r}")
-        if self.n < 2 or self.n & (self.n - 1):
-            raise RowSizeError(f"node count must be a power of two with n >= 2, got {self.n}")
-        if self.n > MAX_NODES:
-            raise RowSizeError(f"node count {self.n} exceeds the supported cap {MAX_NODES}")
+    __slots__ = ()
+
+    def __new__(cls, n: int):
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise RowSizeError(f"node count must be an integer, got {n!r}")
+        if n < 2 or n & (n - 1):
+            raise RowSizeError(f"node count must be a power of two with n >= 2, got {n}")
+        if n > MAX_NODES:
+            raise RowSizeError(f"node count {n} exceeds the supported cap {MAX_NODES}")
+        return tuple.__new__(cls, (n,))
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through here; keep it on the checked path.
+        return cls(*iterable)
 
     @property
     def dims(self) -> int:

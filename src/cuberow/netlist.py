@@ -19,12 +19,11 @@ clear, so the slot-cut formulas here serve gray rows too.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache, partial
 from itertools import accumulate, compress, cycle, islice, repeat
 from operator import add, itemgetter, sub, xor
-from typing import NamedTuple
 
 from cuberow import density
 from cuberow.density import HypercubeRow, _bad_index
@@ -57,12 +56,7 @@ def gray_rank(value: int) -> int:
     return rank
 
 
-class _WireFields(NamedTuple):
-    dim: int
-    left_col: int
-    right_col: int
-    left_slot: int
-    right_slot: int
+_WireFields = namedtuple("_WireFields", "dim left_col right_col left_slot right_slot")
 
 
 class Wire(_WireFields):
@@ -114,24 +108,24 @@ def _choices(placement, mode) -> tuple[Placement, TerminalMode]:
         raise UnknownChoiceError(str(exc)) from None
 
 
-@dataclass(frozen=True)
-class Netlist:
-    """A row's wires under one placement and terminal mode.
+class Netlist(namedtuple("Netlist", "row placement mode wires")):
+    """A row's wires under one placement and terminal mode: a named tuple
+    ``(row, placement, mode, wires)``, with ``wires`` a tuple of :class:`Wire`.
 
     ``placement`` and ``mode`` may be given by their values, such as
     ``"gray"``; they are stored as members, and any other value raises
     :class:`UnknownChoiceError`.
     """
 
-    row: HypercubeRow
-    placement: Placement
-    mode: TerminalMode
-    wires: tuple[Wire, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        placement, mode = _choices(self.placement, self.mode)
-        object.__setattr__(self, "placement", placement)
-        object.__setattr__(self, "mode", mode)
+    def __new__(cls, row: HypercubeRow, placement: Placement, mode: TerminalMode, wires: tuple[Wire, ...]):
+        return tuple.__new__(cls, (row, *_choices(placement, mode), wires))
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through here; keep it on the checked path.
+        return cls(*iterable)
 
 
 def fine_cut_count(row: HypercubeRow) -> int:
@@ -147,6 +141,28 @@ def gap_cut_index(row: HypercubeRow, cut: int) -> int:
 def node_cut_index(row: HypercubeRow, col: int, slot: int) -> int:
     """Fine index of the through-node cut just right of ``slot`` on ``col``."""
     return col * (row.dims + 1) + slot
+
+
+def _check_on_row(row: HypercubeRow, wires) -> None:
+    """Raise :class:`LayoutError` naming the first wire with a column
+    outside ``0..n-1`` or a terminal slot outside ``1..dims``.
+
+    A :class:`Wire`'s left column is below its right one, so one C-level
+    pass per column end and one set test per slot end decide it; the wire
+    at fault is looked for only on failure.
+    """
+    n, slots = row.n, frozenset(range(1, row.dims + 1))
+    if (
+        0 <= min(map(_left_col, wires), default=0)
+        and max(map(_right_col, wires), default=0) < n
+        and slots.issuperset(map(_left_slot, wires))
+        and slots.issuperset(map(_right_slot, wires))
+    ):
+        return
+    for w in wires:
+        _, left, right, left_slot, right_slot = w
+        if not (0 <= left < n and 0 <= right < n and left_slot in slots and right_slot in slots):
+            raise LayoutError(f"wire {w} has a terminal off the {n}-node row")
 
 
 def build_netlist(
@@ -215,9 +231,8 @@ def _row_tables(n: int) -> tuple[list[int], int, int, list[tuple[int, ...]], lis
     # For the last row size asked for: the intercolumn densities, the width
     # h = ceil(dims / 2) of the low half of a node's bits and its mask, and
     # the slot ramps of the low h bits and of the dims - h bits above them.
-    # Keyed on n, not on the row: hashing the frozen dataclass on every call
-    # is slow.  The tables are shared between calls, so none is handed to a
-    # caller.
+    # Keyed on n, not on the row, so a cache hit hashes one int.  The tables
+    # are shared between calls, so none is handed to a caller.
     dims = n.bit_length() - 1
     half = (dims + 1) // 2
     profile = density.cut_density_profile(HypercubeRow(n))

@@ -10,13 +10,13 @@ The oracle is deliberately unclever.  Keep it that way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 from operator import le
 
 from cuberow import kernels
 from cuberow.errors import LayoutError, TooManyWiresError
-from cuberow.netlist import Netlist, TerminalMode, fine_cut_count
+from cuberow.netlist import Netlist, TerminalMode, _check_on_row, fine_cut_count
 
 __all__ = [
     "CrossingTable",
@@ -32,17 +32,15 @@ __all__ = [
 EXACT_SEARCH_WIRES = 24
 
 
-@dataclass(frozen=True)
-class CrossingTable:
-    """Crossing count at every fine cut of a routed row.
+class CrossingTable(namedtuple("CrossingTable", "n dims counts")):
+    """Crossing count at every fine cut of a routed row: a named tuple
+    ``(n, dims, counts)``.
 
     ``counts[f]`` is the number of wires whose crossing range covers fine
     cut ``f``; gap and through-node cuts are addressed via the accessors.
     """
 
-    n: int
-    dims: int
-    counts: tuple[int, ...]
+    __slots__ = ()
 
     def gap(self, cut: int) -> int:
         """Crossings at intercolumn position ``cut`` (0..n)."""
@@ -86,8 +84,9 @@ def _wire_fine_span(wire, step: int, free: bool) -> tuple[int, int]:
 def crossing_profile(net: Netlist) -> CrossingTable:
     """Count, for every fine cut, the wires crossing it, one wire at a time.
 
-    A wire whose fine span does not lie on the row, as a hand-made one may
-    not, raises :class:`LayoutError` naming it.
+    A hand-made wire whose fine span does not lie on the row, or with a
+    column outside ``0..n-1`` or a slot outside ``1..dims``, raises
+    :class:`LayoutError` naming it.
     """
     row = net.row
     step = row.dims + 1
@@ -104,6 +103,7 @@ def crossing_profile(net: Netlist) -> CrossingTable:
     if not (0 <= min(lows, default=0) and max(highs, default=0) < cuts and all(map(le, lows, highs))):
         w, lo, hi = next((w, lo, hi) for w, lo, hi in zip(net.wires, lows, highs) if not 0 <= lo <= hi < cuts)
         raise LayoutError(f"wire {w} crosses fine cuts {lo}..{hi}, not a span within 0..{cuts - 1}")
+    _check_on_row(row, net.wires)
     counts = kernels.accumulate_spans(cuts, lows, highs)
     return CrossingTable(row.n, row.dims, tuple(counts))
 

@@ -4,8 +4,8 @@ Both renderers share one geometry: every node occupies one sub-column per
 terminal slot plus a trailing gap sub-column, tracks are stacked above the
 node row (track 0 nearest the nodes), and each wire is a horizontal segment
 on its track with vertical stubs dropping to its two terminals.  That
-geometry, and the rule that a drawn wire lies on the row, are stated once,
-by :func:`_drawn`.
+geometry, and the rule that a drawn wire lies on the row and on a drawn
+track, are applied once, by :func:`_drawn`.
 
 SVG coordinates are exact at every cell size: a cell centre on a half
 pixel is printed as an integer whole part and ".5", and whether it has
@@ -14,10 +14,10 @@ the half depends only on the parity of the cell size along its axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from cuberow.errors import LayoutError, RenderSizeError
-from cuberow.netlist import Netlist, Placement, gray_code
+from cuberow.netlist import Netlist, Placement, _check_on_row, gray_code
 from cuberow.routing import TrackAssignment, _tracks
 
 MAX_TEXT_COLUMNS = 512
@@ -34,21 +34,23 @@ _DIM_COLORS = (
 )
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    """Rendering knobs; cell sizes apply to SVG output only."""
+class RenderSpec(namedtuple("RenderSpec", "cell_width cell_height show_tracks")):
+    """Rendering knobs, a named tuple ``(cell_width, cell_height,
+    show_tracks)``; cell sizes apply to SVG output only."""
 
-    cell_width: int = 12
-    cell_height: int = 12
-    show_tracks: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, cell_width: int = 12, cell_height: int = 12, show_tracks: bool = True):
         # Plain integers, since the drawing's coordinates are computed exactly
         # in them and printed as they are: a bool would print as "True".
-        if not all(type(size) is int and size > 0 for size in (self.cell_width, self.cell_height)):
-            raise RenderSizeError(
-                f"cell size must be positive integers, got {self.cell_width}x{self.cell_height}"
-            )
+        if not all(type(size) is int and size > 0 for size in (cell_width, cell_height)):
+            raise RenderSizeError(f"cell size must be positive integers, got {cell_width}x{cell_height}")
+        return tuple.__new__(cls, (cell_width, cell_height, show_tracks))
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through here; keep it on the checked path.
+        return cls(*iterable)
 
 
 def _node_label(net: Netlist, col: int) -> str:
@@ -62,22 +64,20 @@ def _drawn(net: Netlist, assignment: TrackAssignment, spec: RenderSpec):
     counted from the top (track 0 is the row nearest the nodes), and the
     sub-columns of its two terminals; terminal ``slot`` of column ``col``
     sits in sub-column ``col * (dims + 1) + slot - 1``.  With tracks hidden
-    there are no rows and no wires.  A wire that is not on the routed row,
-    with a track outside ``0..rows-1``, a column outside ``0..n-1`` or a
-    slot outside ``1..dims``, raises :class:`LayoutError` as it comes.
+    there are no rows and no wires.  A wire with a column outside
+    ``0..n-1`` or a slot outside ``1..dims`` raises :class:`LayoutError`
+    here, and one whose track lies outside ``0..rows-1`` as it comes.
     """
     if not spec.show_tracks:
         return 0, ()
-    rows, wires, n, dims = assignment.track_count, net.wires, net.row.n, net.row.dims
-    step = dims + 1
+    rows, wires = assignment.track_count, net.wires
+    _check_on_row(net.row, wires)
+    step = net.row.dims + 1
 
     def drawn():
-        for w, track in zip(wires, _tracks(assignment, wires)):
-            dim, left, right, left_slot, right_slot = w
+        for (dim, left, right, left_slot, right_slot), track in zip(wires, _tracks(assignment, wires)):
             if not 0 <= track < rows:
                 raise LayoutError(f"track {track} outside 0..{rows - 1}")
-            if not (0 <= left < n and 0 <= right < n and 0 < left_slot <= dims and 0 < right_slot <= dims):
-                raise LayoutError(f"wire {w} has a terminal off the {n}-node row")
             yield dim, rows - 1 - track, left * step + left_slot - 1, right * step + right_slot - 1
 
     return rows, drawn()

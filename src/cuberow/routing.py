@@ -10,18 +10,19 @@ assignment.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import partial
 from heapq import heappop, heappush
 from itertools import count, repeat
 from operator import add, itemgetter, le, mul, sub
-from typing import Iterator, NamedTuple
 
 from cuberow.errors import IncompleteAssignmentError, LayoutError
 from cuberow.netlist import (
     Netlist,
     TerminalMode,
     Wire,
+    _check_on_row,
     _left_col,
     _left_slot,
     _right_col,
@@ -50,10 +51,7 @@ _highs = itemgetter(2)
 _sweep_key = itemgetter(1, 2, 0)
 
 
-class _IntervalFields(NamedTuple):
-    wire: Wire
-    lo: int
-    hi: int
+_IntervalFields = namedtuple("_IntervalFields", "wire lo hi")
 
 
 class IntervalWire(_IntervalFields):
@@ -85,21 +83,22 @@ class IntervalWire(_IntervalFields):
 _new_interval = partial(tuple.__new__, IntervalWire)
 
 
-@dataclass(frozen=True)
-class TrackAssignment:
-    """Wire -> 0-based track index, with the realized track count."""
+class TrackAssignment(namedtuple("TrackAssignment", "by_wire track_count density")):
+    """Wire -> 0-based track index, with the realized track count: a named
+    tuple ``(by_wire, track_count, density)``, ``by_wire`` a dict keyed by
+    :class:`Wire`."""
 
-    by_wire: dict[Wire, int]
-    track_count: int
-    density: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RouteCertificate:
-    ok: bool
-    reason: str = "ok"
-    detail: str = ""
-    offenders: tuple[Wire, ...] = field(default=())
+class RouteCertificate(
+    namedtuple("RouteCertificate", "ok reason detail offenders", defaults=("ok", "", ()))
+):
+    """The verdict of :func:`verify_assignment`: a named tuple ``(ok, reason,
+    detail, offenders)``, whose last three default to ``"ok"``, ``""`` and
+    ``()``."""
+
+    __slots__ = ()
 
 
 def _tracks(assignment: TrackAssignment, wires) -> Iterator[int]:
@@ -119,6 +118,9 @@ def wire_intervals(net: Netlist) -> list[IntervalWire]:
     the range runs from just right of the wire's left terminal through the
     cut just left of its right terminal, covering the through-node cuts its
     overhead portion blocks at both endpoint nodes.
+
+    A wire with an empty range, or with a column outside ``0..n-1`` or a
+    slot outside ``1..dims``, raises :class:`LayoutError` naming it.
     """
     # Fine index of gap ``cut`` is cut * step, of slot ``s`` on column
     # ``col`` is col * step + s (see cuberow.netlist).
@@ -135,6 +137,7 @@ def wire_intervals(net: Netlist) -> list[IntervalWire]:
     if not all(map(le, lows, highs)):
         for fields in zip(wires, lows, highs):
             IntervalWire(*fields)  # raises for the first empty range
+    _check_on_row(net.row, wires)
     return list(map(_new_interval, zip(wires, lows, highs)))
 
 

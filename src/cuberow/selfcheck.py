@@ -9,8 +9,8 @@ one line per check.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
+from collections.abc import Callable
 
 from cuberow import density, netlist, oracle, routing
 from cuberow.density import HypercubeRow
@@ -23,13 +23,12 @@ MAX_COARSE_NODES = 2**12
 MAX_FINE_NODES = 2**10
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    name: str
-    passed: bool
-    assertions: int
-    detail: str = ""
-    up_to: int = 0  # the largest row the sweep was allowed; 0 if not recorded
+class CheckOutcome(namedtuple("CheckOutcome", "name passed assertions detail up_to", defaults=("", 0))):
+    """One check's result: a named tuple ``(name, passed, assertions,
+    detail, up_to)``; ``up_to`` is the largest row the sweep was allowed,
+    0 if not recorded."""
+
+    __slots__ = ()
 
 
 class _Mismatch(Exception):

@@ -755,6 +755,67 @@ class TestEveryErrorIsRaised:
         assert sorted(_raised_names(ast.parse(source))) == ["A", "B", "C"]
 
 
+def _imported_modules(nodes):
+    """The dotted name of every module the import statements among
+    ``nodes`` load: ``import a.b`` loads ``a.b``, and ``from a import b``
+    loads ``a`` and, if ``b`` is a submodule, ``a.b``."""
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def _module_level(tree: ast.AST):
+    """The nodes that run when the module is imported: everything outside
+    function bodies, class bodies included."""
+    for node in ast.iter_child_nodes(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield node
+            yield from _module_level(node)
+
+
+# Modules that no package module imports: ``dataclasses`` brings in
+# ``inspect`` and ``ast``, and ``typing`` is not needed for a named tuple.
+_NEVER_IMPORTED = {"dataclasses", "typing"}
+# Modules that only the commands using them import, not ``cli`` itself.
+_COMMAND_IMPORTS = {"cuberow.render", "cuberow.selfcheck"}
+
+
+class TestStartUpImports:
+    def test_no_module_imports_dataclasses_or_typing(self):
+        strays = []
+        for path in sorted(Path(cuberow.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            names = _imported_modules(ast.walk(tree))
+            strays += [f"{path.name}: {name}" for name in names if name.partition(".")[0] in _NEVER_IMPORTED]
+        assert strays == []
+
+    def test_cli_imports_render_and_selfcheck_only_in_its_commands(self):
+        tree = ast.parse((Path(cuberow.__file__).parent / "cli.py").read_text())
+        at_import = set(_imported_modules(_module_level(tree)))
+        assert "cuberow.routing" in at_import  # the rule still reads cli's imports
+        assert at_import & _COMMAND_IMPORTS == set()
+        assert _COMMAND_IMPORTS <= set(_imported_modules(ast.walk(tree)))
+
+    def test_the_rule_catches_each_kind_of_import(self):
+        source = (
+            "import dataclasses\nfrom typing import Callable\nimport cuberow.render\n"
+            "from cuberow import selfcheck, density\n"
+            "class C:\n    import json\n"
+            "def f():\n    from cuberow import oracle\n"
+            "if True:\n    import csv\n"
+        )
+        tree = ast.parse(source)
+        at_import = sorted(_imported_modules(_module_level(tree)))
+        assert at_import == [
+            "csv", "cuberow", "cuberow.density", "cuberow.render", "cuberow.selfcheck",
+            "dataclasses", "json", "typing", "typing.Callable",
+        ]
+        assert set(_imported_modules(ast.walk(tree))) - set(at_import) == {"cuberow.oracle"}
+
+
 class TestInternalErrorPath:
     def test_verification_failure_exits_3(self, monkeypatch):
         from cuberow import cli
@@ -833,6 +894,8 @@ class TestIntegerArguments:
         assert f"error: argument {argv[-1]}: expected ASCII digits, got {value!r}" in err.getvalue()
 
     def test_zero_cell_width_reaches_the_render_check(self):
-        code, _, err = run_cli("route", "--n", "8", "--cell-width", "0")
-        assert code == EXIT_USAGE
-        assert err.startswith("cuberow: error: cell size must be positive")
+        # Every format checks the cell sizes, though only svg draws with them.
+        for fmt in ("text", "svg", "json", "csv"):
+            code, _, err = run_cli("route", "--n", "8", "--format", fmt, "--cell-width", "0")
+            assert code == EXIT_USAGE
+            assert err.startswith("cuberow: error: cell size must be positive")

@@ -107,6 +107,26 @@ class TestCrossingProfile:
             crossing_profile(net)
 
 
+    @pytest.mark.parametrize(
+        "mode, wire",
+        [
+            (TerminalMode.FREE, Wire(1, -1, 1, 1, 1)),
+            (TerminalMode.DIM_ORDERED, Wire(1, 1, 2, 0, 1)),
+            (TerminalMode.FREE, Wire(1, 2, 4, 1, 1)),
+            (TerminalMode.DIM_ORDERED, Wire(1, 0, 1, 3, 1)),
+        ],
+        ids=["negative-column", "slot-0", "column-past-the-row", "slot-past-dims"],
+    )
+    def test_refuses_a_terminal_off_the_row_with_a_span_on_it(self, mode, wire):
+        # Fine spans 0..3, 3..6, 9..12 and 3..3 all lie within the 4-node
+        # row's cuts 0..12, so the span rule lets each wire through and it
+        # would be counted.
+        wires = (Wire(1, 0, 1, 1, 1), wire, Wire(2, 1, 3, 2, 2))
+        net = Netlist(HypercubeRow(4), Placement.NORMAL, mode, wires)
+        with pytest.raises(LayoutError, match=f"^wire {re.escape(str(wire))} has a terminal off the 4-node row$"):
+            crossing_profile(net)
+
+
 class TestBruteMaximizers:
     def test_frozen_examples(self):
         assert brute_maximizers(build_netlist(HypercubeRow(8))) == [3, 5]

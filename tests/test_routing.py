@@ -87,6 +87,26 @@ class TestWireIntervals:
         with pytest.raises(LayoutError, match=re.escape(f"empty crossing range {shown}")):
             wire_intervals(net)
 
+    @pytest.mark.parametrize(
+        "mode, wire",
+        [
+            (TerminalMode.DIM_ORDERED, Wire(1, -1, 1, 1, 1)),
+            (TerminalMode.FREE, Wire(1, -1, 1, 1, 1)),
+            (TerminalMode.DIM_ORDERED, Wire(1, 0, 4, 1, 1)),
+            (TerminalMode.DIM_ORDERED, Wire(1, 0, 1, 1, 3)),
+            (TerminalMode.FREE, Wire(1, 0, 1, 0, 1)),
+        ],
+        ids=["negative-column", "free-negative-column", "column-past-the-row", "slot-past-dims", "slot-0"],
+    )
+    def test_refuses_a_terminal_off_the_row(self, mode, wire):
+        # A 4-node row has columns 0..3 and slots 1..2.  Each wire's interval
+        # is non-empty (-2..3, 0..3, 1..12, 1..5 and 3..3), so unchecked the
+        # router routed it, the certificate passed it and the dump printed
+        # its column as given.
+        net = Netlist(HypercubeRow(4), Placement.NORMAL, mode, (Wire(1, 0, 1, 1, 1), wire))
+        with pytest.raises(LayoutError, match=f"^wire {re.escape(str(wire))} has a terminal off the 4-node row$"):
+            wire_intervals(net)
+
     @pytest.mark.parametrize("mode", list(TerminalMode))
     def test_intervals_follow_the_netlist_order(self, mode):
         net = build_netlist(HypercubeRow(64), Placement.GRAY, mode)

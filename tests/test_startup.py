@@ -1,0 +1,122 @@
+"""What a launch imports, the package's lazily resolved names, and the
+named-tuple records."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cuberow
+from cuberow.density import HypercubeRow
+from cuberow.errors import RenderSizeError, RowSizeError, UnknownChoiceError
+from cuberow.netlist import Netlist, Placement, TerminalMode, build_netlist
+from cuberow.oracle import CrossingTable, crossing_profile
+from cuberow.render import RenderSpec
+from cuberow.routing import RouteCertificate, left_edge_route, verify_assignment, wire_intervals
+from cuberow.selfcheck import CheckOutcome
+
+# Run in a fresh interpreter, since this one has imported every module.
+# It prints the modules that each import added to sys.modules.
+_PROBE = """
+import sys
+before = set(sys.modules)
+import cuberow
+package = set(sys.modules) - before
+import cuberow.cli
+cli = set(sys.modules) - before - package
+print(sorted(package))
+print(sorted(cli))
+"""
+
+
+def _child_imports():
+    source = str(Path(cuberow.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _PROBE], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    return [set(ast.literal_eval(line)) for line in result.stdout.splitlines()]
+
+
+class TestStartUp:
+    def test_a_launch_imports_only_what_its_command_runs(self):
+        package, cli = _child_imports()
+        assert package == {"cuberow"}
+        assert "cuberow.cli" in cli and "cuberow.routing" in cli  # the probe sees the imports
+        assert cli & {"cuberow.render", "cuberow.selfcheck", "cuberow.oracle", "dataclasses"} == set()
+
+    def test_every_public_name_resolves(self):
+        for name in cuberow.__all__:
+            value = getattr(cuberow, name)
+            assert getattr(sys.modules[value.__module__], name) is value
+        assert set(cuberow.__all__) <= set(dir(cuberow))
+        assert len(cuberow.__all__) == len(set(cuberow.__all__)) == 46
+
+    def test_star_import_and_submodules(self):
+        names = {}
+        exec("from cuberow import *", names)
+        assert set(names) - {"__builtins__"} == set(cuberow.__all__)
+        assert cuberow.netlist.build_netlist is cuberow.build_netlist
+        assert cuberow.__version__ == "0.1.0"
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        assert getattr(cuberow, "kernel_backend", "none") == "none"
+        with pytest.raises(AttributeError, match="has no attribute 'kernel_backend'"):
+            cuberow.kernel_backend
+
+
+def _records():
+    row = HypercubeRow(8)
+    net = build_netlist(row, Placement.GRAY)
+    intervals = wire_intervals(net)
+    assignment = left_edge_route(intervals)
+    yield row, (8,)
+    yield net, (row, Placement.GRAY, TerminalMode.FREE, net.wires)
+    yield assignment, (assignment.by_wire, 5, 5)
+    yield verify_assignment(intervals, assignment), (True, "ok", "", ())
+    yield crossing_profile(net), (8, 3, crossing_profile(net).counts)
+    yield CheckOutcome("rigged", True, 3), ("rigged", True, 3, "", 0)
+    yield RenderSpec(), (12, 12, True)
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record, fields", list(_records()), ids=lambda x: type(x).__name__)
+    def test_a_record_is_a_named_tuple_of_its_fields(self, record, fields):
+        assert record == fields and tuple(record) == fields
+        assert type(record)(*fields) == record and repr(record).startswith(f"{type(record).__name__}(")
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+    def test_records_of_equal_fields_are_equal(self):
+        assert HypercubeRow(8) == HypercubeRow(8) != HypercubeRow(16)
+        assert hash(HypercubeRow(8)) == hash((8,))
+        assert RouteCertificate(False, "overlap") == (False, "overlap", "", ())
+        assert CrossingTable(2, 1, (0, 0, 1, 0, 0)) == crossing_profile(build_netlist(HypercubeRow(2)))
+
+    @pytest.mark.parametrize(
+        "make, error",
+        [
+            (lambda: HypercubeRow(7), RowSizeError),
+            (lambda: HypercubeRow(True), RowSizeError),
+            (lambda: HypercubeRow(8)._replace(n=7), RowSizeError),
+            (lambda: RenderSpec(True, 5), RenderSizeError),
+            (lambda: RenderSpec(cell_height=0), RenderSizeError),
+            (lambda: RenderSpec()._replace(cell_width=0), RenderSizeError),
+            (lambda: Netlist(HypercubeRow(2), "grey", "free", ()), UnknownChoiceError),
+            (lambda: build_netlist(HypercubeRow(2))._replace(mode="ordered"), UnknownChoiceError),
+        ],
+        ids=["row-7", "row-bool", "row-replace", "spec-bool", "spec-zero", "spec-replace", "netlist", "netlist-replace"],
+    )
+    def test_a_checked_record_is_checked_on_every_path(self, make, error):
+        with pytest.raises(error):
+            make()
+
+    def test_a_netlist_stores_members_for_values(self):
+        net = build_netlist(HypercubeRow(2))._replace(placement="gray")
+        assert net.placement is Placement.GRAY and net.mode is TerminalMode.FREE

@@ -13,12 +13,14 @@ import json
 import os
 import stat
 import sys
-from itertools import islice, repeat, starmap
+from collections.abc import Iterable, Iterator
+from functools import partial
+from itertools import chain, islice, repeat, starmap
 
 # Imported here are only the modules that every command uses: ``route``
 # imports ``render`` and ``check`` imports ``selfcheck``, and with it the
 # oracle, so a launch loads only what its command runs.
-from cuberow import density, netlist, routing
+from cuberow import density, kernels, netlist, routing
 from cuberow.density import HypercubeRow
 from cuberow.errors import LayoutError
 from cuberow.netlist import Placement, TerminalMode
@@ -37,8 +39,9 @@ class UsageError(Exception):
     pass
 
 
-# A command's output: (path, chunks) pairs, with None for stdout.
-_Texts = list[tuple[str | None, list[str]]]
+# A command's output: (path, chunks) pairs, with None for stdout.  The
+# chunks may be made as the writer drains them.
+_Texts = list[tuple[str | None, Iterable[str]]]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,17 +66,18 @@ def _regular_file(fd: int) -> tuple[int, int] | None:
 
 
 def _write(texts: _Texts) -> None:
-    """Write each text, a list of chunks, to the file its path names, or to
-    stdout for None.
+    """Write each text, an iterable of chunks, to the file its path names,
+    or to stdout for None.
 
     Every file is opened in append mode, which changes none, before any is
     written, and stdout is written last.  One ``fstat`` of each handle says
     whether it is a regular file, which is truncated as "w" would, and which
     file it is: a regular file opened twice, or opened while stdout writes
     to it, would keep only one of its texts, so that is an error naming both
-    paths.  A device or pipe may be named more than once.  If an open or a
-    write fails, or a file is named twice, the files this call created are
-    removed.
+    paths.  A device or pipe may be named more than once.  On any exception
+    but a broken pipe, the files this call created are removed; an open or
+    a write that fails becomes a ``UsageError``, and any other exception,
+    such as one raised while a text's chunks are made, is re-raised as it is.
     """
     stdout = next((chunks for path, chunks in texts if path is None), None)
     opened, files, owners, path = [], [], {}, None
@@ -110,12 +114,12 @@ def _write(texts: _Texts) -> None:
             sys.stdout.flush()
     except BrokenPipeError:
         raise
-    except (OSError, UsageError) as exc:
+    except BaseException as exc:
         for handle, created in opened:
             handle.close()
             if created is not None:
                 os.remove(created)
-        if isinstance(exc, UsageError):
+        if not isinstance(exc, OSError):
             raise
         where = "stdout" if path is None else path
         raise UsageError(f"cannot write {where}: {exc.strerror or exc}") from None
@@ -133,62 +137,86 @@ _CHUNK = 2**16
 _TABLE_ROWS = 2**12
 
 
-def _json_text(doc: dict) -> list[str]:
+class _Stream:
+    """A document's list of scalars, given as the non-empty lists that
+    ``blocks()`` yields; each iteration calls it anew, so the list is never
+    held whole."""
+
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+
+    def __iter__(self):
+        return self.blocks()
+
+
+def _json_text(doc: dict) -> Iterator[str]:
     """The chunks of ``json.dumps(doc, indent=2) + "\\n"``, byte for byte,
-    for a command's document.
+    for a command's document, made as they are drained.
 
     ``doc`` is a non-empty dict with str keys, and each value is one of four
     kinds: a scalar or an empty container; a dict of scalars, encoded in one
-    call; a list of scalars, encoded in one call per ``_CHUNK`` items; or a
-    list of dicts whose values are all ints and whose keys come in one
-    order, formatted one record at a time and joined ``_TABLE_ROWS`` records
-    to a chunk.  The chunks are never joined into one string.
+    call; a list of scalars, encoded in one call per ``_CHUNK`` items, or a
+    ``_Stream``, encoded in one call per block, each written as a list of
+    its items; or a list of dicts whose values are all ints and whose keys
+    come in one order, formatted one record at a time and joined
+    ``_TABLE_ROWS`` records to a chunk.  No chunk is kept once it is
+    yielded, and none is joined into one string.
     """
-    parts, separator = ["{"], "\n  "
+    yield "{"
+    separator = "\n  "
     for key, value in doc.items():
-        parts.append(f"{separator}{_scalar_text(key)}: ")
+        yield f"{separator}{_scalar_text(key)}: "
         separator = ",\n  "
-        if not value or not isinstance(value, (list, dict)):
-            parts.append(_scalar_text(value))
+        if isinstance(value, _Stream):
+            yield from _list_text(value)
+        elif not value or not isinstance(value, (list, dict)):
+            yield _scalar_text(value)
         elif isinstance(value, dict):
-            parts += ("{\n    ", _items_text(value)[1:-1], "\n  }")
+            yield from ("{\n    ", _items_text(value)[1:-1], "\n  }")
         elif isinstance(value[0], dict):
             # One format call per record, its separator included; an int's
             # text is its str().  '"key": ' as the encoder writes it, with
             # the braces escaped for format.
             names = (_scalar_text(name).replace("{", "{{").replace("}", "}}") for name in value[0])
-            record = "{{" + ",".join(f"\n      {name}: {{}}" for name in names) + "\n    }},\n    "
+            record = ",\n    {{" + ",".join(f"\n      {name}: {{}}" for name in names) + "\n    }}"
             records = starmap(record.format, map(dict.values, value))
-            parts.append("[\n    ")
-            parts += iter(lambda: "".join(islice(records, _TABLE_ROWS)), "")
-            parts[-1] = parts[-1].removesuffix(",\n    ")
-            parts.append("\n  ]")
+            chunks = iter(lambda: "".join(islice(records, _TABLE_ROWS)), "")
+            # The first record's comma becomes the list's bracket.
+            yield "[" + next(chunks)[1:]
+            yield from chunks
+            yield "\n  ]"
         else:
             # One slice at a time, so no text of a long list is made whole.
-            opener = "[\n    "
-            for start in range(0, len(value), _CHUNK):
-                parts += (opener, _items_text(value[start : start + _CHUNK])[1:-1])
-                opener = ",\n    "
-            parts.append("\n  ]")
-    parts.append("\n}\n")
-    return parts
+            yield from _list_text(value[start : start + _CHUNK] for start in range(0, len(value), _CHUNK))
+    yield "\n}\n"
+
+
+def _list_text(blocks: Iterable[list]) -> Iterator[str]:
+    # A list of scalars one level into a document, from its non-empty blocks.
+    opener = "[\n    "
+    for block in blocks:
+        yield opener
+        yield _items_text(block)[1:-1]
+        opener = ",\n    "
+    yield "\n  ]"
 
 
 def _density_data(row: HypercubeRow, placement: Placement, mode: TerminalMode) -> dict:
     """The JSON density document, with ``tracks`` None, from the closed forms.
 
-    A gray row has the normal row's crossing count at every cut (see
-    :mod:`cuberow.density`), so both placements take the same formulas.
+    Its ``profile`` is a ``_Stream`` of the interior cuts' densities in
+    blocks of ``_CHUNK`` cuts, each made from the one before as it is
+    written.  A gray row has the normal row's crossing count at every cut
+    (see :mod:`cuberow.density`), so both placements take the same formulas.
     """
-    profile = density.cut_density_profile(row)
-    # The profile is a fresh list per call, so trim in place.
-    del profile[row.n :], profile[0]
     cuts = density.max_density_cuts(row)
     return {
         "n": row.n,
         "placement": placement.value,
         "mode": mode.value,
-        "profile": profile,
+        "profile": _Stream(partial(kernels._profile_blocks, row.n, _CHUNK)),
         "m": density.max_cut_density(row),
         "p": cuts[0],
         "maximizers": cuts,
@@ -228,13 +256,13 @@ def cmd_density(args) -> tuple[_Texts, int]:
         summary = [f"m = {peak}   p = {first}   maximizers: {shown}"]
         if terminal_max is not None:
             summary.append(f"peak terminal density: {terminal_max}")
-    # Each slot row becomes part of its line as it is computed, and the lines
-    # are joined one block of rows at a time, so no str per row is held.
-    table_rows = zip(enumerate(doc["profile"], start=1), terminal_rows)
+    # Each profile value and slot row becomes part of its line as it is
+    # computed, and the lines are joined one block of rows at a time as the
+    # writer drains them, so neither the profile nor the text is held whole.
+    table_rows = zip(enumerate(chain.from_iterable(doc["profile"]), start=1), terminal_rows)
     lines = (row_format(cut, value, *slots) for (cut, value), slots in table_rows)
-    chunks = [row_format("i", "S", *slot_headers)]
-    chunks += iter(lambda: "".join(islice(lines, _TABLE_ROWS)), "")
-    chunks.append("\n".join(summary) + "\n")
+    body = iter(lambda: "".join(islice(lines, _TABLE_ROWS)), "")
+    chunks = chain([row_format("i", "S", *slot_headers)], body, ["\n".join(summary) + "\n"])
     return [(args.out, chunks)], EXIT_OK
 
 

@@ -7,7 +7,9 @@ valid here: every ``n`` is a power of two.
 
 from __future__ import annotations
 
-from itertools import accumulate, islice
+from collections.abc import Iterator
+from itertools import accumulate, islice, repeat
+from operator import add
 
 
 def accumulate_spans(num_cuts: int, lows: list[int], highs: list[int]) -> list[int]:
@@ -28,20 +30,48 @@ def accumulate_spans(num_cuts: int, lows: list[int], highs: list[int]) -> list[i
 def density_profile(n: int) -> list[int]:
     """Crossing count at every intercolumn cut 0..n of an n-node row.
 
-    Column ``i`` sends ``dims - popcount(i)`` wires to the right and receives
-    ``popcount(i)`` from the left, so ``S(i+1) = S(i) + dims - 2*popcount(i)``
-    starting from ``S(0) = 0``.  The recurrence runs over the cuts up to
-    ``n/2`` only; the rest of the list is their mirror ``S(n - i) = S(i)``,
-    holding the very same int objects, so the second half costs neither
-    arithmetic nor int memory.
+    The cuts up to ``n/2`` are the first block of :func:`_profile_blocks`;
+    the rest of the list is their mirror ``S(n - i) = S(i)``, holding the
+    very same int objects, so the second half costs neither arithmetic nor
+    int memory.
     """
-    dims = n.bit_length() - 1
     half = n // 2
-    profile = list(accumulate((dims - 2 * i.bit_count() for i in range(half)), initial=0))
+    profile = next(_profile_blocks(n, half)) if half else []
+    profile.insert(0, 0)
     # The middle cut is its own mirror, so it is not repeated; a one-node
     # row has no middle cut and mirrors its only entry.
     profile.extend(islice(reversed(profile), 1 - n % 2, None))
     return profile
+
+
+def _profile_blocks(n: int, size: int) -> Iterator[list[int]]:
+    """The crossing counts at the interior cuts 1..n-1 of an n-node row
+    (n >= 2), yielded in order as lists of 1 to ``size`` cuts, where
+    ``size`` is a power of two.
+
+    Column ``i`` sends ``dims - popcount(i)`` wires to the right and receives
+    ``popcount(i)`` from the left, so ``S(i+1) = S(i) + dims - 2*popcount(i)``
+    starting from ``S(0) = 0``.  A block covers the cuts past ``a``, a
+    multiple of its width, and for ``j`` below the width
+    ``popcount(a + j) = popcount(a) + popcount(j)``: each block is one step
+    table, made once per row, shifted by ``-2*popcount(a)`` and summed from
+    ``S(a)``, with no Python call per cut.  A caller that drops each block
+    before the next holds O(size) memory for the whole row.
+    """
+    dims = n.bit_length() - 1
+    width = min(size, n)
+    steps = [dims - 2 * j.bit_count() for j in range(width)]
+    count = 0
+    for start in range(0, n, width):
+        shift = -2 * start.bit_count()
+        # The list form reads only the first block, which needs no shift.
+        block = list(accumulate(map(add, steps, repeat(shift)) if shift else steps, initial=count))
+        del block[0]
+        count = block[-1]
+        if start + width == n:
+            block.pop()  # the outer cut n
+        if block:
+            yield block
 
 
 def bitsum_profile(n: int) -> list[int]:

@@ -36,13 +36,16 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_module(*argv, **kwargs):
-    """Run ``python -m cuberow`` in a child process that imports the same
-    package as these tests, whether or not the caller's PYTHONPATH names it."""
+def child_env():
+    """The environment of a child process that imports the same package as
+    these tests, whether or not the caller's PYTHONPATH names it."""
     source = str(Path(cuberow.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, "-m", "cuberow", *argv], env=env, text=True, **kwargs)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
+
+
+def run_module(*argv, **kwargs):
+    """Run ``python -m cuberow`` in a child process (see :func:`child_env`)."""
+    return subprocess.run([sys.executable, "-m", "cuberow", *argv], env=child_env(), text=True, **kwargs)
 
 
 class TestDensityCommand:
@@ -831,6 +834,23 @@ class TestInternalErrorPath:
         assert out == ""
         assert err == "cuberow: internal error: RuntimeError: routing verification failed: overlap rigged\n"
 
+    def test_a_text_that_raises_while_written_leaves_no_created_file(self, monkeypatch, tmp_path):
+        from cuberow import cli
+
+        def failing(*_):
+            yield "x" * 2**20  # past the file's buffer, so part of it reaches the disk
+            raise RuntimeError("rigged")
+
+        target = tmp_path / "out.json"
+        with pytest.raises(RuntimeError, match="^rigged$"):
+            cli._write([(str(target), failing())])
+        assert os.listdir(tmp_path) == []
+        monkeypatch.setattr(cli, "_json_text", failing)
+        code, out, err = run_cli("density", "--n", "8", "--format", "json", "--out", str(target))
+        assert (code, out) == (EXIT_INTERNAL, "")
+        assert err == "cuberow: internal error: RuntimeError: rigged\n"
+        assert os.listdir(tmp_path) == []
+
 
 class TestRowSize:
     @pytest.mark.parametrize(
@@ -871,6 +891,31 @@ class TestProcessLevel:
     def test_usage_error_exit_code(self):
         result = run_module("density", "--n", "8", "--format", "bogus", capture_output=True)
         assert result.returncode == EXIT_USAGE
+
+    @pytest.mark.skipif(not hasattr(os, "posix_spawn"), reason="needs os.posix_spawn and os.wait4")
+    def test_the_largest_density_document_is_written_in_blocks(self):
+        # Linux floors a child's peak RSS at its spawner's, so the command is
+        # spawned by a bare `python -S`, not by this process.  Holding the
+        # whole 2^20-cut profile and its text took the command to 55.5 MB;
+        # streamed, it peaks near 23 MB.
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", _SPAWNER, "density", "--n", str(2**20), "--format", "json"],
+            env=child_env(), capture_output=True, text=True,
+        )
+        code, peak_kib = map(int, result.stdout.split())
+        assert code == EXIT_OK, result.stderr
+        assert peak_kib < 32 * 1024
+
+
+# Spawns ``python -m cuberow ARGS`` with stdout on the null device and
+# prints its exit code and peak RSS in KiB.
+_SPAWNER = """
+import os, sys
+argv = [sys.executable, "-m", "cuberow", *sys.argv[1:]]
+null = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ, file_actions=null), 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
 
 
 class TestIntegerArguments:

@@ -1,11 +1,13 @@
 """The batch kernels on small inputs and against each other."""
 
-from itertools import accumulate
+from itertools import accumulate, chain
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cuberow import kernels
+from cuberow import cli, kernels
+from cuberow.density import HypercubeRow, cut_density_profile
 
 
 class TestAccumulateSpans:
@@ -45,6 +47,20 @@ class TestProfiles:
             summed = kernels.density_profile(n)
             bitsum = kernels.bitsum_profile(n)
             assert summed[1:n] == bitsum[1:n]
+
+
+class TestProfileBlocks:
+    # Block sizes from one cut up to the CLI's, on rows from one block up to
+    # many: a block wider than half the row, a block that ends at n/2, the
+    # last block, which drops the outer cut n, and n = 2, whose last block
+    # of size 1 would be that cut alone.
+    @pytest.mark.parametrize("size, top", [(1, 2**10), (2, 2**10), (4, 2**10), (cli._CHUNK, 2**18)])
+    def test_blocks_join_to_the_interior_profile(self, size, top):
+        for d in range(1, top.bit_length()):
+            n = 2**d
+            blocks = list(kernels._profile_blocks(n, size))
+            assert all(0 < len(block) <= size for block in blocks)
+            assert list(chain.from_iterable(blocks)) == cut_density_profile(HypercubeRow(n))[1:n]
 
 
 class TestExcessAbove:

@@ -6,8 +6,10 @@ import hashlib
 import io
 import json
 import re
+from collections.abc import Iterator
 from contextlib import redirect_stdout
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given
@@ -110,8 +112,10 @@ def _long_lists():
 
 @pytest.mark.parametrize("value", [value for _, value in _long_lists()], ids=[name for name, _ in _long_lists()])
 def test_long_scalar_lists_are_encoded_in_chunks(value):
-    chunks = cli._json_text(value)
-    assert isinstance(chunks, list) and "".join(chunks) == _reference(value)
+    stream = cli._json_text(value)
+    assert isinstance(stream, Iterator) and not isinstance(stream, str)
+    chunks = list(stream)
+    assert "".join(chunks) == _reference(value)
     # A raw newline only comes from an item separator, so no chunk holds
     # more than _CHUNK items.
     assert max(chunk.count("\n") for chunk in chunks) < cli._CHUNK
@@ -119,7 +123,7 @@ def test_long_scalar_lists_are_encoded_in_chunks(value):
 
 def test_a_long_dict_is_encoded_whole():
     value = {"normal": {f"k{i}": i for i in range(cli._CHUNK + 1)}}
-    chunks = cli._json_text(value)
+    chunks = list(cli._json_text(value))
     assert "".join(chunks) == _reference(value)
     assert max(chunk.count("\n") for chunk in chunks) == cli._CHUNK
 
@@ -141,7 +145,18 @@ def _payload_and_stdout(monkeypatch, *argv):
     monkeypatch.setattr(cli, "_json_text", recording)
     out = stdout_of(*argv)
     assert len(payloads) == 1
-    return payloads[0], out
+    # A streamed profile is walked once more, into the list json.dumps takes.
+    payload = payloads[0]
+    streams = {key: list(chain.from_iterable(v)) for key, v in payload.items() if isinstance(v, cli._Stream)}
+    return {**payload, **streams}, out
+
+
+@given(st.lists(st.lists(_scalars | _tricky, min_size=1), min_size=1), _records)
+def test_a_streamed_list_beside_a_record_list_matches_json_dumps(blocks, records):
+    # Shaped like route json: a streamed profile among scalars, then the wires.
+    doc = {"n": 8, "profile": cli._Stream(lambda: iter(blocks)), "m": 5, "maximizers": [3, 5], "wires": records}
+    listed = {**doc, "profile": list(chain.from_iterable(blocks))}
+    assert "".join(cli._json_text(doc)) == _reference(listed)
 
 
 @pytest.mark.parametrize("n", [2, 8, 64, 1024])

@@ -7,24 +7,26 @@ valid here: every ``n`` is a power of two.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import accumulate, islice, repeat
 from operator import add
 
 
-def accumulate_spans(num_cuts: int, lows: list[int], highs: list[int]) -> list[int]:
-    """Coverage count at each cut index for inclusive ranges [low, high].
+def accumulate_spans(num_cuts: int, spans: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Coverage count at each cut index for inclusive ranges ``(low, high)``.
 
     Difference array: every range adds 1 at its low end and removes it just
     past its high end, then a prefix sum recovers the per-cut totals.
-    Requires 0 <= low <= high < num_cuts for every range.
+    ``spans`` is read once, so a generator that checks each range as it
+    yields it costs no list.  Requires 0 <= low <= high < num_cuts for
+    every range.
     """
     diff = [0] * (num_cuts + 1)
-    for low, high in zip(lows, highs):
+    for low, high in spans:
         diff[low] += 1
         diff[high + 1] -= 1
     diff.pop()
-    return list(accumulate(diff))
+    return tuple(accumulate(diff))
 
 
 def density_profile(n: int) -> list[int]:

@@ -11,8 +11,8 @@ The oracle is deliberately unclever.  Keep it that way.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from itertools import accumulate
-from operator import le
 
 from cuberow import kernels
 from cuberow.errors import LayoutError, TooManyWiresError
@@ -69,43 +69,42 @@ class CrossingTable(namedtuple("CrossingTable", "n dims counts")):
         return max(self.counts, default=0)
 
 
-def _wire_fine_span(wire, step: int, free: bool) -> tuple[int, int]:
-    # The oracle's own statement of what a wire blocks.  Free terminals: just
-    # the gaps strictly between the endpoint columns.  Pinned terminals: the
-    # wire is overhead from right of its left slot to left of its right slot.
-    if free:
-        return (wire.left_col + 1) * step, wire.right_col * step
-    return (
-        wire.left_col * step + wire.left_slot,
-        wire.right_col * step + wire.right_slot - 1,
-    )
+def _fine_spans(net: Netlist, cuts: int) -> Iterator[tuple[int, int]]:
+    """Every wire's fine span, in wire order, raising :class:`LayoutError`
+    at the first that is not a span within ``0..cuts-1``.
+
+    This is the oracle's own statement of what a wire blocks.  Free
+    terminals: just the gaps strictly between the endpoint columns.  Pinned
+    terminals: the wire is overhead from right of its left slot to left of
+    its right slot.
+    """
+    step = net.row.dims + 1
+    free = net.mode is TerminalMode.FREE
+    for w in net.wires:
+        _, left, right, left_slot, right_slot = w
+        if free:
+            lo, hi = (left + 1) * step, right * step
+        else:
+            lo, hi = left * step + left_slot, right * step + right_slot - 1
+        if not 0 <= lo <= hi < cuts:
+            raise LayoutError(f"wire {w} crosses fine cuts {lo}..{hi}, not a span within 0..{cuts - 1}")
+        yield lo, hi
 
 
 def crossing_profile(net: Netlist) -> CrossingTable:
     """Count, for every fine cut, the wires crossing it, one wire at a time.
 
-    A hand-made wire whose fine span does not lie on the row, or with a
-    column outside ``0..n-1`` or a slot outside ``1..dims``, raises
-    :class:`LayoutError` naming it.
+    One pass over the wires both checks each fine span and adds it to the
+    table.  A hand-made wire whose fine span does not lie on the row raises
+    :class:`LayoutError` naming it; only once every span has passed is a
+    wire with a column outside ``0..n-1`` or a slot outside ``1..dims``
+    refused the same way.
     """
     row = net.row
-    step = row.dims + 1
-    free = net.mode is TerminalMode.FREE
-    lows = []
-    highs = []
-    for w in net.wires:
-        lo, hi = _wire_fine_span(w, step, free)
-        lows.append(lo)
-        highs.append(hi)
     cuts = fine_cut_count(row)
-    # The kernel requires 0 <= lo <= hi < cuts of every span: one C-level
-    # pass per bound, and the wire at fault is looked for only on failure.
-    if not (0 <= min(lows, default=0) and max(highs, default=0) < cuts and all(map(le, lows, highs))):
-        w, lo, hi = next((w, lo, hi) for w, lo, hi in zip(net.wires, lows, highs) if not 0 <= lo <= hi < cuts)
-        raise LayoutError(f"wire {w} crosses fine cuts {lo}..{hi}, not a span within 0..{cuts - 1}")
+    counts = kernels.accumulate_spans(cuts, _fine_spans(net, cuts))
     _check_on_row(row, net.wires)
-    counts = kernels.accumulate_spans(cuts, lows, highs)
-    return CrossingTable(row.n, row.dims, tuple(counts))
+    return CrossingTable(row.n, row.dims, counts)
 
 
 def brute_maximizers(net: Netlist) -> list[int]:

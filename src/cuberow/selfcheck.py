@@ -1,21 +1,25 @@
 """Formula-versus-oracle cross-checks, runnable from the CLI.
 
-Each check sweeps every power-of-two row up to a requested size, recomputes a
-family of claims along both the closed-form route and the brute-force route,
-and reports how many assertions it executed.  The ``check`` subcommand prints
-one line per check.
+Each check recomputes a family of claims on one row along both the
+closed-form route and the brute-force route, and returns how many
+assertions it executed.  :func:`run_all` sweeps every power-of-two row up
+to a requested size once, smallest first, and on each row calls every check
+whose range holds it and that has not yet failed.  The netlists and oracle
+tables a row's checks read are made once, by a source that lives for that
+row alone; they are shared between checks, never with the closed forms.
+The ``check`` subcommand prints one line per check.
 """
 
 from __future__ import annotations
 
-import functools
 from collections import namedtuple
 from collections.abc import Callable
 
 from cuberow import density, netlist, oracle, routing
 from cuberow.density import HypercubeRow
 from cuberow.errors import TooManyWiresError
-from cuberow.netlist import Placement, TerminalMode
+from cuberow.netlist import Netlist, Placement, TerminalMode
+from cuberow.oracle import CrossingTable
 
 # Sweep ceilings.  Intercolumn claims stay cheap far beyond these; the fine
 # cutline and routing sweeps are the expensive ones.
@@ -37,41 +41,55 @@ class _Mismatch(Exception):
     ``n=<row size>`` prefix of the report."""
 
 
+class _RowSource:
+    """One row's netlists and oracle tables, each made when first asked for.
+
+    Only the netlist of the last ``(placement, mode)`` asked for is kept,
+    with its table once one is asked for, so the source holds one netlist
+    at a time; consecutive requests for the same pair share it.
+    """
+
+    __slots__ = ("row", "_key", "_net", "_table")
+
+    def __init__(self, row: HypercubeRow):
+        self.row = row
+        self._key = self._net = self._table = None
+
+    def netlist(self, placement: Placement = Placement.NORMAL, mode: TerminalMode = TerminalMode.FREE) -> Netlist:
+        if self._key != (placement, mode):
+            # Drop the old pair first, so that the source never holds two.
+            self._key = self._net = self._table = None
+            self._net = netlist.build_netlist(self.row, placement, mode)
+            self._key = placement, mode
+        return self._net
+
+    def table(self, placement: Placement = Placement.NORMAL, mode: TerminalMode = TerminalMode.FREE) -> CrossingTable:
+        net = self.netlist(placement, mode)
+        if self._table is None:
+            self._table = oracle.crossing_profile(net)
+        return self._table
+
+
 def _sweep(ceiling: int, start: int = 2):
-    """Turn ``check_x(row) -> assertions`` into ``check_x(max_n) -> CheckOutcome``
-    over the rows ``start, 2*start, ...`` up to ``min(max_n, ceiling)``,
-    stopping at the first row that raises :class:`_Mismatch`."""
+    """Mark ``check_x(source) -> assertions`` as a check of the rows
+    ``start, 2*start, ...`` up to ``ceiling``, as the pair ``check_x.rows``."""
 
-    def decorate(check: Callable[[HypercubeRow], int]) -> Callable[[int], CheckOutcome]:
-        name = check.__name__.removeprefix("check_").replace("_", "-")
+    def mark(check: Callable[[_RowSource], int]) -> Callable[[_RowSource], int]:
+        check.rows = (start, ceiling)
+        return check
 
-        @functools.wraps(check)
-        def sweep(max_n: int) -> CheckOutcome:
-            up_to = min(max_n, ceiling)
-            total, detail, n = 0, "", start
-            try:
-                while n <= up_to:
-                    total += check(HypercubeRow(n))
-                    n <<= 1
-            except _Mismatch as failure:
-                passed, rest = failure.args
-                total += passed
-                detail = f"n={n}{rest}"
-            return CheckOutcome(name, not detail, total, detail, up_to)
-
-        return sweep
-
-    return decorate
+    return mark
 
 
 @_sweep(MAX_COARSE_NODES)
-def check_closed_forms(row: HypercubeRow) -> int:
+def check_closed_forms(source: _RowSource) -> int:
     """Per-dimension formula, its sum, the bit-decomposition form, and the
     oracle count must agree at every intercolumn cut."""
+    row = source.row
     n, checked = row.n, 0
     summed = density.cut_density_profile(row)
     bitsum = density.cut_density_bitsum_profile(row)
-    brute = oracle.crossing_profile(netlist.build_netlist(row)).gap_profile()
+    brute = source.table().gap_profile()
     for cut in range(n + 1):
         if summed[cut] != brute[cut]:
             raise _Mismatch(checked, f" cut={cut}: formula {summed[cut]} vs oracle {brute[cut]}")
@@ -87,12 +105,13 @@ def check_closed_forms(row: HypercubeRow) -> int:
 
 
 @_sweep(MAX_COARSE_NODES)
-def check_symmetry_and_bounds(row: HypercubeRow) -> int:
+def check_symmetry_and_bounds(source: _RowSource) -> int:
     """Mirror symmetry of densities (per dimension and total) and the peak
     bound min(m, m - (p - cut)) at every interior cut.
 
     The profile mirrors its own first half, so S(n - cut) is summed from the
     per-dimension counts instead of read from the profile."""
+    row = source.row
     n, checked = row.n, 0
     profile = density.cut_density_profile(row)
     peak = density.max_cut_density(row)
@@ -121,11 +140,12 @@ def check_symmetry_and_bounds(row: HypercubeRow) -> int:
 
 
 @_sweep(MAX_COARSE_NODES)
-def check_maximizers(row: HypercubeRow) -> int:
+def check_maximizers(source: _RowSource) -> int:
     """The bit-pattern enumeration must equal the oracle's argmax scan, and
     its first element must equal the closed-form leftmost maximizer."""
+    row = source.row
     pattern = density.max_density_cuts(row)
-    brute = oracle.brute_maximizers(netlist.build_netlist(row))
+    brute = source.table().gap_maximizers()
     if pattern != brute:
         raise _Mismatch(0, f": {pattern} vs oracle {brute}")
     if pattern[0] != density.leftmost_max_cut(row):
@@ -134,13 +154,14 @@ def check_maximizers(row: HypercubeRow) -> int:
 
 
 @_sweep(MAX_FINE_NODES)
-def check_terminal_density(row: HypercubeRow) -> int:
+def check_terminal_density(source: _RowSource) -> int:
     """The slot-cut identity against the oracle at every (cut, slot), the
     one-extra-track peak, and the (cut, slot) pairs attaining it, which must
     be the oracle's argmax over the slot cuts and lie only on intercolumn
     maximizers."""
+    row = source.row
     n, checked = row.n, 0
-    table = oracle.crossing_profile(netlist.build_netlist(row, Placement.NORMAL, TerminalMode.DIM_ORDERED))
+    table = source.table(Placement.NORMAL, TerminalMode.DIM_ORDERED)
     for cut in range(1, n + 1):
         for slot in range(1, row.dims + 1):
             want = table.node_cut(cut - 1, slot)
@@ -167,15 +188,16 @@ def check_terminal_density(row: HypercubeRow) -> int:
 
 
 @_sweep(MAX_FINE_NODES)
-def check_router(row: HypercubeRow) -> int:
+def check_router(source: _RowSource) -> int:
     """Left-edge output must verify, use exactly density tracks, hit the
     known counts per mode, and match the exact search on small instances."""
+    row = source.row
     checked = 0
     peak = density.max_cut_density(row)
     for placement in Placement:
         for mode in TerminalMode:
             pair = f" {placement.value}/{mode.value}:"
-            intervals = routing.wire_intervals(netlist.build_netlist(row, placement, mode))
+            intervals = routing.wire_intervals(source.netlist(placement, mode))
             assignment = routing.left_edge_route(intervals)
             cert = routing.verify_assignment(intervals, assignment)
             if not cert.ok:
@@ -194,14 +216,15 @@ def check_router(row: HypercubeRow) -> int:
 
 
 @_sweep(MAX_FINE_NODES)
-def check_gray_equalities(row: HypercubeRow) -> int:
+def check_gray_equalities(source: _RowSource) -> int:
     """The gray row's oracle table must equal the closed forms at every fine
     cut, gaps and slot cuts alike, and its total length the normal row's,
     with the known span extremes (n/2 normal, n-1 reflected gray)."""
+    row = source.row
     n, checked = row.n, 0
-    normal = netlist.build_netlist(row, Placement.NORMAL)
-    gray = netlist.build_netlist(row, Placement.GRAY, TerminalMode.DIM_ORDERED)
-    table = oracle.crossing_profile(gray)
+    normal = source.netlist()
+    gray = source.netlist(Placement.GRAY, TerminalMode.DIM_ORDERED)
+    table = source.table(Placement.GRAY, TerminalMode.DIM_ORDERED)
     for cut, want in enumerate(density.cut_density_profile(row)):
         got = table.gap(cut)
         if got != want:
@@ -223,22 +246,24 @@ def check_gray_equalities(row: HypercubeRow) -> int:
 
 
 @_sweep(MAX_COARSE_NODES, start=8)
-def check_bisection(row: HypercubeRow) -> int:
+def check_bisection(source: _RowSource) -> int:
     """The half-way cut is never a density maximizer once n reaches 8."""
+    row = source.row
     if density.cut_density(row, row.n // 2) >= density.max_cut_density(row):
         raise _Mismatch(0, ": bisection attains the peak")
     return 1
 
 
 @_sweep(MAX_COARSE_NODES)
-def check_profile_sum(row: HypercubeRow) -> int:
+def check_profile_sum(source: _RowSource) -> int:
     """Interior densities must sum to the total wirelength, both routes."""
+    row = source.row
     checked = 0
     expected = (row.n // 2) * (row.n - 1)
     formula = sum(density.cut_density_profile(row))
     for placement in Placement:
-        net = netlist.build_netlist(row, placement)
-        brute = sum(oracle.crossing_profile(net).gap_profile())
+        net = source.netlist(placement)
+        brute = sum(source.table(placement).gap_profile())
         if brute != expected or netlist.total_wirelength(net) != expected:
             raise _Mismatch(checked, f" {placement.value}: sums diverge from {expected}")
         checked += 2
@@ -247,7 +272,7 @@ def check_profile_sum(row: HypercubeRow) -> int:
     return checked + 1
 
 
-ALL_CHECKS: list[Callable[[int], CheckOutcome]] = [
+ALL_CHECKS: list[Callable[[_RowSource], int]] = [
     check_closed_forms,
     check_symmetry_and_bounds,
     check_maximizers,
@@ -260,4 +285,34 @@ ALL_CHECKS: list[Callable[[int], CheckOutcome]] = [
 
 
 def run_all(max_n: int) -> list[CheckOutcome]:
-    return [check(max_n) for check in ALL_CHECKS]
+    """Sweep the rows 2, 4, ... up to ``max_n`` once, smallest first, and
+    report each check of :data:`ALL_CHECKS` over the rows of its range.
+
+    On each row, every check whose range holds it and that has not failed
+    on a smaller row is called with that row's one :class:`_RowSource`.
+    A check's sweep stops at the first row where it raises :class:`_Mismatch`.
+    """
+    checks = ALL_CHECKS
+    totals = [0] * len(checks)
+    details = [""] * len(checks)
+    n = 2
+    while n <= max_n:
+        source = _RowSource(HypercubeRow(n))
+        for index, check in enumerate(checks):
+            start, ceiling = check.rows
+            if details[index] or not start <= n <= ceiling:
+                continue
+            try:
+                totals[index] += check(source)
+            except _Mismatch as failure:
+                passed, rest = failure.args
+                totals[index] += passed
+                details[index] = f"n={n}{rest}"
+        n <<= 1
+    return [
+        CheckOutcome(
+            check.__name__.removeprefix("check_").replace("_", "-"),
+            not detail, total, detail, min(max_n, check.rows[1]),
+        )
+        for check, total, detail in zip(checks, totals, details)
+    ]

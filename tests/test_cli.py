@@ -1,6 +1,7 @@
 """The command-line surface: tables, drawings, machine formats, exit codes."""
 
 import ast
+import functools
 import io
 import json
 import os
@@ -334,6 +335,30 @@ class TestCheckCommand:
         assert code == EXIT_CHECK_FAILED
         assert "FAIL" in out and "injected failure" in out
 
+    def test_each_oracle_table_is_built_once(self, monkeypatch):
+        tables, built = [], []
+        real_table, real_build = oracle.crossing_profile, netlist.build_netlist
+
+        def counting_table(net):
+            tables.append((net.row.n, net.placement, net.mode))
+            return real_table(net)
+
+        def counting_build(row, *args, **kwargs):
+            built.append(row.n)
+            return real_build(row, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "crossing_profile", counting_table)
+        monkeypatch.setattr(netlist, "build_netlist", counting_build)
+        assert all(outcome.passed for outcome in selfcheck.run_all(64))
+        rows = [2**d for d in range(1, 7)]
+        pairs = [(placement, mode) for placement in netlist.Placement for mode in netlist.TerminalMode]
+        assert sorted(tables) == sorted((n, *pair) for n in rows for pair in pairs)
+        # Rows are swept smallest first, nine netlists each: closed-forms'
+        # normal free one also serves maximizers and profile-sum, then come
+        # profile-sum's gray free one, terminal-density's, the router's four
+        # and gray-equalities' two.
+        assert built == [n for n in rows for _ in range(9)]
+
 
 def _bump_where(condition):
     """A fault that adds one to a formula's result wherever ``condition``
@@ -371,9 +396,10 @@ CHECK_FAULTS = [
         {"symmetry-and-bounds"},
     ),
     (
+        # The check reads the oracle's argmax from the row's shared table.
         "maximizers",
-        (oracle, "brute_maximizers"),
-        lambda real: lambda net: real(net)[: -1 if net.row.n >= 16 else None],
+        (oracle.CrossingTable, "gap_maximizers"),
+        lambda real: lambda table: real(table)[: -1 if table.n >= 16 else None],
         9,
         "n=16: [5, 6, 7, 9, 10, 11] vs oracle [5, 6, 7, 9, 10]",
         {"maximizers"},
@@ -482,8 +508,8 @@ class TestEveryCheckCanFail:
     def test_fault_is_reported(self, monkeypatch, name, target, fault, assertions, detail, failing):
         module, attr = target
         monkeypatch.setattr(module, attr, fault(getattr(module, attr)))
-        check = getattr(selfcheck, "check_" + name.replace("-", "_"))
-        assert check(64) == selfcheck.CheckOutcome(name, False, assertions, detail, 64)
+        outcomes = {outcome.name: outcome for outcome in selfcheck.run_all(64)}
+        assert outcomes[name] == selfcheck.CheckOutcome(name, False, assertions, detail, 64)
 
         code, out, _ = run_cli("check", "--max-n", "64")
         assert code == EXIT_CHECK_FAILED
@@ -491,6 +517,29 @@ class TestEveryCheckCanFail:
         assert f"{name:<22} FAIL  ({assertions} assertions)  {detail}" in lines
         assert {line.split()[0] for line in lines[:-1] if " FAIL " in line} == failing
         assert lines[-1].startswith(f"{len(failing)} check(s) failed")
+
+    def test_a_failed_check_leaves_the_sweep(self, monkeypatch):
+        name, (module, attr), fault, *_ = CHECK_FAULTS[0]
+        assert name == "closed-forms"
+        monkeypatch.setattr(module, attr, fault(getattr(module, attr)))
+        calls = []
+
+        def counting(check):
+            @functools.wraps(check)
+            def counted(source):
+                calls.append((check.__name__, source.row.n))
+                return check(source)
+
+            return counted
+
+        monkeypatch.setattr(selfcheck, "ALL_CHECKS", [counting(check) for check in selfcheck.ALL_CHECKS])
+        selfcheck.run_all(64)
+        swept = {check.__name__: [] for check in selfcheck.ALL_CHECKS}
+        for called, n in calls:
+            swept[called].append(n)
+        assert swept.pop("check_closed_forms") == [2, 4, 8, 16]
+        assert swept.pop("check_bisection") == [8, 16, 32, 64]
+        assert swept == {check: [2, 4, 8, 16, 32, 64] for check in swept}
 
 
 @pytest.mark.parametrize(

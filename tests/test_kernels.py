@@ -3,23 +3,39 @@
 from itertools import accumulate, chain
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cuberow import cli, kernels
 from cuberow.density import HypercubeRow, cut_density_profile
 
 
+@st.composite
+def _spans(draw):
+    """A cut count and valid inclusive spans ``(low, high)`` on it."""
+    num_cuts = draw(st.integers(1, 40))
+    ends = st.lists(st.integers(0, num_cuts - 1), min_size=2, max_size=2).map(sorted).map(tuple)
+    return num_cuts, draw(st.lists(ends, max_size=30))
+
+
 class TestAccumulateSpans:
     def test_empty(self):
-        assert kernels.accumulate_spans(4, [], []) == [0, 0, 0, 0]
+        assert kernels.accumulate_spans(4, []) == (0, 0, 0, 0)
 
     def test_single_span(self):
-        assert kernels.accumulate_spans(5, [1], [3]) == [0, 1, 1, 1, 0]
+        assert kernels.accumulate_spans(5, [(1, 3)]) == (0, 1, 1, 1, 0)
 
     def test_stacked_spans(self):
-        lows, highs = [0, 0, 2], [4, 1, 2]
-        assert kernels.accumulate_spans(5, lows, highs) == [2, 2, 2, 1, 1]
+        assert kernels.accumulate_spans(5, [(0, 4), (0, 1), (2, 2)]) == (2, 2, 2, 1, 1)
+
+    @given(case=_spans())
+    @example(case=(1, []))
+    @example(case=(7, []))
+    @example(case=(7, [(0, 0), (6, 6), (0, 6), (0, 3), (3, 6)]))
+    def test_equals_a_per_cut_count(self, case):
+        num_cuts, spans = case
+        naive = tuple(sum(low <= cut <= high for low, high in spans) for cut in range(num_cuts))
+        assert kernels.accumulate_spans(num_cuts, iter(spans)) == naive
 
 
 class TestProfiles:

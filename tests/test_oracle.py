@@ -126,6 +126,19 @@ class TestCrossingProfile:
         with pytest.raises(LayoutError, match=f"^wire {re.escape(str(wire))} has a terminal off the 4-node row$"):
             crossing_profile(net)
 
+    @pytest.mark.parametrize("swap", [False, True], ids=["off-row-first", "bad-span-first"])
+    def test_every_span_is_checked_before_the_row(self, swap):
+        # One wire is off the row, but its free span 0..3 lies on the 4-node
+        # row's fine cuts 0..12; the other's span 9..15 does not.  The span
+        # rule runs over every wire before the row rule, so in either order
+        # the refusal names the wire with the bad span.
+        off_row, bad_span = Wire(1, -1, 1, 1, 1), Wire(1, 2, 5, 1, 1)
+        wires = (bad_span, off_row) if swap else (off_row, bad_span)
+        net = Netlist(HypercubeRow(4), Placement.NORMAL, TerminalMode.FREE, wires)
+        message = f"^wire {re.escape(str(bad_span))} crosses fine cuts 9..15, not a span within 0..12$"
+        with pytest.raises(LayoutError, match=message):
+            crossing_profile(net)
+
 
 class TestBruteMaximizers:
     def test_frozen_examples(self):

@@ -16,6 +16,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from functools import partial
 from itertools import chain, islice, repeat, starmap
+from operator import itemgetter
 
 # Imported here are only the modules that every command uses: ``route``
 # imports ``render`` and ``check`` imports ``selfcheck``, and with it the
@@ -132,9 +133,21 @@ _items_text = json.JSONEncoder(separators=(",\n    ", ": ")).encode
 
 # Items per encoder call in a long list of scalars.
 _CHUNK = 2**16
-# Rows per chunk of a text or csv density table, and records per chunk of
-# a JSON list of int-only records.
+# Lines per chunk of a streamed text (a density or track table, an svg
+# drawing, an emitted file), and records per chunk of a JSON record list.
 _TABLE_ROWS = 2**12
+
+
+class _Records:
+    """A document's list of records, each a dict with the str keys ``names``,
+    in that order, and int values, given as the tuples of values that
+    ``rows`` yields; ``names`` is not empty, and ``rows`` is walked once,
+    so no record is made as a dict."""
+
+    __slots__ = ("names", "rows")
+
+    def __init__(self, names, rows):
+        self.names, self.rows = names, rows
 
 
 class _Stream:
@@ -159,10 +172,9 @@ def _json_text(doc: dict) -> Iterator[str]:
     kinds: a scalar or an empty container; a dict of scalars, encoded in one
     call; a list of scalars, encoded in one call per ``_CHUNK`` items, or a
     ``_Stream``, encoded in one call per block, each written as a list of
-    its items; or a list of dicts whose values are all ints and whose keys
-    come in one order, formatted one record at a time and joined
-    ``_TABLE_ROWS`` records to a chunk.  No chunk is kept once it is
-    yielded, and none is joined into one string.
+    its items; or ``_Records``, written as a list of dicts, formatted one
+    record at a time and joined ``_TABLE_ROWS`` records to a chunk.  No
+    chunk is kept once it is yielded, and none is joined into one string.
     """
     yield "{"
     separator = "\n  "
@@ -171,26 +183,36 @@ def _json_text(doc: dict) -> Iterator[str]:
         separator = ",\n  "
         if isinstance(value, _Stream):
             yield from _list_text(value)
+        elif isinstance(value, _Records):
+            # One format call per record, its separator included; an int's
+            # text is its str().  '"key": ' as the encoder writes it, with
+            # the braces escaped for format.
+            names = (_scalar_text(name).replace("{", "{{").replace("}", "}}") for name in value.names)
+            record = ",\n    {{" + ",".join(f"\n      {name}: {{}}" for name in names) + "\n    }}"
+            chunks = _blocks(starmap(record.format, value.rows))
+            first = next(chunks, None)
+            if first is None:
+                yield "[]"
+                continue
+            # The first record's comma becomes the list's bracket.
+            yield "[" + first[1:]
+            yield from chunks
+            yield "\n  ]"
         elif not value or not isinstance(value, (list, dict)):
             yield _scalar_text(value)
         elif isinstance(value, dict):
             yield from ("{\n    ", _items_text(value)[1:-1], "\n  }")
-        elif isinstance(value[0], dict):
-            # One format call per record, its separator included; an int's
-            # text is its str().  '"key": ' as the encoder writes it, with
-            # the braces escaped for format.
-            names = (_scalar_text(name).replace("{", "{{").replace("}", "}}") for name in value[0])
-            record = ",\n    {{" + ",".join(f"\n      {name}: {{}}" for name in names) + "\n    }}"
-            records = starmap(record.format, map(dict.values, value))
-            chunks = iter(lambda: "".join(islice(records, _TABLE_ROWS)), "")
-            # The first record's comma becomes the list's bracket.
-            yield "[" + next(chunks)[1:]
-            yield from chunks
-            yield "\n  ]"
         else:
             # One slice at a time, so no text of a long list is made whole.
             yield from _list_text(value[start : start + _CHUNK] for start in range(0, len(value), _CHUNK))
     yield "\n}\n"
+
+
+def _blocks(lines: Iterable[str]) -> Iterator[str]:
+    """``lines``, texts that are not empty, joined ``_TABLE_ROWS`` to a chunk
+    as they are drained."""
+    lines = iter(lines)
+    return iter(lambda: "".join(islice(lines, _TABLE_ROWS)), "")
 
 
 def _list_text(blocks: Iterable[list]) -> Iterator[str]:
@@ -261,8 +283,7 @@ def cmd_density(args) -> tuple[_Texts, int]:
     # writer drains them, so neither the profile nor the text is held whole.
     table_rows = zip(enumerate(chain.from_iterable(doc["profile"]), start=1), terminal_rows)
     lines = (row_format(cut, value, *slots) for (cut, value), slots in table_rows)
-    body = iter(lambda: "".join(islice(lines, _TABLE_ROWS)), "")
-    chunks = chain([row_format("i", "S", *slot_headers)], body, ["\n".join(summary) + "\n"])
+    chunks = chain([row_format("i", "S", *slot_headers)], _blocks(lines), ["\n".join(summary) + "\n"])
     return [(args.out, chunks)], EXIT_OK
 
 
@@ -281,33 +302,37 @@ def cmd_route(args) -> tuple[_Texts, int]:
     mode = TerminalMode(args.mode)
     row = _parse_row(args.n, MAX_ROUTE_NODES)
     # Every format checks the cell sizes, before anything is routed.
-    from cuberow.render import RenderSpec, render_svg, render_text
+    from cuberow import render
 
-    spec = RenderSpec(args.cell_width, args.cell_height, show_tracks=not args.hide_tracks)
+    spec = render.RenderSpec(args.cell_width, args.cell_height, show_tracks=not args.hide_tracks)
     net, intervals, assignment = _route(row, placement, mode)
+    # Every check that can raise runs before this returns: each output below
+    # is made as the writer drains it.  The router's wires are in canonical
+    # order, so they are the rows of the track table as they stand.
+    wires = net.wires
+    tracks = routing._tracks(assignment, wires)
     texts = []
     if args.emit_netlist is not None:
-        texts.append((args.emit_netlist, [netlist.dump_netlist(net)]))
-    if args.format == "csv" or args.emit_assignment is not None:
-        table = routing.dump_assignment(intervals, assignment)
+        texts.append((args.emit_netlist, _blocks(netlist._netlist_lines(net))))
     if args.emit_assignment is not None:
-        texts.append((args.emit_assignment, [table]))
+        texts.append((args.emit_assignment, _blocks(routing._assignment_lines(wires, tracks))))
     if args.format == "text":
-        chunks = [render_text(net, assignment, spec)]
+        chunks = [render.render_text(net, assignment, spec)]
     elif args.format == "svg":
-        chunks = [render_svg(net, assignment, spec)]
+        chunks = _blocks(render._svg_lines(net, assignment, spec, tracks))
     elif args.format == "csv":
-        chunks = ["dim,left_col,right_col,track\n", table.replace(" ", ",")]
+        # The track table's fields hold only digits, so each block of its
+        # text becomes csv by one replace.
+        blocks = _blocks(routing._assignment_lines(wires, tracks))
+        chunks = chain(["dim,left_col,right_col,track\n"], (block.replace(" ", ",") for block in blocks))
     else:
         doc = _density_data(row, placement, mode)
         doc["tracks"] = assignment.track_count
         if mode is TerminalMode.DIM_ORDERED:
             # The routed channel's fine-cut peak, certified equal to the tracks.
             doc["terminal_max"] = assignment.density
-        doc["wires"] = [
-            {"dim": w.dim, "left_col": w.left_col, "right_col": w.right_col, "track": track}
-            for w, track in zip(net.wires, routing._tracks(assignment, net.wires))
-        ]
+        dims, lefts, rights = (map(itemgetter(field), wires) for field in range(3))
+        doc["wires"] = _Records(("dim", "left_col", "right_col", "track"), zip(dims, lefts, rights, tracks))
         chunks = _json_text(doc)
     texts.append((args.out, chunks))
     return texts, EXIT_OK

@@ -306,13 +306,17 @@ def max_terminal_cut_density(row: HypercubeRow) -> tuple[int, list[tuple[int, in
     return best, where
 
 
+def _netlist_lines(net: Netlist):
+    """The lines of the netlist text, each ending in its newline."""
+    yield f"{net.row.n} {net.placement.value} {net.mode.value}\n"
+    for dim, left, right, left_slot, right_slot in net.wires:
+        yield f"{dim} {left} {left_slot} {right} {right_slot}\n"
+
+
 def dump_netlist(net: Netlist) -> str:
     """Line-oriented text form: header ``n placement mode``, then one wire
     per line as ``dim left_col left_slot right_col right_slot``."""
-    lines = [f"{net.row.n} {net.placement.value} {net.mode.value}"]
-    for w in net.wires:
-        lines.append(f"{w.dim} {w.left_col} {w.left_slot} {w.right_col} {w.right_slot}")
-    return "\n".join(lines) + "\n"
+    return "".join(_netlist_lines(net))
 
 
 # Below the netlist header, both formats hold only ASCII digits and

@@ -15,6 +15,7 @@ the half depends only on the parity of the cell size along its axis.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 
 from cuberow.errors import LayoutError, RenderSizeError
 from cuberow.netlist import Netlist, Placement, _check_on_row, gray_code
@@ -57,30 +58,34 @@ def _node_label(net: Netlist, col: int) -> str:
     return str(gray_code(col) if net.placement is Placement.GRAY else col)
 
 
-def _drawn(net: Netlist, assignment: TrackAssignment, spec: RenderSpec):
+def _drawn(net: Netlist, assignment: TrackAssignment, spec: RenderSpec, tracks: list[int] | None = None):
     """The number of track rows drawn, and a generator of the drawn wires.
 
     Each wire comes as ``(dim, row, xa, xb)``: its dimension, its track row
     counted from the top (track 0 is the row nearest the nodes), and the
     sub-columns of its two terminals; terminal ``slot`` of column ``col``
-    sits in sub-column ``col * (dims + 1) + slot - 1``.  With tracks hidden
-    there are no rows and no wires.  A wire with a column outside
-    ``0..n-1`` or a slot outside ``1..dims`` raises :class:`LayoutError`
-    here, and one whose track lies outside ``0..rows-1`` as it comes.
+    sits in sub-column ``col * (dims + 1) + slot - 1``.  ``tracks`` holds
+    each wire's track in the netlist's order, and is read from the
+    assignment when not given.  With tracks hidden there are no rows and no
+    wires.  A wire with a column outside ``0..n-1``, a slot outside
+    ``1..dims``, no track, or a track outside ``0..rows-1`` raises
+    :class:`LayoutError` here, so the generator cannot raise.
     """
     if not spec.show_tracks:
         return 0, ()
     rows, wires = assignment.track_count, net.wires
     _check_on_row(net.row, wires)
+    if tracks is None:
+        tracks = _tracks(assignment, wires)
+    if tracks and not (0 <= min(tracks) and max(tracks) < rows):
+        track = next(t for t in tracks if not 0 <= t < rows)
+        raise LayoutError(f"track {track} outside 0..{rows - 1}")
     step = net.row.dims + 1
-
-    def drawn():
-        for (dim, left, right, left_slot, right_slot), track in zip(wires, _tracks(assignment, wires)):
-            if not 0 <= track < rows:
-                raise LayoutError(f"track {track} outside 0..{rows - 1}")
-            yield dim, rows - 1 - track, left * step + left_slot - 1, right * step + right_slot - 1
-
-    return rows, drawn()
+    drawn = (
+        (dim, rows - 1 - track, left * step + left_slot - 1, right * step + right_slot - 1)
+        for (dim, left, right, left_slot, right_slot), track in zip(wires, tracks)
+    )
+    return rows, drawn
 
 
 def render_text(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = RenderSpec()) -> str:
@@ -129,11 +134,20 @@ def render_svg(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = Ren
     node label's x when ``dims`` times the cell width is.  So a coordinate
     is printed exactly as its whole part, an integer, and that suffix.
     """
+    return "".join(_svg_lines(net, assignment, spec))
+
+
+def _svg_lines(
+    net: Netlist, assignment: TrackAssignment, spec: RenderSpec, tracks: list[int] | None = None
+) -> Iterator[str]:
+    """The lines of :func:`render_svg`'s drawing, each ending in its
+    newline: the header, then the node columns, then the wires.  ``tracks``
+    is as for :func:`_drawn`; every check runs before this returns."""
     n, dims = net.row.n, net.row.dims
     step = dims + 1
     cw, ch = spec.cell_width, spec.cell_height
     margin = 2 * cw
-    rows, wires = _drawn(net, assignment, spec)
+    rows, wires = _drawn(net, assignment, spec, tracks)
     node_top = margin + (rows + 1) * ch
     width = 2 * margin + n * step * cw
     height = node_top + 2 * ch + margin
@@ -141,39 +155,37 @@ def render_svg(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = Ren
     # The whole parts of the centres of sub-column 0 and of track row 0.
     x0, y0 = margin + cw // 2, margin + ch // 2
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<title>{n}-node row, {net.placement.value} placement, {net.mode.value} '
-        f"terminals, {assignment.track_count} tracks</title>",
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-
-    tick_end = node_top + ch // 3
-    tick = f'<line x1="{{0}}{xs}" y1="{node_top}" x2="{{0}}{xs}" y2="{tick_end}" stroke="black"/>'.format
-    for col in range(n):
-        x = margin + col * step * cw
-        parts.append(
-            f'<rect x="{x}" y="{node_top}" width="{dims * cw}" height="{2 * ch}" '
-            'fill="#f2f2f2" stroke="black"/>'
+    def lines():
+        yield (
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+            f'viewBox="0 0 {width} {height}">\n'
+            f'<title>{n}-node row, {net.placement.value} placement, {net.mode.value} '
+            f"terminals, {assignment.track_count} tracks</title>\n"
+            f'<rect width="{width}" height="{height}" fill="white"/>\n'
         )
-        first = x0 + col * step * cw
-        parts += map(tick, range(first, first + dims * cw, cw))
-        parts.append(
-            f'<text x="{x + dims * cw // 2}{ls}" y="{node_top + ch + ch // 2}" '
-            'font-family="monospace" font-size="'
-            f'{ch}" text-anchor="middle">{_node_label(net, col)}</text>'
-        )
+        tick_end = node_top + ch // 3
+        tick = f'<line x1="{{0}}{xs}" y1="{node_top}" x2="{{0}}{xs}" y2="{tick_end}" stroke="black"/>\n'.format
+        for col in range(n):
+            x = margin + col * step * cw
+            yield (
+                f'<rect x="{x}" y="{node_top}" width="{dims * cw}" height="{2 * ch}" '
+                'fill="#f2f2f2" stroke="black"/>\n'
+            )
+            first = x0 + col * step * cw
+            yield from map(tick, range(first, first + dims * cw, cw))
+            yield (
+                f'<text x="{x + dims * cw // 2}{ls}" y="{node_top + ch + ch // 2}" '
+                'font-family="monospace" font-size="'
+                f'{ch}" text-anchor="middle">{_node_label(net, col)}</text>\n'
+            )
+        # Each coordinate's text is made once and printed twice.
+        for dim, row, xa, xb in wires:
+            y, xa, xb = str(y0 + row * ch), str(x0 + xa * cw), str(x0 + xb * cw)
+            color = _DIM_COLORS[(dim - 1) % len(_DIM_COLORS)]
+            yield (
+                f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="'
+                f'{xa}{xs},{node_top} {xa}{xs},{y}{ys} {xb}{xs},{y}{ys} {xb}{xs},{node_top}"/>\n'
+            )
+        yield "</svg>\n"
 
-    # Each coordinate's text is made once and printed twice.
-    for dim, row, xa, xb in wires:
-        y, xa, xb = str(y0 + row * ch), str(x0 + xa * cw), str(x0 + xb * cw)
-        color = _DIM_COLORS[(dim - 1) % len(_DIM_COLORS)]
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="'
-            f'{xa}{xs},{node_top} {xa}{xs},{y}{ys} {xb}{xs},{y}{ys} {xb}{xs},{node_top}"/>'
-        )
-
-    # The empty last part gives the final newline without copying the text.
-    parts += ("</svg>", "")
-    return "\n".join(parts)
+    return lines()

@@ -101,11 +101,11 @@ class RouteCertificate(
     __slots__ = ()
 
 
-def _tracks(assignment: TrackAssignment, wires) -> Iterator[int]:
-    """Each wire's track, lazily and in the order given.  A wire missing
-    from the assignment raises :class:`IncompleteAssignmentError`."""
+def _tracks(assignment: TrackAssignment, wires) -> list[int]:
+    """Each wire's track, in the order given.  A wire missing from the
+    assignment raises :class:`IncompleteAssignmentError`."""
     try:
-        yield from map(assignment.by_wire.__getitem__, wires)
+        return list(map(assignment.by_wire.__getitem__, wires))
     except KeyError as exc:
         raise IncompleteAssignmentError(f"no track assigned to wire {exc.args[0]}") from None
 
@@ -189,7 +189,7 @@ def verify_assignment(intervals: list[IntervalWire], assignment: TrackAssignment
     (gap reported otherwise).  A wire missing from the assignment raises
     :class:`IncompleteAssignmentError` instead of returning a certificate.
     """
-    tracks = list(_tracks(assignment, map(_wires, intervals)))
+    tracks = _tracks(assignment, map(_wires, intervals))
     track_count = assignment.track_count
     if tracks and not (0 <= min(tracks) and max(tracks) < track_count):
         track, iv = next((t, iv) for t, iv in zip(tracks, intervals) if not 0 <= t < track_count)
@@ -226,11 +226,16 @@ def verify_assignment(intervals: list[IntervalWire], assignment: TrackAssignment
     return RouteCertificate(True)
 
 
+def _assignment_lines(wires, tracks) -> Iterator[str]:
+    """The lines of the assignment text, each ending in its newline, for
+    ``wires`` in canonical order and each one's track."""
+    return (f"{w.dim} {w.left_col} {w.right_col} {t}\n" for w, t in zip(wires, tracks))
+
+
 def dump_assignment(intervals: list[IntervalWire], assignment: TrackAssignment) -> str:
     """Text form, one canonical-order line per wire: ``dim left right track``."""
     wires = list(map(_wires, sorted(intervals)))
-    rows = [f"{w.dim} {w.left_col} {w.right_col} {t}" for w, t in zip(wires, _tracks(assignment, wires))]
-    return "\n".join(rows) + ("\n" if rows else "")
+    return "".join(_assignment_lines(wires, _tracks(assignment, wires)))
 
 
 def load_assignment(text: str) -> list[tuple[int, int, int, int]]:

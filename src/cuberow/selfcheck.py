@@ -222,9 +222,11 @@ def check_gray_equalities(source: _RowSource) -> int:
     with the known span extremes (n/2 normal, n-1 reflected gray)."""
     row = source.row
     n, checked = row.n, 0
-    normal = source.netlist()
+    # The gray pair first: the router asked for it last, so the source still
+    # holds it.  Its table is kept here when the source moves to the normal one.
     gray = source.netlist(Placement.GRAY, TerminalMode.DIM_ORDERED)
     table = source.table(Placement.GRAY, TerminalMode.DIM_ORDERED)
+    normal = source.netlist()
     for cut, want in enumerate(density.cut_density_profile(row)):
         got = table.gap(cut)
         if got != want:

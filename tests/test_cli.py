@@ -353,11 +353,12 @@ class TestCheckCommand:
         rows = [2**d for d in range(1, 7)]
         pairs = [(placement, mode) for placement in netlist.Placement for mode in netlist.TerminalMode]
         assert sorted(tables) == sorted((n, *pair) for n in rows for pair in pairs)
-        # Rows are swept smallest first, nine netlists each: closed-forms'
+        # Rows are swept smallest first, eight netlists each: closed-forms'
         # normal free one also serves maximizers and profile-sum, then come
-        # profile-sum's gray free one, terminal-density's, the router's four
-        # and gray-equalities' two.
-        assert built == [n for n in rows for _ in range(9)]
+        # profile-sum's gray free one, terminal-density's and the router's
+        # four.  Gray-equalities shares the router's last, gray dim-ordered
+        # one, and then builds the normal free one.
+        assert built == [n for n in rows for _ in range(8)]
 
 
 def _bump_where(condition):
@@ -949,6 +950,19 @@ class TestProcessLevel:
         # streamed, it peaks near 23 MB.
         result = subprocess.run(
             [sys.executable, "-S", "-c", _SPAWNER, "density", "--n", str(2**20), "--format", "json"],
+            env=child_env(), capture_output=True, text=True,
+        )
+        code, peak_kib = map(int, result.stdout.split())
+        assert code == EXIT_OK, result.stderr
+        assert peak_kib < 32 * 1024
+
+    @pytest.mark.skipif(not hasattr(os, "posix_spawn"), reason="needs os.posix_spawn and os.wait4")
+    def test_the_largest_route_drawing_is_written_in_blocks(self):
+        # Spawned as above.  Joining the 4096-node drawing's lines into one
+        # 7 MB str, encoded into a second copy, took the command to 42.7 MB;
+        # streamed, it peaks near 26 MB.
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", _SPAWNER, "route", "--n", "4096", "--placement", "gray", "--format", "svg"],
             env=child_env(), capture_output=True, text=True,
         )
         code, peak_kib = map(int, result.stdout.split())

@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 from cuberow import cli
 from cuberow.density import HypercubeRow
 from cuberow.errors import IncompleteAssignmentError, LayoutError, RenderSizeError
-from cuberow.netlist import Netlist, Placement, TerminalMode, Wire, build_netlist
+from cuberow.netlist import Netlist, Placement, TerminalMode, Wire, build_netlist, dump_netlist
 from cuberow.render import RenderSpec, render_svg, render_text
 from cuberow.routing import (
     TrackAssignment,
     dump_assignment,
     left_edge_route,
+    load_assignment,
     verify_assignment,
     wire_intervals,
 )
@@ -54,15 +55,28 @@ _scalars = (
 # the fields of the record format.
 _tricky = st.sampled_from(["},\n{", "{", "}", "{}", "{0}", ",\n", "},\n    {", '"}, {"', "\n  ", "[", "]"])
 _keys = st.text() | _tricky
-# A non-empty list of records with int values and one key order, as in the
-# route command's wire table.
+# A list of records with int values and one key order, as in the route
+# command's wire table: the key names and a list of value tuples.
 _records = st.lists(_keys, min_size=1, max_size=5, unique=True).flatmap(
     lambda keys: st.lists(
-        st.lists(st.integers(), min_size=len(keys), max_size=len(keys)).map(lambda values: dict(zip(keys, values))),
-        min_size=1,
-        max_size=8,
-    )
+        st.tuples(*[st.integers()] * len(keys)), max_size=8
+    ).map(lambda rows: cli._Records(tuple(keys), rows))
 )
+
+
+def _listed(doc):
+    """``doc`` as ``json.dumps`` takes it: each record list as a list of
+    dicts, and each streamed list walked into a list."""
+    listed = {}
+    for key, value in doc.items():
+        if isinstance(value, cli._Records):
+            value = [dict(zip(value.names, row)) for row in value.rows]
+        elif isinstance(value, cli._Stream):
+            value = list(chain.from_iterable(value))
+        listed[key] = value
+    return listed
+
+
 # A command's document: str keys, each value a scalar, a list or dict of
 # scalars (either may be empty), or a record list.
 _documents = st.dictionaries(
@@ -74,14 +88,14 @@ _documents = st.dictionaries(
 
 @given(_documents)
 def test_json_text_matches_json_dumps(doc):
-    assert "".join(cli._json_text(doc)) == _reference(doc)
+    assert "".join(cli._json_text(doc)) == _reference(_listed(doc))
 
 
 # Documents made only of record lists, several to a document, so each is cut
 # at its separators between other keys' text.
 @given(st.dictionaries(_keys, _records, min_size=1, max_size=4))
 def test_json_text_matches_json_dumps_on_record_lists(doc):
-    assert "".join(cli._json_text(doc)) == _reference(doc)
+    assert "".join(cli._json_text(doc)) == _reference(_listed(doc))
 
 
 @pytest.mark.parametrize(
@@ -89,15 +103,16 @@ def test_json_text_matches_json_dumps_on_record_lists(doc):
     [
         {"profile": []},
         {"normal": {}},
-        {"profile": list(range(-600, 600)), "wires": [{"dim": 1, "track": -1}] * 3},
+        {"profile": list(range(-600, 600)), "wires": cli._Records(("dim", "track"), [(1, -1)] * 3)},
         {"k": float("nan"), "inf": [float("inf"), -float("inf")], "é\n": "日"},
-        {"wires": [{"dim": 1, "{}": -5, "}{": 10**20, "{0}": 0}]},
-        {"wires": [{"dim": 1, "track": 0}]},
+        {"wires": cli._Records(("dim", "{}", "}{", "{0}"), [(1, -5, 10**20, 0)])},
+        {"wires": cli._Records(("dim", "track"), [(1, 0)])},
+        {"wires": cli._Records(("dim", "track"), []), "n": 2},
     ],
-    ids=["empty-list", "empty-dict", "cli-shaped", "specials", "braces-in-keys", "one-record"],
+    ids=["empty-list", "empty-dict", "cli-shaped", "specials", "braces-in-keys", "one-record", "no-records"],
 )
 def test_json_text_matches_json_dumps_on_edge_cases(value):
-    assert "".join(cli._json_text(value)) == _reference(value)
+    assert "".join(cli._json_text(value)) == _reference(_listed(value))
 
 
 def _long_lists():
@@ -139,24 +154,26 @@ def _payload_and_stdout(monkeypatch, *argv):
     payloads = []
 
     def recording(value, encode=cli._json_text):
+        # A record list's rows are walked once, so they are kept in a list
+        # that both the encoder and _listed can read.
+        value = {
+            key: cli._Records(v.names, list(v.rows)) if isinstance(v, cli._Records) else v
+            for key, v in value.items()
+        }
         payloads.append(value)
         return encode(value)
 
     monkeypatch.setattr(cli, "_json_text", recording)
     out = stdout_of(*argv)
     assert len(payloads) == 1
-    # A streamed profile is walked once more, into the list json.dumps takes.
-    payload = payloads[0]
-    streams = {key: list(chain.from_iterable(v)) for key, v in payload.items() if isinstance(v, cli._Stream)}
-    return {**payload, **streams}, out
+    return _listed(payloads[0]), out
 
 
 @given(st.lists(st.lists(_scalars | _tricky, min_size=1), min_size=1), _records)
 def test_a_streamed_list_beside_a_record_list_matches_json_dumps(blocks, records):
     # Shaped like route json: a streamed profile among scalars, then the wires.
     doc = {"n": 8, "profile": cli._Stream(lambda: iter(blocks)), "m": 5, "maximizers": [3, 5], "wires": records}
-    listed = {**doc, "profile": list(chain.from_iterable(blocks))}
-    assert "".join(cli._json_text(doc)) == _reference(listed)
+    assert "".join(cli._json_text(doc)) == _reference(_listed(doc))
 
 
 @pytest.mark.parametrize("n", [2, 8, 64, 1024])
@@ -234,6 +251,69 @@ GOLDEN = [
 )
 def test_stdout_bytes_are_unchanged(command, digest):
     assert hashlib.sha256(stdout_of(*command.split()).encode()).hexdigest() == digest
+
+
+# sha256 of the netlist and assignment files that `route --n 1024` emits
+# for each placement and mode; they do not depend on --format.
+EMITTED = [
+    ("normal", "free", "225fd78491d9eb2fc87ecae29fa197124d83c6e4dc90e1f781f3f057f55fe2eb",
+     "03ff817be1f3dd81cb7f014be6763f6a120abdba361fa41ba299f88988fa03dc"),
+    ("normal", "dim-ordered", "decbe185595c5f984aa9cebecdc53eac7a98d4b9661c00f42702a5ee18060c8b",
+     "c9212bca4068d2cb20a26786f897fc9f8a518645377589a74a2a24665b55bcc7"),
+    ("gray", "free", "392e32d46b751a925ca0480ec5ddee500cac3189377f14066a31ba7b7d2418a3",
+     "918e20d8240b3120446a80997130783b581dff389e13725906feafc39081fc84"),
+    ("gray", "dim-ordered", "42393d211e921d78f2ab8c7d2ee9cf358919d8a1a6717856e17075c896dad67a",
+     "68e834368d353ce669a3b47621cbe5099a39d4b8b03668a1f3a6862c5ec922e8"),
+]
+
+
+@pytest.mark.parametrize("placement, mode, netlist_digest, assignment_digest", EMITTED, ids=[f"{p}-{m}" for p, m, *_ in EMITTED])
+def test_emitted_file_bytes_are_unchanged(tmp_path, placement, mode, netlist_digest, assignment_digest):
+    netlist_file, assignment_file = tmp_path / "route.net", tmp_path / "route.asg"
+    stdout_of(
+        "route", "--n", "1024", "--placement", placement, "--mode", mode, "--format", "csv",
+        "--emit-netlist", str(netlist_file), "--emit-assignment", str(assignment_file),
+    )
+    assert hashlib.sha256(netlist_file.read_bytes()).hexdigest() == netlist_digest
+    assert hashlib.sha256(assignment_file.read_bytes()).hexdigest() == assignment_digest
+
+
+@pytest.mark.parametrize(
+    "placement, mode, fmt",
+    [("gray", "free", "svg"), ("normal", "free", "json"), ("normal", "dim-ordered", "csv")],
+    ids=["svg", "json", "csv"],
+)
+def test_every_route_output_is_streamed_in_blocks(tmp_path, placement, mode, fmt):
+    # At the cap, each output is an iterator of chunks, none of them near the
+    # whole text, that joins to the text of the public str functions.
+    n = cli.MAX_ROUTE_NODES
+    netlist_file, assignment_file = str(tmp_path / "route.net"), str(tmp_path / "route.asg")
+    args = cli.build_parser().parse_args([
+        "route", "--n", str(n), "--placement", placement, "--mode", mode, "--format", fmt,
+        "--emit-netlist", netlist_file, "--emit-assignment", assignment_file,
+    ])
+    texts, code = cli.cmd_route(args)
+    assert code == cli.EXIT_OK and [path for path, _ in texts] == [netlist_file, assignment_file, None]
+    joined = {}
+    for path, chunks in texts:
+        assert isinstance(chunks, Iterator)
+        chunks = list(chunks)
+        assert len(chunks) > 1 and max(map(len, chunks)) < 2**20
+        joined[path] = "".join(chunks)
+
+    net = build_netlist(HypercubeRow(n), placement, mode)
+    intervals = wire_intervals(net)
+    assignment = left_edge_route(intervals)
+    table = dump_assignment(intervals, assignment)
+    assert joined[netlist_file] == dump_netlist(net)
+    assert joined[assignment_file] == table
+    if fmt == "svg":
+        assert joined[None] == render_svg(net, assignment)
+    elif fmt == "csv":
+        assert joined[None] == "dim,left_col,right_col,track\n" + table.replace(" ", ",")
+    else:
+        names = ("dim", "left_col", "right_col", "track")
+        assert json.loads(joined[None])["wires"] == [dict(zip(names, row)) for row in load_assignment(table)]
 
 
 @pytest.mark.parametrize("track", [-1, 2, 3])

@@ -22,7 +22,9 @@ class UnknownChoiceError(LayoutError):
 
 
 class NetlistFormatError(LayoutError):
-    """Malformed netlist or track-assignment text."""
+    """Malformed netlist or track-assignment text, or netlist wires that
+    are not distinct links of their row with terminals on it, whether read
+    from text or given to ``Netlist`` by hand."""
 
 
 class IncompleteAssignmentError(LayoutError):

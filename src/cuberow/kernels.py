@@ -17,9 +17,8 @@ def accumulate_spans(num_cuts: int, spans: Iterable[tuple[int, int]]) -> tuple[i
 
     Difference array: every range adds 1 at its low end and removes it just
     past its high end, then a prefix sum recovers the per-cut totals.
-    ``spans`` is read once, so a generator that checks each range as it
-    yields it costs no list.  Requires 0 <= low <= high < num_cuts for
-    every range.
+    ``spans`` is read once, so a generator of ranges costs no list.
+    Requires 0 <= low <= high < num_cuts for every range.
     """
     diff = [0] * (num_cuts + 1)
     for low, high in spans:

@@ -19,7 +19,7 @@ clear, so the slot-cut formulas here serve gray rows too.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from enum import Enum
 from functools import lru_cache, partial
 from itertools import accumulate, compress, cycle, islice, repeat
@@ -65,6 +65,8 @@ class Wire(_WireFields):
     Slots locate the terminal on each endpoint node (1..dims, counted from
     the node's left edge).  They are structural only in dimension-ordered
     netlists; free-mode netlists carry slot = dim as a drawing convention.
+    A field that is not a plain int, a bool included, or columns that are
+    not left < right raise :class:`LayoutError`.
 
     A named tuple: its field order is the canonical wire order (dimension,
     then left column), so sorting wires needs no key, and a wire compares
@@ -74,11 +76,15 @@ class Wire(_WireFields):
     __slots__ = ()
 
     def __new__(cls, dim: int, left_col: int, right_col: int, left_slot: int, right_slot: int):
+        fields = (dim, left_col, right_col, left_slot, right_slot)
+        # A bool would pass every range test as 0 or 1 and print as "True".
+        if not all(type(field) is int for field in fields):
+            raise LayoutError(f"wire fields must be plain ints, got {fields!r}")
         if left_col >= right_col:
             raise LayoutError(
                 f"wire columns must satisfy left < right, got ({left_col}, {right_col})"
             )
-        return tuple.__new__(cls, (dim, left_col, right_col, left_slot, right_slot))
+        return tuple.__new__(cls, fields)
 
     @classmethod
     def _make(cls, iterable):
@@ -91,8 +97,8 @@ class Wire(_WireFields):
         return self.right_col - self.left_col
 
 
-# Builds a Wire from a tuple of its fields without the column check, for
-# callers that have already made sure left_col < right_col.
+# Builds a Wire from a tuple of its fields without the type and column
+# checks, for callers whose fields are ints with left_col < right_col.
 _new_wire = partial(tuple.__new__, Wire)
 # Field getters in Wire's field order after ``dim``.
 _left_col, _right_col, _left_slot, _right_slot = map(itemgetter, range(1, 5))
@@ -114,18 +120,68 @@ class Netlist(namedtuple("Netlist", "row placement mode wires")):
 
     ``placement`` and ``mode`` may be given by their values, such as
     ``"gray"``; they are stored as members, and any other value raises
-    :class:`UnknownChoiceError`.
+    :class:`UnknownChoiceError`.  Each wire is made a :class:`Wire`, and
+    the wires must keep the netlist contract of :func:`_checked_wires`:
+    every answer about a netlist rests on it, so no consumer checks the
+    wires again.  A subset of the row's links keeps it.
     """
 
     __slots__ = ()
 
     def __new__(cls, row: HypercubeRow, placement: Placement, mode: TerminalMode, wires: tuple[Wire, ...]):
-        return tuple.__new__(cls, (row, *_choices(placement, mode), wires))
+        placement, mode = _choices(placement, mode)
+        wires = tuple(map(Wire._make, wires))
+        wires = _checked_wires(row, placement, mode, wires, len(wires))
+        return tuple.__new__(cls, (row, placement, mode, wires))
 
     @classmethod
     def _make(cls, iterable):
         # ``_replace`` builds through here; keep it on the checked path.
         return cls(*iterable)
+
+
+def _checked_wires(row: HypercubeRow, placement: Placement, mode: TerminalMode, wires, count: int):
+    """The netlist contract: the ``count`` :class:`Wire` records of
+    ``wires`` as a tuple, once each is a distinct hypercube link of the row.
+
+    A wire's dimension is in ``1..dims``, ``0 <= left < right < n``, its
+    slots are in ``1..dims``, its columns hold a link of its dimension
+    under ``placement``, no link is listed twice, and with dimension-ordered
+    terminals no terminal slot carries two wires.  The first wire to break
+    a rule, tested in that order, raises :class:`NetlistFormatError`.
+    """
+    n, dims = row.n, row.dims
+    node_at = (lambda col: col) if placement is Placement.NORMAL else gray_code
+    # Flags keyed on integers: link dim * n + left_col, and terminal slot
+    # col * (dims + 1) + slot (its fine cut index).  A bytearray over the
+    # row is fastest; a few wires of a large row get dicts instead.
+    step = dims + 1
+    flags = bytearray if step * n <= 4 * count else (lambda size: defaultdict(int))
+    link_seen = flags(step * n)
+    slot_seen = flags(step * n) if mode is TerminalMode.DIM_ORDERED else None
+    checked = []
+    for w in wires:
+        dim, left, right, lslot, rslot = w
+        if not 1 <= dim <= dims:
+            raise NetlistFormatError(f"dimension {dim} outside 1..{dims}")
+        if not 0 <= left < right < n:
+            raise NetlistFormatError(f"bad column pair ({left}, {right})")
+        if not (1 <= lslot <= dims and 1 <= rslot <= dims):
+            raise NetlistFormatError(f"slot outside 1..{dims} in {w}")
+        if node_at(left) ^ node_at(right) != 1 << (dim - 1):
+            raise NetlistFormatError(f"columns {left} and {right} do not hold a dimension-{dim} pair")
+        link = dim * n + left
+        if link_seen[link]:
+            raise NetlistFormatError(f"dimension-{dim} link at column {left} listed twice")
+        link_seen[link] = 1
+        if slot_seen is not None:
+            lcut, rcut = left * step + lslot, right * step + rslot
+            if slot_seen[lcut] or slot_seen[rcut]:
+                col, slot = (left, lslot) if slot_seen[lcut] else (right, rslot)
+                raise NetlistFormatError(f"terminal slot {slot} of column {col} carries two wires")
+            slot_seen[lcut] = slot_seen[rcut] = 1
+        checked.append(w)
+    return tuple(checked)
 
 
 def fine_cut_count(row: HypercubeRow) -> int:
@@ -141,28 +197,6 @@ def gap_cut_index(row: HypercubeRow, cut: int) -> int:
 def node_cut_index(row: HypercubeRow, col: int, slot: int) -> int:
     """Fine index of the through-node cut just right of ``slot`` on ``col``."""
     return col * (row.dims + 1) + slot
-
-
-def _check_on_row(row: HypercubeRow, wires) -> None:
-    """Raise :class:`LayoutError` naming the first wire with a column
-    outside ``0..n-1`` or a terminal slot outside ``1..dims``.
-
-    A :class:`Wire`'s left column is below its right one, so one C-level
-    pass per column end and one set test per slot end decide it; the wire
-    at fault is looked for only on failure.
-    """
-    n, slots = row.n, frozenset(range(1, row.dims + 1))
-    if (
-        0 <= min(map(_left_col, wires), default=0)
-        and max(map(_right_col, wires), default=0) < n
-        and slots.issuperset(map(_left_slot, wires))
-        and slots.issuperset(map(_right_slot, wires))
-    ):
-        return
-    for w in wires:
-        _, left, right, left_slot, right_slot = w
-        if not (0 <= left < n and 0 <= right < n and left_slot in slots and right_slot in slots):
-            raise LayoutError(f"wire {w} has a terminal off the {n}-node row")
 
 
 def build_netlist(
@@ -203,7 +237,8 @@ def build_netlist(
         ends = map(xor, lefts, repeat(2 * half - 1)) if gray else map(add, lefts, repeat(half))
         rights = map(cols.__getitem__, ends)
         wires += map(_new_wire, zip(repeat(dim), lefts, rights, repeat(slot), repeat(slot)))
-    return Netlist(row, placement, mode, tuple(wires))
+    # The wires are the row's links by construction: no contract check.
+    return tuple.__new__(Netlist, (row, placement, mode, tuple(wires)))
 
 
 def _spans(wires):
@@ -325,7 +360,7 @@ _NON_DIGIT = re.compile(r"[^0-9\s]", re.ASCII)
 
 
 def _rows(text: str, start: int, lines, kind: str, width: int):
-    """Yield ``(line, ints)`` per line of ``lines``, the body of ``text`` from
+    """Yield the ints of each line of ``lines``, the body of ``text`` from
     ``start`` on.  A line that is not ``width`` runs of ASCII digits, each
     short enough for int(), raises :class:`NetlistFormatError` naming it."""
     bad = _NON_DIGIT.search(text, start)
@@ -340,18 +375,23 @@ def _rows(text: str, start: int, lines, kind: str, width: int):
             ints = tuple(map(int, fields))
         except ValueError:  # only ASCII digits get here, so a field too long for int()
             raise NetlistFormatError(f"bad {kind} line {line!r}: a field is too long to parse") from None
-        yield line, ints
+        yield ints
+
+
+# A wire line's ``dim left_col left_slot right_col right_slot`` in Wire's
+# field order.
+_wire_order = itemgetter(0, 1, 3, 2, 4)
 
 
 def load_netlist(text: str) -> Netlist:
-    """Parse and validate the text form produced by :func:`dump_netlist`.
+    """Parse the text form produced by :func:`dump_netlist`.
 
-    Every number is a run of ASCII digits.  Validation covers the full
-    structural contract: wire count, column ranges, that each wire joins two
-    nodes differing in exactly its dimension bit under the declared
-    placement, that no link is listed twice, and, with dimension-ordered
-    terminals, that no terminal slot of a node carries two wires.  Together
-    these make the wires exactly the row's hypercube links.
+    Every number is a run of ASCII digits.  The header names a row, a
+    placement and a mode, the wire count is the row's link count, and the
+    wires keep the netlist contract of :func:`_checked_wires`, which this
+    applies in the same pass as the parse.  With the full count and no
+    link listed twice, the wires are exactly the row's hypercube links.
+    Every fault raises :class:`NetlistFormatError`.
     """
     lines = list(filter(str.strip, text.splitlines()))
     if not lines:
@@ -368,43 +408,13 @@ def load_netlist(text: str) -> Netlist:
     except ValueError as exc:
         raise NetlistFormatError(f"bad header {lines[0]!r}: {exc}") from None
 
-    dims = row.dims
     # A dimension has n/2 links, so with this total and no link listed twice
     # every dimension has all of its links.
-    want = dims * row.n // 2
+    want = row.dims * row.n // 2
     if len(lines) - 1 != want:
         raise NetlistFormatError(f"{len(lines) - 1} wire lines, want {want}")
-    node_at = (lambda col: col) if placement is Placement.NORMAL else gray_code
-    wires = []
-    # Flags keyed on integers: link dim * n + left_col, and terminal slot
-    # col * (dims + 1) + slot (its fine cut index), so no tuple per wire.
-    # Sized after the wire count is known to match the header.
-    step = dims + 1
-    link_seen = bytearray(step * row.n)
-    slot_seen = bytearray(step * row.n) if mode is TerminalMode.DIM_ORDERED else None
     # The header is the first line that is not blank, so this finds its end.
     body = text.find(lines[0]) + len(lines[0])
-    for line, (dim, left, lslot, right, rslot) in _rows(text, body, islice(lines, 1, None), "wire", 5):
-        if not 1 <= dim <= dims:
-            raise NetlistFormatError(f"dimension {dim} outside 1..{dims}")
-        if not 0 <= left < right < row.n:
-            raise NetlistFormatError(f"bad column pair ({left}, {right})")
-        if not (1 <= lslot <= dims and 1 <= rslot <= dims):
-            raise NetlistFormatError(f"slot outside 1..{dims} in {line!r}")
-        if node_at(left) ^ node_at(right) != 1 << (dim - 1):
-            raise NetlistFormatError(
-                f"columns {left} and {right} do not hold a dimension-{dim} pair"
-            )
-        link = dim * row.n + left
-        if link_seen[link]:
-            raise NetlistFormatError(f"dimension-{dim} link at column {left} listed twice")
-        link_seen[link] = 1
-        if slot_seen is not None:
-            lcut, rcut = left * step + lslot, right * step + rslot
-            if slot_seen[lcut] or slot_seen[rcut]:
-                col, slot = (left, lslot) if slot_seen[lcut] else (right, rslot)
-                raise NetlistFormatError(f"terminal slot {slot} of column {col} carries two wires")
-            slot_seen[lcut] = slot_seen[rcut] = 1
-        # The column check above is the one Wire() would repeat.
-        wires.append(_new_wire((dim, left, right, lslot, rslot)))
-    return Netlist(row, placement, mode, tuple(wires))
+    fields = map(_wire_order, _rows(text, body, islice(lines, 1, None), "wire", 5))
+    wires = _checked_wires(row, placement, mode, map(_new_wire, fields), want)
+    return tuple.__new__(Netlist, (row, placement, mode, wires))

@@ -15,8 +15,8 @@ from collections.abc import Iterator
 from itertools import accumulate
 
 from cuberow import kernels
-from cuberow.errors import LayoutError, TooManyWiresError
-from cuberow.netlist import Netlist, TerminalMode, _check_on_row, fine_cut_count
+from cuberow.errors import TooManyWiresError
+from cuberow.netlist import Netlist, TerminalMode, fine_cut_count
 
 __all__ = [
     "CrossingTable",
@@ -69,9 +69,8 @@ class CrossingTable(namedtuple("CrossingTable", "n dims counts")):
         return max(self.counts, default=0)
 
 
-def _fine_spans(net: Netlist, cuts: int) -> Iterator[tuple[int, int]]:
-    """Every wire's fine span, in wire order, raising :class:`LayoutError`
-    at the first that is not a span within ``0..cuts-1``.
+def _fine_spans(net: Netlist) -> Iterator[tuple[int, int]]:
+    """Every wire's fine span, in wire order.
 
     This is the oracle's own statement of what a wire blocks.  Free
     terminals: just the gaps strictly between the endpoint columns.  Pinned
@@ -79,31 +78,19 @@ def _fine_spans(net: Netlist, cuts: int) -> Iterator[tuple[int, int]]:
     its right slot.
     """
     step = net.row.dims + 1
-    free = net.mode is TerminalMode.FREE
-    for w in net.wires:
-        _, left, right, left_slot, right_slot = w
-        if free:
-            lo, hi = (left + 1) * step, right * step
-        else:
-            lo, hi = left * step + left_slot, right * step + right_slot - 1
-        if not 0 <= lo <= hi < cuts:
-            raise LayoutError(f"wire {w} crosses fine cuts {lo}..{hi}, not a span within 0..{cuts - 1}")
-        yield lo, hi
+    if net.mode is TerminalMode.FREE:
+        return (((left + 1) * step, right * step) for _, left, right, _, _ in net.wires)
+    return ((left * step + lslot, right * step + rslot - 1) for _, left, right, lslot, rslot in net.wires)
 
 
 def crossing_profile(net: Netlist) -> CrossingTable:
     """Count, for every fine cut, the wires crossing it, one wire at a time.
 
-    One pass over the wires both checks each fine span and adds it to the
-    table.  A hand-made wire whose fine span does not lie on the row raises
-    :class:`LayoutError` naming it; only once every span has passed is a
-    wire with a column outside ``0..n-1`` or a slot outside ``1..dims``
-    refused the same way.
+    The netlist's wires are links of its row (see :class:`Netlist`), so
+    every fine span lies on the row.
     """
     row = net.row
-    cuts = fine_cut_count(row)
-    counts = kernels.accumulate_spans(cuts, _fine_spans(net, cuts))
-    _check_on_row(row, net.wires)
+    counts = kernels.accumulate_spans(fine_cut_count(row), _fine_spans(net))
     return CrossingTable(row.n, row.dims, counts)
 
 

@@ -4,8 +4,8 @@ Both renderers share one geometry: every node occupies one sub-column per
 terminal slot plus a trailing gap sub-column, tracks are stacked above the
 node row (track 0 nearest the nodes), and each wire is a horizontal segment
 on its track with vertical stubs dropping to its two terminals.  That
-geometry, and the rule that a drawn wire lies on the row and on a drawn
-track, are applied once, by :func:`_drawn`.
+geometry, and the rule that a drawn wire lies on a drawn track, are
+applied once, by :func:`_drawn`; the netlist keeps every wire on the row.
 
 SVG coordinates are exact at every cell size: a cell centre on a half
 pixel is printed as an integer whole part and ".5", and whether it has
@@ -18,7 +18,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 
 from cuberow.errors import LayoutError, RenderSizeError
-from cuberow.netlist import Netlist, Placement, _check_on_row, gray_code
+from cuberow.netlist import Netlist, Placement, gray_code
 from cuberow.routing import TrackAssignment, _tracks
 
 MAX_TEXT_COLUMNS = 512
@@ -67,14 +67,13 @@ def _drawn(net: Netlist, assignment: TrackAssignment, spec: RenderSpec, tracks: 
     sits in sub-column ``col * (dims + 1) + slot - 1``.  ``tracks`` holds
     each wire's track in the netlist's order, and is read from the
     assignment when not given.  With tracks hidden there are no rows and no
-    wires.  A wire with a column outside ``0..n-1``, a slot outside
-    ``1..dims``, no track, or a track outside ``0..rows-1`` raises
+    wires.  The netlist's wires lie on the row (see :class:`Netlist`); a
+    wire with no track, or with a track outside ``0..rows-1``, raises
     :class:`LayoutError` here, so the generator cannot raise.
     """
     if not spec.show_tracks:
         return 0, ()
     rows, wires = assignment.track_count, net.wires
-    _check_on_row(net.row, wires)
     if tracks is None:
         tracks = _tracks(assignment, wires)
     if tracks and not (0 <= min(tracks) and max(tracks) < rows):

@@ -15,14 +15,13 @@ from collections.abc import Iterator
 from functools import partial
 from heapq import heappop, heappush
 from itertools import count, repeat
-from operator import add, itemgetter, le, mul, sub
+from operator import add, itemgetter, mul, sub
 
 from cuberow.errors import IncompleteAssignmentError, LayoutError
 from cuberow.netlist import (
     Netlist,
     TerminalMode,
     Wire,
-    _check_on_row,
     _left_col,
     _left_slot,
     _right_col,
@@ -103,11 +102,16 @@ class RouteCertificate(
 
 def _tracks(assignment: TrackAssignment, wires) -> list[int]:
     """Each wire's track, in the order given.  A wire missing from the
-    assignment raises :class:`IncompleteAssignmentError`."""
+    assignment raises :class:`IncompleteAssignmentError`, and a track that
+    is not a plain int, a bool included, raises :class:`LayoutError`."""
     try:
-        return list(map(assignment.by_wire.__getitem__, wires))
+        tracks = list(map(assignment.by_wire.__getitem__, wires))
     except KeyError as exc:
         raise IncompleteAssignmentError(f"no track assigned to wire {exc.args[0]}") from None
+    if not {int}.issuperset(map(type, tracks)):
+        track = next(t for t in tracks if type(t) is not int)
+        raise LayoutError(f"track {track!r} is not an int")
+    return tracks
 
 
 def wire_intervals(net: Netlist) -> list[IntervalWire]:
@@ -119,8 +123,8 @@ def wire_intervals(net: Netlist) -> list[IntervalWire]:
     cut just left of its right terminal, covering the through-node cuts its
     overhead portion blocks at both endpoint nodes.
 
-    A wire with an empty range, or with a column outside ``0..n-1`` or a
-    slot outside ``1..dims``, raises :class:`LayoutError` naming it.
+    The netlist's wires are links of its row (see :class:`Netlist`), so
+    every range is non-empty and lies on the row's fine cuts.
     """
     # Fine index of gap ``cut`` is cut * step, of slot ``s`` on column
     # ``col`` is col * step + s (see cuberow.netlist).
@@ -129,15 +133,10 @@ def wire_intervals(net: Netlist) -> list[IntervalWire]:
     lefts = map(mul, map(_left_col, wires), repeat(step))
     rights = map(mul, map(_right_col, wires), repeat(step))
     if net.mode is TerminalMode.FREE:
-        lows = list(map(add, lefts, repeat(step)))
-        highs = list(rights)
+        lows, highs = map(add, lefts, repeat(step)), rights
     else:
-        lows = list(map(add, lefts, map(_left_slot, wires)))
-        highs = list(map(add, rights, map(sub, map(_right_slot, wires), repeat(1))))
-    if not all(map(le, lows, highs)):
-        for fields in zip(wires, lows, highs):
-            IntervalWire(*fields)  # raises for the first empty range
-    _check_on_row(net.row, wires)
+        lows = map(add, lefts, map(_left_slot, wires))
+        highs = map(add, rights, map(sub, map(_right_slot, wires), repeat(1)))
     return list(map(_new_interval, zip(wires, lows, highs)))
 
 
@@ -245,4 +244,4 @@ def load_assignment(text: str) -> list[tuple[int, int, int, int]]:
     digits or is too long to parse, raises :class:`NetlistFormatError`
     naming the line.
     """
-    return [ints for _, ints in _rows(text, 0, filter(str.strip, text.splitlines()), "assignment", 4)]
+    return list(_rows(text, 0, filter(str.strip, text.splitlines()), "assignment", 4))

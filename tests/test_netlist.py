@@ -2,10 +2,11 @@
 text serialization format."""
 
 import random
+import re
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuberow.density import HypercubeRow, cut_density, max_cut_density, max_density_cuts
@@ -28,7 +29,8 @@ from cuberow.netlist import (
     total_wirelength,
 )
 from cuberow.oracle import crossing_profile
-from cuberow.routing import dump_assignment, left_edge_route, load_assignment, wire_intervals
+from cuberow.render import render_svg
+from cuberow.routing import dump_assignment, left_edge_route, load_assignment, verify_assignment, wire_intervals
 
 
 class TestGrayCode:
@@ -217,6 +219,151 @@ class TestWireRecord:
     def test_replace_keeps_the_record_type(self):
         w = Wire(1, 0, 1, 1, 1)._replace(right_col=5)
         assert type(w) is Wire and w == (1, 0, 5, 1, 1)
+
+    @pytest.mark.parametrize("value", [True, 2.0, "1", None], ids=["bool", "float", "str", "none"])
+    @pytest.mark.parametrize("field", Wire._fields)
+    def test_rejects_a_field_that_is_not_a_plain_int_on_every_path(self, field, value):
+        # Unchecked, a bool wire was routed and dumped as "True", and a None
+        # column raised a bare TypeError.
+        fields = dict(zip(Wire._fields, (1, 0, 1, 1, 1)), **{field: value})
+        with pytest.raises(LayoutError, match="^wire fields must be plain ints, got "):
+            Wire(**fields)
+        with pytest.raises(LayoutError, match="^wire fields must be plain ints, got "):
+            Wire(1, 0, 1, 1, 1)._replace(**{field: value})
+
+
+def _case(wire, mode=TerminalMode.FREE, n=4, placement=Placement.NORMAL, others=()):
+    # A contract case: a netlist holding ``wire`` after ``others``.
+    return placement, mode, n, (*others, wire)
+
+
+# Links of a 4-node row listed before the wire under test.
+_LINK, _LINKS = (Wire(1, 0, 1, 1, 1),), (Wire(1, 0, 1, 1, 1), Wire(2, 1, 3, 2, 2))
+_SLOT = "slot outside 1..{dims} in {wire}"
+
+
+class TestNetlistContract:
+    """The rules every netlist keeps, whether built, loaded or made by hand;
+    no consumer checks them again.  The first nineteen cases are the wires off
+    the row that the oracle, the router and the renderers once refused."""
+
+    @pytest.mark.parametrize(
+        "placement, mode, n, wires, message",
+        [
+            # Fine spans off a 4-node row's fine cuts 0..12.
+            (*_case(Wire(1, -1, 1, 1, 1), TerminalMode.DIM_ORDERED, others=_LINK), "bad column pair (-1, 1)"),
+            (*_case(Wire(1, 0, 9, 1, 1), TerminalMode.DIM_ORDERED, others=_LINK), "bad column pair (0, 9)"),
+            (*_case(Wire(1, 0, 1, 5, 1), TerminalMode.DIM_ORDERED, others=_LINK), _SLOT),
+            (*_case(Wire(1, 2, 5, 1, 1), others=_LINK), "bad column pair (2, 5)"),
+            # Terminals off the row whose fine spans lie on it.
+            (*_case(Wire(1, -1, 1, 1, 1), others=_LINK), "bad column pair (-1, 1)"),
+            (*_case(Wire(1, 1, 2, 0, 1), TerminalMode.DIM_ORDERED, others=_LINK), _SLOT),
+            (*_case(Wire(1, 2, 4, 1, 1), others=_LINK), "bad column pair (2, 4)"),
+            (*_case(Wire(1, 0, 1, 3, 1), TerminalMode.DIM_ORDERED, others=_LINK), _SLOT),
+            # Empty crossing ranges, from slots past the row's dimensions.
+            (*_case(Wire(1, 0, 1, 5, 0), TerminalMode.DIM_ORDERED, n=2), _SLOT),
+            (*_case(Wire(1, 2, 3, 8, 0), TerminalMode.DIM_ORDERED, others=_LINK), _SLOT),
+            # Routed, certified and dumped before the router's range rule.
+            (*_case(Wire(1, -1, 1, 1, 1), TerminalMode.DIM_ORDERED, others=_LINK), "bad column pair (-1, 1)"),
+            (*_case(Wire(1, -1, 1, 1, 1), others=_LINK), "bad column pair (-1, 1)"),
+            (*_case(Wire(1, 0, 4, 1, 1), TerminalMode.DIM_ORDERED, others=_LINK), "bad column pair (0, 4)"),
+            (*_case(Wire(1, 0, 1, 1, 3), TerminalMode.DIM_ORDERED, others=_LINK), _SLOT),
+            (*_case(Wire(1, 0, 1, 0, 1), others=_LINK), _SLOT),
+            # Drawn off the picture before the renderers' range rule.
+            (*_case(Wire(1, 0, 1, 0, 1)), _SLOT),
+            (*_case(Wire(1, 0, 1, 1, 3)), _SLOT),
+            (*_case(Wire(1, -1, 1, 1, 1)), "bad column pair (-1, 1)"),
+            (*_case(Wire(1, 0, 4, 1, 1)), "bad column pair (0, 4)"),
+            # Silently routed and certified by every consumer.
+            (*_case(Wire(9, 0, 1, 1, 1)), "dimension 9 outside 1..2"),
+            (*_case(Wire(2, 0, 1, 1, 1)), "columns 0 and 1 do not hold a dimension-2 pair"),
+            (*_case(Wire(2, 0, 2, 2, 2), placement=Placement.GRAY), "columns 0 and 2 do not hold a dimension-2 pair"),
+            (*_case(Wire(1, 0, 1, 1, 1), others=_LINKS), "dimension-1 link at column 0 listed twice"),
+            (
+                *_case(Wire(2, 0, 2, 1, 2), TerminalMode.DIM_ORDERED, others=_LINKS),
+                "terminal slot 1 of column 0 carries two wires",
+            ),
+        ],
+        ids=[
+            "span-negative-column", "span-column-past-the-row", "span-slot-past-its-partner",
+            "span-free-past-the-row", "on-span-negative-column", "on-span-slot-0",
+            "on-span-column-past-the-row", "on-span-slot-past-dims", "empty-range-two-nodes",
+            "empty-range-four-nodes", "route-negative-column", "route-free-negative-column",
+            "route-column-past-the-row", "route-slot-past-dims", "route-slot-0", "draw-slot-0",
+            "draw-slot-past-dims", "draw-negative-column", "draw-column-past-the-row",
+            "dimension-past-the-row", "not-a-link", "not-a-gray-link", "link-listed-twice",
+            "slot-carries-two-wires",
+        ],
+    )
+    def test_refuses_a_bad_wire(self, placement, mode, n, wires, message):
+        row = HypercubeRow(n)
+        message = message.format(dims=row.dims, wire=wires[-1])
+        with pytest.raises(NetlistFormatError, match=f"^{re.escape(message)}$"):
+            Netlist(row, placement, mode, wires)
+
+    def test_every_construction_path_checks(self):
+        built = build_netlist(HypercubeRow(4))
+        wires = (*built.wires[:-1], Wire(2, 1, 3, 2, 3))
+        off_row = re.escape(f"slot outside 1..2 in {wires[-1]}")
+        for make, message in (
+            (lambda: Netlist(*built[:3], wires), off_row),
+            (lambda: Netlist._make((*built[:3], wires)), off_row),
+            (lambda: built._replace(wires=wires), off_row),
+            # Column 1's slot 1 holds the end of the dimension-1 wire 0-1.
+            (
+                lambda: built._replace(mode="dim-ordered", wires=(*wires[:-1], Wire(2, 1, 3, 1, 2))),
+                "^terminal slot 1 of column 1 carries two wires$",
+            ),
+        ):
+            with pytest.raises(NetlistFormatError, match=message):
+                make()
+
+    def test_a_subset_of_the_links_is_a_netlist(self):
+        built = build_netlist(HypercubeRow(8), Placement.GRAY, TerminalMode.DIM_ORDERED)
+        net = Netlist(*built[:3], built.wires[::3])
+        assert net.wires == built.wires[::3]
+        assert left_edge_route(wire_intervals(net)).track_count == crossing_profile(net).fine_max()
+
+    def test_plain_tuples_become_wires(self):
+        net = Netlist(HypercubeRow(2), "normal", "free", [(1, 0, 1, 1, 1)])
+        assert net.wires == (Wire(1, 0, 1, 1, 1),) and type(net.wires[0]) is Wire
+        with pytest.raises(LayoutError, match="^wire fields must be plain ints"):
+            Netlist(HypercubeRow(2), "normal", "free", [(True, 0, 1, 1, 1)])
+
+    @pytest.mark.parametrize("placement", list(Placement))
+    @pytest.mark.parametrize("mode", list(TerminalMode))
+    def test_built_netlists_keep_it(self, placement, mode):
+        # build_netlist skips the check, as its wires are links by construction.
+        for d in range(1, 9):
+            built = build_netlist(HypercubeRow(2**d), placement, mode)
+            assert Netlist(*built) == built
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_a_mutated_wire_is_refused_or_kept_by_every_consumer(self, data):
+        n = data.draw(st.sampled_from([2, 4, 8, 16]), label="n")
+        placement = data.draw(st.sampled_from(list(Placement)), label="placement")
+        mode = data.draw(st.sampled_from(list(TerminalMode)), label="mode")
+        row = HypercubeRow(n)
+        built = build_netlist(row, placement, mode)
+        index = data.draw(st.integers(0, len(built.wires) - 1), label="wire")
+        field = data.draw(st.sampled_from(Wire._fields), label="field")
+        value = data.draw(st.sampled_from([-1, 0, n, row.dims + 1, True, 2.0, "1", None]), label="value")
+        wires = list(built.wires)
+        try:
+            wires[index] = Wire(**dict(built.wires[index]._asdict(), **{field: value}))
+            net = Netlist(row, placement, mode, wires)
+        except LayoutError:
+            return
+        # Still a valid link set: the text loader takes it back, and every
+        # consumer runs and agrees with the oracle.
+        assert load_netlist(dump_netlist(net)) == net
+        intervals = wire_intervals(net)
+        assignment = left_edge_route(intervals)
+        assert verify_assignment(intervals, assignment).ok
+        assert dump_assignment(intervals, assignment)
+        assert render_svg(net, assignment)
+        assert assignment.track_count == crossing_profile(net).fine_max()
 
 
 class TestWirelength:

@@ -1,13 +1,11 @@
 """The brute-force oracle itself, checked against an even dumber per-cut
 count and its own stated self-consistency rules."""
 
-import re
-
 import pytest
 
 from cuberow.density import HypercubeRow
-from cuberow.errors import LayoutError, TooManyWiresError
-from cuberow.netlist import Netlist, Placement, TerminalMode, build_netlist, total_wirelength
+from cuberow.errors import TooManyWiresError
+from cuberow.netlist import Placement, TerminalMode, build_netlist, total_wirelength
 from cuberow.oracle import (
     brute_link_count,
     brute_maximizers,
@@ -85,59 +83,6 @@ class TestCrossingProfile:
         for cut in range(9):
             assert table.gap(cut) == table.counts[cut * step]
         assert table.node_cut(4, 2) == table.counts[4 * step + 2] == 6
-
-    @pytest.mark.parametrize(
-        "mode, wire, span",
-        [
-            (TerminalMode.DIM_ORDERED, Wire(1, -1, 1, 1, 1), "-2..3"),
-            (TerminalMode.DIM_ORDERED, Wire(1, 0, 9, 1, 1), "1..27"),
-            (TerminalMode.DIM_ORDERED, Wire(1, 0, 1, 5, 1), "5..3"),
-            (TerminalMode.FREE, Wire(1, 2, 5, 1, 1), "9..15"),
-        ],
-        ids=["negative-column", "column-past-the-row", "slot-past-its-partner", "free-past-the-row"],
-    )
-    def test_refuses_a_wire_off_the_row(self, mode, wire, span):
-        # A 4-node row has fine cuts 0..12.  Unchecked, the first span wrapped
-        # to the end of the count list and gave -1 at eight cuts, and the
-        # second raised a bare IndexError.
-        wires = (Wire(1, 0, 1, 1, 1), wire, Wire(2, 1, 3, 2, 2))
-        net = Netlist(HypercubeRow(4), Placement.NORMAL, mode, wires)
-        message = f"^wire {re.escape(str(wire))} crosses fine cuts {span}, not a span within 0..12$"
-        with pytest.raises(LayoutError, match=message):
-            crossing_profile(net)
-
-
-    @pytest.mark.parametrize(
-        "mode, wire",
-        [
-            (TerminalMode.FREE, Wire(1, -1, 1, 1, 1)),
-            (TerminalMode.DIM_ORDERED, Wire(1, 1, 2, 0, 1)),
-            (TerminalMode.FREE, Wire(1, 2, 4, 1, 1)),
-            (TerminalMode.DIM_ORDERED, Wire(1, 0, 1, 3, 1)),
-        ],
-        ids=["negative-column", "slot-0", "column-past-the-row", "slot-past-dims"],
-    )
-    def test_refuses_a_terminal_off_the_row_with_a_span_on_it(self, mode, wire):
-        # Fine spans 0..3, 3..6, 9..12 and 3..3 all lie within the 4-node
-        # row's cuts 0..12, so the span rule lets each wire through and it
-        # would be counted.
-        wires = (Wire(1, 0, 1, 1, 1), wire, Wire(2, 1, 3, 2, 2))
-        net = Netlist(HypercubeRow(4), Placement.NORMAL, mode, wires)
-        with pytest.raises(LayoutError, match=f"^wire {re.escape(str(wire))} has a terminal off the 4-node row$"):
-            crossing_profile(net)
-
-    @pytest.mark.parametrize("swap", [False, True], ids=["off-row-first", "bad-span-first"])
-    def test_every_span_is_checked_before_the_row(self, swap):
-        # One wire is off the row, but its free span 0..3 lies on the 4-node
-        # row's fine cuts 0..12; the other's span 9..15 does not.  The span
-        # rule runs over every wire before the row rule, so in either order
-        # the refusal names the wire with the bad span.
-        off_row, bad_span = Wire(1, -1, 1, 1, 1), Wire(1, 2, 5, 1, 1)
-        wires = (bad_span, off_row) if swap else (off_row, bad_span)
-        net = Netlist(HypercubeRow(4), Placement.NORMAL, TerminalMode.FREE, wires)
-        message = f"^wire {re.escape(str(bad_span))} crosses fine cuts 9..15, not a span within 0..12$"
-        with pytest.raises(LayoutError, match=message):
-            crossing_profile(net)
 
 
 class TestBruteMaximizers:

@@ -327,25 +327,8 @@ def test_text_refuses_a_track_outside_its_rows(track):
             render(net, TrackAssignment({wires[0]: track}, 2, 1))
 
 
-@pytest.mark.parametrize(
-    "wire",
-    [Wire(1, 0, 1, 0, 1), Wire(1, 0, 1, 1, 3), Wire(1, -1, 1, 1, 1), Wire(1, 0, 4, 1, 1)],
-    ids=["slot-0", "slot-past-dims", "negative-column", "column-past-the-row"],
-)
-@pytest.mark.parametrize("render", [render_text, render_svg], ids=["text", "svg"])
-def test_renderers_refuse_a_terminal_off_the_row(render, wire):
-    # A 4-node row has columns 0..3 and slots 1..2.  Before the range rule,
-    # the text drawing wrapped slot 0 of column 0 to the last column and
-    # raised IndexError past the row, and the svg drew all four.
-    net = Netlist(HypercubeRow(4), Placement.NORMAL, TerminalMode.FREE, (wire,))
-    assignment = TrackAssignment({wire: 0}, 1, 1)
-    with pytest.raises(LayoutError, match=f"^wire {re.escape(str(wire))} has a terminal off the 4-node row$"):
-        render(net, assignment)
-    # Hidden tracks draw no wire, so none is checked.
-    assert render(net, assignment, RenderSpec(show_tracks=False)).endswith("\n")
-
-
-@pytest.mark.parametrize(
+# Every reader of a track assignment, each given a netlist and the assignment.
+READERS = pytest.mark.parametrize(
     "reader",
     [
         lambda net, assignment: render_text(net, assignment),
@@ -355,6 +338,9 @@ def test_renderers_refuse_a_terminal_off_the_row(render, wire):
     ],
     ids=["render_text", "render_svg", "dump_assignment", "verify_assignment"],
 )
+
+
+@READERS
 def test_every_reader_of_an_assignment_names_a_wire_without_a_track(reader):
     net = build_netlist(HypercubeRow(8), Placement.NORMAL, TerminalMode.FREE)
     routed = left_edge_route(wire_intervals(net))
@@ -362,6 +348,17 @@ def test_every_reader_of_an_assignment_names_a_wire_without_a_track(reader):
     by_wire = {w: t for w, t in routed.by_wire.items() if w != missing}
     with pytest.raises(IncompleteAssignmentError, match=re.escape(f"no track assigned to wire {missing}")):
         reader(net, TrackAssignment(by_wire, routed.track_count, routed.density))
+
+
+@pytest.mark.parametrize("track", ["0", 0.0, True, None], ids=["str", "float", "bool", "none"])
+@READERS
+def test_every_reader_of_an_assignment_refuses_a_track_that_is_not_an_int(reader, track):
+    # Unchecked, verify_assignment compared "0" with 0 and raised a bare
+    # TypeError, and a bool track passed as 0 or 1.
+    wires = (Wire(1, 0, 1, 1, 1),)
+    net = Netlist(HypercubeRow(2), Placement.NORMAL, TerminalMode.FREE, wires)
+    with pytest.raises(LayoutError, match=f"^track {re.escape(repr(track))} is not an int$"):
+        reader(net, TrackAssignment({wires[0]: track}, 1, 1))
 
 
 def _svg_sizes():

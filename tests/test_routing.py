@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cuberow.density import HypercubeRow, max_cut_density
 from cuberow.errors import IncompleteAssignmentError, LayoutError, NetlistFormatError
-from cuberow.netlist import Netlist, Placement, TerminalMode, Wire, build_netlist
+from cuberow.netlist import Placement, TerminalMode, Wire, build_netlist
 from cuberow.oracle import brute_track_count, coverage_bound
 from cuberow.routing import (
     IntervalWire,
@@ -73,39 +73,6 @@ class TestWireIntervals:
             IntervalWire._make((w, 5, 4))
         with pytest.raises(LayoutError):
             IntervalWire(w, 4, 5)._replace(lo=6)
-
-    @pytest.mark.parametrize(
-        "n, wires, shown",
-        [
-            (2, (Wire(1, 0, 1, 5, 0),), "[5, 1]"),
-            (4, (Wire(1, 0, 1, 1, 1), Wire(1, 2, 3, 8, 0), Wire(2, 0, 2, 9, 0)), "[14, 8]"),
-        ],
-    )
-    def test_names_the_first_empty_range(self, n, wires, shown):
-        # No built netlist has one: only a slot past the row's dimensions does.
-        net = Netlist(HypercubeRow(n), Placement.NORMAL, TerminalMode.DIM_ORDERED, wires)
-        with pytest.raises(LayoutError, match=re.escape(f"empty crossing range {shown}")):
-            wire_intervals(net)
-
-    @pytest.mark.parametrize(
-        "mode, wire",
-        [
-            (TerminalMode.DIM_ORDERED, Wire(1, -1, 1, 1, 1)),
-            (TerminalMode.FREE, Wire(1, -1, 1, 1, 1)),
-            (TerminalMode.DIM_ORDERED, Wire(1, 0, 4, 1, 1)),
-            (TerminalMode.DIM_ORDERED, Wire(1, 0, 1, 1, 3)),
-            (TerminalMode.FREE, Wire(1, 0, 1, 0, 1)),
-        ],
-        ids=["negative-column", "free-negative-column", "column-past-the-row", "slot-past-dims", "slot-0"],
-    )
-    def test_refuses_a_terminal_off_the_row(self, mode, wire):
-        # A 4-node row has columns 0..3 and slots 1..2.  Each wire's interval
-        # is non-empty (-2..3, 0..3, 1..12, 1..5 and 3..3), so unchecked the
-        # router routed it, the certificate passed it and the dump printed
-        # its column as given.
-        net = Netlist(HypercubeRow(4), Placement.NORMAL, mode, (Wire(1, 0, 1, 1, 1), wire))
-        with pytest.raises(LayoutError, match=f"^wire {re.escape(str(wire))} has a terminal off the 4-node row$"):
-            wire_intervals(net)
 
     @pytest.mark.parametrize("mode", list(TerminalMode))
     def test_intervals_follow_the_netlist_order(self, mode):

@@ -19,7 +19,7 @@ clear, so the slot-cut formulas here serve gray rows too.
 from __future__ import annotations
 
 import re
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache, partial
 from itertools import accumulate, compress, cycle, islice, repeat
@@ -131,7 +131,7 @@ class Netlist(namedtuple("Netlist", "row placement mode wires")):
     def __new__(cls, row: HypercubeRow, placement: Placement, mode: TerminalMode, wires: tuple[Wire, ...]):
         placement, mode = _choices(placement, mode)
         wires = tuple(map(Wire._make, wires))
-        wires = _checked_wires(row, placement, mode, wires, len(wires))
+        wires = _checked_wires(row, placement, mode, wires)
         return tuple.__new__(cls, (row, placement, mode, wires))
 
     @classmethod
@@ -140,9 +140,9 @@ class Netlist(namedtuple("Netlist", "row placement mode wires")):
         return cls(*iterable)
 
 
-def _checked_wires(row: HypercubeRow, placement: Placement, mode: TerminalMode, wires, count: int):
-    """The netlist contract: the ``count`` :class:`Wire` records of
-    ``wires`` as a tuple, once each is a distinct hypercube link of the row.
+def _checked_wires(row: HypercubeRow, placement: Placement, mode: TerminalMode, wires):
+    """The netlist contract: the :class:`Wire` records of ``wires`` as a
+    tuple, once each is a distinct hypercube link of the row.
 
     A wire's dimension is in ``1..dims``, ``0 <= left < right < n``, its
     slots are in ``1..dims``, its columns hold a link of its dimension
@@ -152,13 +152,11 @@ def _checked_wires(row: HypercubeRow, placement: Placement, mode: TerminalMode, 
     """
     n, dims = row.n, row.dims
     node_at = (lambda col: col) if placement is Placement.NORMAL else gray_code
-    # Flags keyed on integers: link dim * n + left_col, and terminal slot
-    # col * (dims + 1) + slot (its fine cut index).  A bytearray over the
-    # row is fastest; a few wires of a large row get dicts instead.
+    # Integer keys: link dim * n + left_col, and terminal slot
+    # col * (dims + 1) + slot (its fine cut index), so no tuple per wire.
     step = dims + 1
-    flags = bytearray if step * n <= 4 * count else (lambda size: defaultdict(int))
-    link_seen = flags(step * n)
-    slot_seen = flags(step * n) if mode is TerminalMode.DIM_ORDERED else None
+    link_seen = set()
+    slot_seen = set() if mode is TerminalMode.DIM_ORDERED else None
     checked = []
     for w in wires:
         dim, left, right, lslot, rslot = w
@@ -167,19 +165,22 @@ def _checked_wires(row: HypercubeRow, placement: Placement, mode: TerminalMode, 
         if not 0 <= left < right < n:
             raise NetlistFormatError(f"bad column pair ({left}, {right})")
         if not (1 <= lslot <= dims and 1 <= rslot <= dims):
-            raise NetlistFormatError(f"slot outside 1..{dims} in {w}")
+            # In the text form's field order, so it reads as the file's line does.
+            raise NetlistFormatError(f"slot outside 1..{dims} in wire '{dim} {left} {lslot} {right} {rslot}'"
+                                     " (dim left_col left_slot right_col right_slot)")
         if node_at(left) ^ node_at(right) != 1 << (dim - 1):
             raise NetlistFormatError(f"columns {left} and {right} do not hold a dimension-{dim} pair")
         link = dim * n + left
-        if link_seen[link]:
+        if link in link_seen:
             raise NetlistFormatError(f"dimension-{dim} link at column {left} listed twice")
-        link_seen[link] = 1
+        link_seen.add(link)
         if slot_seen is not None:
             lcut, rcut = left * step + lslot, right * step + rslot
-            if slot_seen[lcut] or slot_seen[rcut]:
-                col, slot = (left, lslot) if slot_seen[lcut] else (right, rslot)
+            if lcut in slot_seen or rcut in slot_seen:
+                col, slot = (left, lslot) if lcut in slot_seen else (right, rslot)
                 raise NetlistFormatError(f"terminal slot {slot} of column {col} carries two wires")
-            slot_seen[lcut] = slot_seen[rcut] = 1
+            slot_seen.add(lcut)
+            slot_seen.add(rcut)
         checked.append(w)
     return tuple(checked)
 
@@ -416,5 +417,5 @@ def load_netlist(text: str) -> Netlist:
     # The header is the first line that is not blank, so this finds its end.
     body = text.find(lines[0]) + len(lines[0])
     fields = map(_wire_order, _rows(text, body, islice(lines, 1, None), "wire", 5))
-    wires = _checked_wires(row, placement, mode, map(_new_wire, fields), want)
+    wires = _checked_wires(row, placement, mode, map(_new_wire, fields))
     return tuple.__new__(Netlist, (row, placement, mode, wires))

@@ -239,7 +239,10 @@ def _case(wire, mode=TerminalMode.FREE, n=4, placement=Placement.NORMAL, others=
 
 # Links of a 4-node row listed before the wire under test.
 _LINK, _LINKS = (Wire(1, 0, 1, 1, 1),), (Wire(1, 0, 1, 1, 1), Wire(2, 1, 3, 2, 2))
-_SLOT = "slot outside 1..{dims} in {wire}"
+_SLOT = (
+    "slot outside 1..{dims} in wire '{w.dim} {w.left_col} {w.left_slot} {w.right_col} {w.right_slot}'"
+    " (dim left_col left_slot right_col right_slot)"
+)
 
 
 class TestNetlistContract:
@@ -297,14 +300,14 @@ class TestNetlistContract:
     )
     def test_refuses_a_bad_wire(self, placement, mode, n, wires, message):
         row = HypercubeRow(n)
-        message = message.format(dims=row.dims, wire=wires[-1])
+        message = message.format(dims=row.dims, w=wires[-1])
         with pytest.raises(NetlistFormatError, match=f"^{re.escape(message)}$"):
             Netlist(row, placement, mode, wires)
 
     def test_every_construction_path_checks(self):
         built = build_netlist(HypercubeRow(4))
         wires = (*built.wires[:-1], Wire(2, 1, 3, 2, 3))
-        off_row = re.escape(f"slot outside 1..2 in {wires[-1]}")
+        off_row = re.escape(_SLOT.format(dims=2, w=wires[-1]))
         for make, message in (
             (lambda: Netlist(*built[:3], wires), off_row),
             (lambda: Netlist._make((*built[:3], wires)), off_row),
@@ -715,6 +718,13 @@ class TestSerialization:
         bad = good.replace("2 0 2 2 2", "2 0 1 2 2", 1)
         assert bad != good
         with pytest.raises(NetlistFormatError, match="slot 1 of column 0"):
+            load_netlist(bad)
+
+    def test_a_bad_slot_is_quoted_in_the_file_order(self):
+        good = dump_netlist(build_netlist(HypercubeRow(4), mode=TerminalMode.DIM_ORDERED))
+        bad = good.replace("1 0 1 1 1", "1 0 5 1 1", 1)
+        assert bad != good
+        with pytest.raises(NetlistFormatError, match=r"^slot outside 1\.\.2 in wire '1 0 5 1 1' \(dim left_col"):
             load_netlist(bad)
 
     def test_free_mode_slots_are_not_checked(self):

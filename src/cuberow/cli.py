@@ -131,11 +131,13 @@ _scalar_text = json.JSONEncoder().encode
 # lines; only the newlines at its brackets are left to splice in.
 _items_text = json.JSONEncoder(separators=(",\n    ", ": ")).encode
 
-# Items per encoder call in a long list of scalars.
-_CHUNK = 2**16
-# Lines per chunk of a streamed text (a density or track table, an svg
-# drawing, an emitted file), and records per chunk of a JSON record list.
-_TABLE_ROWS = 2**12
+# The one block size of a streamed output: scalars per encoder call in a
+# long list and cuts per profile block, lines per chunk of a streamed text
+# (a density or track table, an svg drawing, an emitted file), and records
+# per chunk of a JSON record list.  A block's list and text then take tens
+# of KB, far below the interpreter's own memory, while the Python work per
+# block stays small beside the C loops it runs.
+_BLOCK = 2**10
 
 
 class _Records:
@@ -170,10 +172,10 @@ def _json_text(doc: dict) -> Iterator[str]:
 
     ``doc`` is a non-empty dict with str keys, and each value is one of four
     kinds: a scalar or an empty container; a dict of scalars, encoded in one
-    call; a list of scalars, encoded in one call per ``_CHUNK`` items, or a
+    call; a list of scalars, encoded in one call per ``_BLOCK`` items, or a
     ``_Stream``, encoded in one call per block, each written as a list of
     its items; or ``_Records``, written as a list of dicts, formatted one
-    record at a time and joined ``_TABLE_ROWS`` records to a chunk.  No
+    record at a time and joined ``_BLOCK`` records to a chunk.  No
     chunk is kept once it is yielded, and none is joined into one string.
     """
     yield "{"
@@ -204,15 +206,15 @@ def _json_text(doc: dict) -> Iterator[str]:
             yield from ("{\n    ", _items_text(value)[1:-1], "\n  }")
         else:
             # One slice at a time, so no text of a long list is made whole.
-            yield from _list_text(value[start : start + _CHUNK] for start in range(0, len(value), _CHUNK))
+            yield from _list_text(value[start : start + _BLOCK] for start in range(0, len(value), _BLOCK))
     yield "\n}\n"
 
 
 def _blocks(lines: Iterable[str]) -> Iterator[str]:
-    """``lines``, texts that are not empty, joined ``_TABLE_ROWS`` to a chunk
+    """``lines``, texts that are not empty, joined ``_BLOCK`` to a chunk
     as they are drained."""
     lines = iter(lines)
-    return iter(lambda: "".join(islice(lines, _TABLE_ROWS)), "")
+    return iter(lambda: "".join(islice(lines, _BLOCK)), "")
 
 
 def _list_text(blocks: Iterable[list]) -> Iterator[str]:
@@ -229,7 +231,7 @@ def _density_data(row: HypercubeRow, placement: Placement, mode: TerminalMode) -
     """The JSON density document, with ``tracks`` None, from the closed forms.
 
     Its ``profile`` is a ``_Stream`` of the interior cuts' densities in
-    blocks of ``_CHUNK`` cuts, each made from the one before as it is
+    blocks of ``_BLOCK`` cuts, each made from the one before as it is
     written.  A gray row has the normal row's crossing count at every cut
     (see :mod:`cuberow.density`), so both placements take the same formulas.
     """
@@ -238,7 +240,7 @@ def _density_data(row: HypercubeRow, placement: Placement, mode: TerminalMode) -
         "n": row.n,
         "placement": placement.value,
         "mode": mode.value,
-        "profile": _Stream(partial(kernels._profile_blocks, row.n, _CHUNK)),
+        "profile": _Stream(partial(kernels._profile_blocks, row.n, _BLOCK)),
         "m": density.max_cut_density(row),
         "p": cuts[0],
         "maximizers": cuts,

@@ -28,14 +28,15 @@ from cuberow.errors import InvalidCutError, InvalidDimensionError, RowSizeError
 
 # Contract cap: every operation is exact up to this many nodes.  Density
 # values stay far below 2**63, but inputs beyond the cap are rejected rather
-# than silently accepted.  Cost: the profiles and the netlist are O(n) in
-# time and memory, and so are the slot rows and
-# ``netlist.terminal_cut_density``, which read the whole gap profile through
-# ``netlist._row_tables``.  The density command's profile takes O(n) time
-# but is made and written one block of 2**16 cuts at a time
-# (``kernels._profile_blocks``), so in free mode it holds no O(n) list;
-# dim-ordered slot rows still read ``netlist._row_tables``.  Every other
-# scalar form is O(d), and ``max_density_cuts`` is O(d) per maximizer.
+# than silently accepted.  Cost: the list profiles and the netlist are O(n)
+# in time and memory.  The density command's profile takes O(n) time but is
+# made and written one block of 2**10 cuts at a time
+# (``kernels._profile_blocks``), so it holds no O(n) list.  The slot rows
+# and ``netlist.terminal_cut_density`` read tables of O(sqrt(n)) entries
+# (``netlist._row_tables``), made once per row size in O(sqrt(n) * d) time
+# and memory (about 0.3 s and 29 MB at 2**30), and then take O(d) each.
+# Every other scalar form is O(d), and ``max_density_cuts`` is O(d) per
+# maximizer.
 MAX_NODES = 2**30
 
 

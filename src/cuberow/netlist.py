@@ -25,7 +25,6 @@ from functools import lru_cache, partial
 from itertools import accumulate, compress, cycle, islice, repeat
 from operator import add, itemgetter, sub, xor
 
-from cuberow import density
 from cuberow.density import HypercubeRow, _bad_index
 from cuberow.errors import InvalidCutError, LayoutError, NetlistFormatError, UnknownChoiceError
 from cuberow.kernels import _excess_above
@@ -263,16 +262,32 @@ def _ramps(bits: int) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=1)
-def _row_tables(n: int) -> tuple[list[int], int, int, list[tuple[int, ...]], list[tuple[int, ...]]]:
-    # For the last row size asked for: the intercolumn densities, the width
-    # h = ceil(dims / 2) of the low half of a node's bits and its mask, and
-    # the slot ramps of the low h bits and of the dims - h bits above them.
+def _row_tables(n: int):
+    # For the last row size asked for, with h = ceil(dims / 2) the width of
+    # the low half of a node's bits: h and its mask; the intercolumn density
+    # S at the cuts k * 2^h, for k = 0..2^(dims-h), and twice each k's
+    # popcount; S at the cuts 0..2^h; the slot ramps of the low h bits, each
+    # entry plus S of its low half; and the slot ramps of the bits above.
+    # S(i+1) = S(i) + dims - 2*popcount(i) splits over the halves of a cut,
+    # S(k * 2^h + lo) = S(k * 2^h) + S(lo) - 2*popcount(k)*lo for lo <= 2^h,
+    # so no table holds S at every cut: O(sqrt(n)) entries, exact at 2^30.
     # Keyed on n, not on the row, so a cache hit hashes one int.  The tables
     # are shared between calls, so none is handed to a caller.
     dims = n.bit_length() - 1
     half = (dims + 1) // 2
-    profile = density.cut_density_profile(HypercubeRow(n))
-    return profile, half, (1 << half) - 1, _ramps(half), _ramps(dims - half)
+    start = list(accumulate((dims - 2 * j.bit_count() for j in range(1 << half)), initial=0))
+    twice = [2 * k.bit_count() for k in range((n >> half) + 1)]
+    # Each step spans 2^h cuts, from S(k * 2^h) by the split at lo = 2^h.
+    top = list(accumulate((start[-1] - (t << half) for t in twice[:-1]), initial=0))
+    low = [tuple(s + r for r in ramp) for s, ramp in zip(start, _ramps(half))]
+    return half, (1 << half) - 1, top, twice, start, low, _ramps(dims - half)
+
+
+def _gap_density(n: int, cut: int) -> int:
+    # S(cut) for 0 <= cut <= n, read from the row tables by the split.
+    half, mask, top, twice, start = _row_tables(n)[:5]
+    k, lo = cut >> half, cut & mask
+    return top[k] - twice[k] * lo + start[lo]
 
 
 def terminal_cut_density(row: HypercubeRow, cut: int, slot: int) -> int:
@@ -290,7 +305,7 @@ def terminal_cut_density(row: HypercubeRow, cut: int, slot: int) -> int:
         raise InvalidCutError(_bad_index("cut", cut, 1, row.n))
     if type(slot) is not int or not 1 <= slot <= row.dims:
         raise InvalidCutError(_bad_index("terminal slot", slot, 1, row.dims))
-    return _row_tables(row.n)[0][cut] + _excess_above(cut - 1, row.dims, slot)
+    return _gap_density(row.n, cut) + _excess_above(cut - 1, row.dims, slot)
 
 
 def terminal_cut_densities(row: HypercubeRow, cut: int) -> list[int]:
@@ -302,22 +317,26 @@ def terminal_cut_densities(row: HypercubeRow, cut: int) -> list[int]:
     (its wire leaves to the right) and removes 1 when it is set (its wire
     arrives from the left).  The last slot lands on the density at ``cut``.
 
-    The recurrence is read from two tables built once per row size: the
-    ramps of every value of the low ceil(dims/2) bits, and of the bits
-    above them, where the high ramp starts from the low one's last total.
+    The recurrence is read from tables built once per row size: the ramps
+    of every value of the low ceil(dims/2) bits, each started from the
+    density at that value, and of the bits above them, where the high ramp
+    starts from the low one's last total.  The density at the node's cut
+    splits over the same halves, so no table holds the whole profile.
     A ``cut`` that is not an int in range, a bool included, raises
     :class:`InvalidCutError`.
     """
     n = row.n
-    # The range check also keeps cut 0 from reading profile[-1].
+    # The range check also keeps cut 0 from reading a node of -1.
     if type(cut) is not int or not 1 <= cut <= n:
         raise InvalidCutError(_bad_index("cut", cut, 1, n))
-    profile, half, mask, low, high = _row_tables(n)
+    half, mask, top, twice, _, low, high = _row_tables(n)
     node = cut - 1
-    base = profile[node]
-    ramp = low[node & mask]
+    k, lo = node >> half, node & mask
+    # S(node) less S(lo), which every entry of the low ramp already holds.
+    base = top[k] - twice[k] * lo
+    ramp = low[lo]
     mid = base + ramp[-1]
-    return [base + r for r in ramp] + [mid + r for r in high[node >> half]]
+    return [base + r for r in ramp] + [mid + r for r in high[k]]
 
 
 def max_terminal_cut_density(row: HypercubeRow) -> tuple[int, list[tuple[int, int]]]:

@@ -66,16 +66,18 @@ def _drawn(net: Netlist, assignment: TrackAssignment, spec: RenderSpec, tracks: 
     sub-columns of its two terminals; terminal ``slot`` of column ``col``
     sits in sub-column ``col * (dims + 1) + slot - 1``.  ``tracks`` holds
     each wire's track in the netlist's order, and is read from the
-    assignment when not given.  With tracks hidden there are no rows and no
-    wires.  The netlist's wires lie on the row (see :class:`Netlist`); a
-    wire with no track, or with a track outside ``0..rows-1``, raises
-    :class:`LayoutError` here, so the generator cannot raise.
+    assignment when not given, with tracks hidden too, so that every
+    drawing refuses what :func:`_tracks` refuses.  With tracks hidden there
+    are no rows and no wires.  The netlist's wires lie on the row (see
+    :class:`Netlist`); a wire with no track, or with a track outside
+    ``0..rows-1``, raises :class:`LayoutError` here, so the generator
+    cannot raise.
     """
-    if not spec.show_tracks:
-        return 0, ()
     rows, wires = assignment.track_count, net.wires
     if tracks is None:
         tracks = _tracks(assignment, wires)
+    if not spec.show_tracks:
+        return 0, ()
     if tracks and not (0 <= min(tracks) and max(tracks) < rows):
         track = next(t for t in tracks if not 0 <= t < rows)
         raise LayoutError(f"track {track} outside 0..{rows - 1}")

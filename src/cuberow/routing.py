@@ -57,12 +57,15 @@ class IntervalWire(_IntervalFields):
     """A wire together with its inclusive range of crossed fine cuts.
 
     A named tuple ``(wire, lo, hi)``: intervals sort into the canonical
-    order of their wires.
+    order of their wires.  An ``lo`` or ``hi`` that is not a plain int, a
+    bool included, or an empty range raises :class:`LayoutError`.
     """
 
     __slots__ = ()
 
     def __new__(cls, wire: Wire, lo: int, hi: int):
+        if type(lo) is not int or type(hi) is not int:
+            raise LayoutError(f"crossing range ends must be plain ints, got ({lo!r}, {hi!r})")
         # Contiguity is a construction invariant, not a supported generality.
         if lo > hi:
             raise LayoutError(f"empty crossing range [{lo}, {hi}]")
@@ -102,8 +105,11 @@ class RouteCertificate(
 
 def _tracks(assignment: TrackAssignment, wires) -> list[int]:
     """Each wire's track, in the order given.  A wire missing from the
-    assignment raises :class:`IncompleteAssignmentError`, and a track that
-    is not a plain int, a bool included, raises :class:`LayoutError`."""
+    assignment raises :class:`IncompleteAssignmentError`, and a track or a
+    track count that is not a plain int, a bool included, raises
+    :class:`LayoutError`."""
+    if type(assignment.track_count) is not int:
+        raise LayoutError(f"track count {assignment.track_count!r} is not an int")
     try:
         tracks = list(map(assignment.by_wire.__getitem__, wires))
     except KeyError as exc:

@@ -70,7 +70,7 @@ class TestProfileBlocks:
     # many: a block wider than half the row, a block that ends at n/2, the
     # last block, which drops the outer cut n, and n = 2, whose last block
     # of size 1 would be that cut alone.
-    @pytest.mark.parametrize("size, top", [(1, 2**10), (2, 2**10), (4, 2**10), (cli._CHUNK, 2**18)])
+    @pytest.mark.parametrize("size, top", [(1, 2**10), (2, 2**10), (4, 2**10), (cli._BLOCK, 2**18)])
     def test_blocks_join_to_the_interior_profile(self, size, top):
         for d in range(1, top.bit_length()):
             n = 2**d

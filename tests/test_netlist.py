@@ -1,15 +1,22 @@
 """Netlist construction, wirelength metrics, terminal-slot densities, and the
 text serialization format."""
 
+import json
+import os
 import random
 import re
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuberow.density import HypercubeRow, cut_density, max_cut_density, max_density_cuts
+import cuberow
+from cuberow import netlist
+from cuberow.density import HypercubeRow, cut_density, cut_density_profile, max_cut_density, max_density_cuts
 from cuberow.errors import InvalidCutError, LayoutError, NetlistFormatError, UnknownChoiceError
 from cuberow.kernels import _excess_above
 from cuberow.netlist import (
@@ -474,6 +481,72 @@ class TestTerminalDensity:
                 assert terminal_cut_density(row, cut, slot) == table.node_cut(
                     cut - 1, slot
                 )
+
+
+# A child that caps its own address space, then prints the slot-cut
+# densities of a 2^30-node row at the (cut, slot) pairs it reads as JSON.
+_CAPPED_CHILD = """
+import json, resource, sys
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from cuberow.density import HypercubeRow
+from cuberow.netlist import terminal_cut_density
+row = HypercubeRow(2**30)
+print(json.dumps([terminal_cut_density(row, cut, slot) for cut, slot in json.load(sys.stdin)]))
+"""
+
+
+class TestRowTables:
+    # The slot rows and the scalar read S from tables of O(sqrt(n)) entries,
+    # by S(k * 2^h + lo) = S(k * 2^h) + S(lo) - 2*popcount(k)*lo.
+
+    @pytest.fixture(autouse=True)
+    def fresh_row_tables(self):
+        # So that no row's tables outlive the test that made them.
+        yield
+        netlist._row_tables.cache_clear()
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_tables_hold_the_profile(self, d):
+        row = HypercubeRow(2**d)
+        assert [netlist._gap_density(row.n, cut) for cut in range(row.n + 1)] == cut_density_profile(row)
+
+    @pytest.mark.parametrize("d", range(1, 31))
+    def test_tables_match_the_scalar_forms_up_to_the_cap(self, d):
+        # Random cuts and slots of every row size the package takes, and the
+        # seams where the low half of a cut or of its node wraps.
+        row = HypercubeRow(2**d)
+        rng = random.Random(d)
+        low = 1 << (d + 1) // 2
+        cuts = {0, 1, row.n - 1, row.n, *(rng.randrange(row.n + 1) for _ in range(200))}
+        for k in rng.sample(range(row.n // low + 1), min(row.n // low + 1, 20)):
+            cuts.update(cut for cut in (k * low - 1, k * low, k * low + 1) if 0 <= cut <= row.n)
+        for cut in sorted(cuts):
+            assert netlist._gap_density(row.n, cut) == cut_density(row, cut)
+            if cut:
+                slot = rng.randint(1, d)
+                want = cut_density(row, cut) + _excess_above(cut - 1, d, slot)
+                assert terminal_cut_density(row, cut, slot) == want
+                assert terminal_cut_densities(row, cut)[slot - 1] == want
+
+    def test_the_scalar_runs_at_the_cap_in_bounded_memory(self):
+        # A whole profile of 2^30 cuts cannot fit in 256 MB of address space:
+        # a scalar that built one failed there with MemoryError.
+        row = HypercubeRow(2**30)
+        rng = random.Random(30)
+        cuts = [1, 2, row.n // 2, row.n // 2 + 1, row.n - 1, row.n, *max_density_cuts(row)[:3]]
+        cuts += [k * 2**15 + j for k in (1, 2**14, 2**15 - 1) for j in (-1, 0, 1)]
+        cuts += [rng.randrange(1, row.n + 1) for _ in range(30)]
+        pairs = [(cut, slot) for cut in cuts for slot in (1, 15, 16, 30, rng.randint(1, 30))]
+        source = str(Path(cuberow.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run(
+            [sys.executable, "-c", _CAPPED_CHILD, str(256 << 20)],
+            input=json.dumps(pairs), capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        want = [cut_density(row, cut) + _excess_above(cut - 1, row.dims, slot) for cut, slot in pairs]
+        assert json.loads(child.stdout) == want
 
 
 class TestExcessReexpression:

@@ -5,7 +5,9 @@ import functools
 import hashlib
 import io
 import json
+import os
 import re
+import tracemalloc
 from collections.abc import Iterator
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cuberow import cli
+from cuberow import cli, netlist
 from cuberow.density import HypercubeRow
 from cuberow.errors import IncompleteAssignmentError, LayoutError, RenderSizeError
 from cuberow.netlist import Netlist, Placement, TerminalMode, Wire, build_netlist, dump_netlist
@@ -118,11 +120,11 @@ def test_json_text_matches_json_dumps_on_edge_cases(value):
 def _long_lists():
     # Scalar lists on both sides of the chunk size, under a key as in every
     # document.
-    for length in (cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1, 2 * cli._CHUNK + 1):
+    for length in (cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 2 * cli._BLOCK + 1):
         numbers = list(range(-(length // 2), length - length // 2))
         yield f"under-a-key-{length}", {"n": length, "profile": numbers, "m": None}
     mixed = [None, True, False, -1, 2.5, float("nan"), "é\n", "", "\"", 10**30]
-    yield "mixed-scalars", {"maximizers": (mixed * (2 * cli._CHUNK // len(mixed) + 1))[: 2 * cli._CHUNK + 1]}
+    yield "mixed-scalars", {"maximizers": (mixed * (2 * cli._BLOCK // len(mixed) + 1))[: 2 * cli._BLOCK + 1]}
 
 
 @pytest.mark.parametrize("value", [value for _, value in _long_lists()], ids=[name for name, _ in _long_lists()])
@@ -132,15 +134,15 @@ def test_long_scalar_lists_are_encoded_in_chunks(value):
     chunks = list(stream)
     assert "".join(chunks) == _reference(value)
     # A raw newline only comes from an item separator, so no chunk holds
-    # more than _CHUNK items.
-    assert max(chunk.count("\n") for chunk in chunks) < cli._CHUNK
+    # more than _BLOCK items.
+    assert max(chunk.count("\n") for chunk in chunks) < cli._BLOCK
 
 
 def test_a_long_dict_is_encoded_whole():
-    value = {"normal": {f"k{i}": i for i in range(cli._CHUNK + 1)}}
+    value = {"normal": {f"k{i}": i for i in range(cli._BLOCK + 1)}}
     chunks = list(cli._json_text(value))
     assert "".join(chunks) == _reference(value)
-    assert max(chunk.count("\n") for chunk in chunks) == cli._CHUNK
+    assert max(chunk.count("\n") for chunk in chunks) == cli._BLOCK
 
 
 def _json_commands():
@@ -186,10 +188,35 @@ def test_every_cli_json_payload_matches_json_dumps(monkeypatch, argv, n):
 
 
 def test_a_profile_longer_than_a_chunk_matches_json_dumps(monkeypatch):
-    # 2^17 - 1 profile items: two encoder slices, the second one short.
-    payload, out = _payload_and_stdout(monkeypatch, "density", "--n", str(2**17), "--format", "json")
-    assert cli._CHUNK < len(payload["profile"]) < 2 * cli._CHUNK
+    # 2 * _BLOCK - 1 profile items: two encoder slices, the second one short.
+    n = 2 * cli._BLOCK
+    payload, out = _payload_and_stdout(monkeypatch, "density", "--n", str(n), "--format", "json")
+    assert cli._BLOCK < len(payload["profile"]) < 2 * cli._BLOCK
     assert out == _reference(payload)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("density", "--n", str(2**18), "--format", "json"),
+        ("density", "--n", str(2**14), "--mode", "dim-ordered", "--format", "csv"),
+    ],
+    ids=["free-json", "dim-ordered-csv"],
+)
+def test_a_density_output_is_written_in_bounded_memory(argv):
+    # Drained into a null sink, neither command holds a profile, a table or
+    # a text whole: the traced peak stays below 1 MiB (a 2^18-cut profile
+    # alone takes 2 MiB), counting the slot tables the command builds.
+    netlist._row_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        code = cli.main([*argv, "--out", os.devnull])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        netlist._row_tables.cache_clear()
+    assert code == cli.EXIT_OK
+    assert peak < 2**20
 
 
 # sha256 of stdout; a deliberate change to an output format updates its
@@ -335,8 +362,10 @@ READERS = pytest.mark.parametrize(
         lambda net, assignment: render_svg(net, assignment),
         lambda net, assignment: dump_assignment(wire_intervals(net), assignment),
         lambda net, assignment: verify_assignment(wire_intervals(net), assignment),
+        lambda net, assignment: render_text(net, assignment, RenderSpec(show_tracks=False)),
+        lambda net, assignment: render_svg(net, assignment, RenderSpec(show_tracks=False)),
     ],
-    ids=["render_text", "render_svg", "dump_assignment", "verify_assignment"],
+    ids=["render_text", "render_svg", "dump_assignment", "verify_assignment", "render_text-hidden", "render_svg-hidden"],
 )
 
 
@@ -359,6 +388,17 @@ def test_every_reader_of_an_assignment_refuses_a_track_that_is_not_an_int(reader
     net = Netlist(HypercubeRow(2), Placement.NORMAL, TerminalMode.FREE, wires)
     with pytest.raises(LayoutError, match=f"^track {re.escape(repr(track))} is not an int$"):
         reader(net, TrackAssignment({wires[0]: track}, 1, 1))
+
+
+@pytest.mark.parametrize("count", [True, 1.0, "1", None], ids=["bool", "float", "str", "none"])
+@READERS
+def test_every_reader_of_an_assignment_refuses_a_track_count_that_is_not_an_int(reader, count):
+    # Unchecked, verify_assignment certified a count of True as one track,
+    # and render_svg drew a count of 1.0 as a picture 96.0 units high.
+    wires = (Wire(1, 0, 1, 1, 1),)
+    net = Netlist(HypercubeRow(2), Placement.NORMAL, TerminalMode.FREE, wires)
+    with pytest.raises(LayoutError, match=f"^track count {re.escape(repr(count))} is not an int$"):
+        reader(net, TrackAssignment({wires[0]: 0}, count, 1))
 
 
 def _svg_sizes():

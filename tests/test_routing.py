@@ -109,6 +109,33 @@ class TestIntervalRecord:
         assert not IntervalWire(w, 0, 2).overlaps(IntervalWire(w, 3, 5))
         assert IntervalWire(w, -1, -1).overlaps(IntervalWire(w, -4, 8))
 
+    @pytest.mark.parametrize("bad", ["3", 3.0, True, None], ids=["str", "float", "bool", "none"])
+    @pytest.mark.parametrize("field", ["lo", "hi"])
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            channel_density,
+            left_edge_route,
+            lambda intervals: verify_assignment(intervals, left_edge_route(intervals)),
+            lambda intervals: dump_assignment(intervals, left_edge_route(intervals)),
+        ],
+        ids=["channel_density", "left_edge_route", "verify_assignment", "dump_assignment"],
+    )
+    def test_no_reader_gets_a_range_end_that_is_not_an_int(self, reader, field, bad):
+        # Unchecked, IntervalWire(w, 0, "3") raised a bare TypeError, and a
+        # bool end passed as 0 or 1.  Every way of making the record refuses
+        # it, so no reader of intervals is handed one.
+        iv = _intervals(2)[0]
+        lo, hi = (bad, iv.hi) if field == "lo" else (iv.lo, bad)
+        message = f"^crossing range ends must be plain ints, got {re.escape(repr((lo, hi)))}$"
+        for make in (
+            lambda: IntervalWire(iv.wire, lo, hi),
+            lambda: IntervalWire._make((iv.wire, lo, hi)),
+            lambda: iv._replace(**{field: bad}),
+        ):
+            with pytest.raises(LayoutError, match=message):
+                reader([make()])
+
 
 class TestChannelDensity:
     def test_empty(self):

@@ -36,7 +36,9 @@ from cuberow.errors import InvalidCutError, InvalidDimensionError, RowSizeError
 # (``netlist._row_tables``), made once per row size in O(sqrt(n) * d) time
 # and memory (about 0.3 s and 29 MB at 2**30), and then take O(d) each.
 # Every other scalar form is O(d), and ``max_density_cuts`` is O(d) per
-# maximizer.
+# maximizer.  The one small answer that costs O(n * d) is the dim-ordered
+# peak, ``netlist.max_terminal_cut_density``, which reads the slot row of
+# every cut: about 5 s per 2**20 cuts, so hours at 2**30.
 MAX_NODES = 2**30
 
 

@@ -379,20 +379,37 @@ def dump_netlist(net: Netlist) -> str:
 _NON_DIGIT = re.compile(r"[^0-9\s]", re.ASCII)
 
 
+class _Ints(dict):
+    """Field text -> its int, parsed on first sight, with one int object per
+    value: "07" maps to the int of "7"."""
+
+    __slots__ = ()
+
+    def __missing__(self, field: str) -> int:
+        value = int(field)
+        self[field] = value = self.setdefault(str(value), value)
+        return value
+
+
 def _rows(text: str, start: int, lines, kind: str, width: int):
     """Yield the ints of each line of ``lines``, the body of ``text`` from
     ``start`` on.  A line that is not ``width`` runs of ASCII digits, each
-    short enough for int(), raises :class:`NetlistFormatError` naming it."""
+    short enough for int(), raises :class:`NetlistFormatError` naming it.
+
+    Every value read is one int object, however many lines repeat it, so
+    the records made from the rows share their column ints as the built
+    netlist's wires do."""
     bad = _NON_DIGIT.search(text, start)
     if bad:
         line = text[text.rfind("\n", 0, bad.start()) + 1 :].partition("\n")[0]
         raise NetlistFormatError(f"non-integer field in {kind} line {line!r}")
+    parsed = _Ints()
     for line in lines:
         fields = line.split()
         if len(fields) != width:
             raise NetlistFormatError(f"bad {kind} line {line!r}, want {width} fields")
         try:
-            ints = tuple(map(int, fields))
+            ints = tuple(map(parsed.__getitem__, fields))
         except ValueError:  # only ASCII digits get here, so a field too long for int()
             raise NetlistFormatError(f"bad {kind} line {line!r}: a field is too long to parse") from None
         yield ints

@@ -59,6 +59,8 @@ class IntervalWire(_IntervalFields):
     A named tuple ``(wire, lo, hi)``: intervals sort into the canonical
     order of their wires.  An ``lo`` or ``hi`` that is not a plain int, a
     bool included, or an empty range raises :class:`LayoutError`.
+    :meth:`overlaps` is public API, kept for callers that test a pair of
+    intervals, though the router and the certificate do not call it.
     """
 
     __slots__ = ()
@@ -105,11 +107,13 @@ class RouteCertificate(
 
 def _tracks(assignment: TrackAssignment, wires) -> list[int]:
     """Each wire's track, in the order given.  A wire missing from the
-    assignment raises :class:`IncompleteAssignmentError`, and a track or a
-    track count that is not a plain int, a bool included, raises
-    :class:`LayoutError`."""
+    assignment raises :class:`IncompleteAssignmentError`, and a track, a
+    track count or a density that is not a plain int, a bool included,
+    raises :class:`LayoutError`."""
     if type(assignment.track_count) is not int:
         raise LayoutError(f"track count {assignment.track_count!r} is not an int")
+    if type(assignment.density) is not int:
+        raise LayoutError(f"channel density {assignment.density!r} is not an int")
     try:
         tracks = list(map(assignment.by_wire.__getitem__, wires))
     except KeyError as exc:
@@ -186,13 +190,31 @@ def left_edge_route(intervals: list[IntervalWire]) -> TrackAssignment:
     return TrackAssignment(by_wire, next_track, channel_density(intervals))
 
 
+def _clashes(intervals: list[IntervalWire], tracks: list[int]) -> bool:
+    """Whether two overlapping intervals share a track, by one sweep in
+    left-end order: each track keeps the right end of its latest interval,
+    and an interval that starts at or before it clashes.  The record holds
+    one entry per track in use, whatever the track numbers."""
+    lows = list(map(_lows, intervals))
+    order = sorted(range(len(lows)), key=lows.__getitem__)
+    last_hi: dict[int, int] = {}
+    for index in order:
+        lo, track = lows[index], tracks[index]
+        if lo <= last_hi.get(track, lo - 1):
+            return True
+        last_hi[track] = intervals[index].hi
+    return False
+
+
 def verify_assignment(intervals: list[IntervalWire], assignment: TrackAssignment) -> RouteCertificate:
     """Check an assignment against the channel's two obligations.
 
-    Soundness: no two overlapping intervals share a track (first violating
-    pair reported).  Tightness: the track count equals the channel density
-    (gap reported otherwise).  A wire missing from the assignment raises
-    :class:`IncompleteAssignmentError` instead of returning a certificate.
+    Soundness: no two overlapping intervals share a track.  One sweep in
+    left-end order decides it; only when it finds a clash are the tracks
+    sorted, to report the first violating pair.  Tightness: the track count
+    equals the channel density (gap reported otherwise).  A wire missing
+    from the assignment raises :class:`IncompleteAssignmentError` instead
+    of returning a certificate.
     """
     tracks = _tracks(assignment, map(_wires, intervals))
     track_count = assignment.track_count
@@ -207,7 +229,10 @@ def verify_assignment(intervals: list[IntervalWire], assignment: TrackAssignment
 
     # Tracks in increasing order, each track's intervals by (lo, hi) with
     # ties in input order; an overlap on a track shows between neighbours.
-    members = sorted(zip(tracks, map(_lows, intervals), map(_highs, intervals), count()))
+    # The sweep decides whether there is one, so only then are they sorted.
+    members = ()
+    if _clashes(intervals, tracks):
+        members = sorted(zip(tracks, map(_lows, intervals), map(_highs, intervals), count()))
     prev_track = prev_hi = prev_index = None
     for track, lo, hi, index in members:
         if track == prev_track and prev_hi >= lo:

@@ -401,6 +401,16 @@ def test_every_reader_of_an_assignment_refuses_a_track_count_that_is_not_an_int(
         reader(net, TrackAssignment({wires[0]: 0}, count, 1))
 
 
+@pytest.mark.parametrize("density", [True, 1.0, "1", None], ids=["bool", "float", "str", "none"])
+@READERS
+def test_every_reader_of_an_assignment_refuses_a_density_that_is_not_an_int(reader, density):
+    # Unchecked, render_text printed "channel density: 1.0" on a two-node row.
+    wires = (Wire(1, 0, 1, 1, 1),)
+    net = Netlist(HypercubeRow(2), Placement.NORMAL, TerminalMode.FREE, wires)
+    with pytest.raises(LayoutError, match=f"^channel density {re.escape(repr(density))} is not an int$"):
+        reader(net, TrackAssignment({wires[0]: 0}, 1, density))
+
+
 def _svg_sizes():
     # The last terminal tick sits at 66 + (4095 * 13 + 11) * 33 + 16.5.
     yield "wide-cells", ("--n", "4096", "--cell-width", "33"), '<line x1="1757200.5"'

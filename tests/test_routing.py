@@ -2,19 +2,28 @@
 assignment verifier."""
 
 import heapq
+import json
+import os
 import random
 import re
+import subprocess
+import sys
+import tracemalloc
+from itertools import count
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cuberow
 from cuberow.density import HypercubeRow, max_cut_density
 from cuberow.errors import IncompleteAssignmentError, LayoutError, NetlistFormatError
-from cuberow.netlist import Placement, TerminalMode, Wire, build_netlist
+from cuberow.netlist import Placement, TerminalMode, Wire, build_netlist, dump_netlist, load_netlist
 from cuberow.oracle import brute_track_count, coverage_bound
 from cuberow.routing import (
     IntervalWire,
+    RouteCertificate,
     TrackAssignment,
     channel_density,
     dump_assignment,
@@ -356,6 +365,138 @@ class TestVerifyAssignment:
         corrupted[victim.wire] = good.by_wire[target.wire]
         cert = verify_assignment(ivs, TrackAssignment(corrupted, good.track_count, good.density))
         assert not cert.ok
+
+
+def _reference_verify(intervals, assignment):
+    """The certificate as first written: the range check, then every
+    interval sorted as (track, lo, hi, index) and an overlap looked for
+    between neighbours, then the density."""
+    tracks = [assignment.by_wire[iv.wire] for iv in intervals]
+    track_count = assignment.track_count
+    for track, iv in zip(tracks, intervals):
+        if not 0 <= track < track_count:
+            return RouteCertificate(False, "track-range", f"track {track} outside 0..{track_count - 1}", (iv.wire,))
+    members = sorted(zip(tracks, (iv.lo for iv in intervals), (iv.hi for iv in intervals), count()))
+    for (track, _, hi, prev), (next_track, lo, _, cur) in zip(members, members[1:]):
+        if track == next_track and hi >= lo:
+            a, b = intervals[prev], intervals[cur]
+            detail = f"track {track} holds overlapping spans [{a.lo}, {a.hi}] and [{b.lo}, {b.hi}]"
+            return RouteCertificate(False, "overlap", detail, (a.wire, b.wire))
+    density = channel_density(intervals)
+    if track_count != density:
+        return RouteCertificate(False, "track-count", f"{track_count} tracks used, channel density is {density}")
+    return RouteCertificate(True)
+
+
+@st.composite
+def _assignments(draw):
+    """Shuffled intervals with ties, touching ends and nesting, and an
+    assignment of them: the left-edge one, or tracks drawn from a few
+    small values, -1 and past the track count included, so that overlaps,
+    tracks out of range and wasted tracks are all common."""
+    intervals = draw(_interval_sets())
+    draw(st.randoms(use_true_random=False)).shuffle(intervals)
+    if draw(st.booleans()):
+        routed = left_edge_route(intervals)
+        by_wire = routed.by_wire
+        track_count = routed.track_count + draw(st.sampled_from([0, 0, 1, -1]))
+    else:
+        track_count = draw(st.integers(0, 4))
+        by_wire = {iv.wire: draw(st.integers(-1, track_count)) for iv in intervals}
+    return intervals, TrackAssignment(by_wire, track_count, channel_density(intervals))
+
+
+# Runs verify_assignment under an address-space cap: the intervals and the
+# assignment come on stdin as JSON, and the certificate goes to stdout.
+_CAPPED_VERIFY = """
+import json, resource, sys
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from cuberow.netlist import Wire
+from cuberow.routing import IntervalWire, TrackAssignment, verify_assignment
+spans, tracks, track_count = json.load(sys.stdin)
+intervals = [IntervalWire(Wire(*wire), lo, hi) for wire, lo, hi in spans]
+by_wire = {iv.wire: track for iv, track in zip(intervals, tracks)}
+cert = verify_assignment(intervals, TrackAssignment(by_wire, track_count, 0))
+print(json.dumps(cert))
+"""
+
+
+class TestCertificateAgainstReference:
+    @given(_assignments())
+    @settings(max_examples=300, deadline=None)
+    def test_same_certificate_as_reference(self, case):
+        intervals, assignment = case
+        assert verify_assignment(intervals, assignment) == _reference_verify(intervals, assignment)
+
+    def test_nested_and_tied_spans_on_one_track(self):
+        # [0, 9] holds [2, 3] and [5, 6]: the sweep sees the clash at 2, the
+        # report names the first neighbours on the track, [0, 9] and [2, 3].
+        w = [Wire(1, k, k + 1, 1, 1) for k in range(4)]
+        spans = [(w[2], 5, 6), (w[1], 2, 3), (w[0], 0, 9), (w[3], 5, 6)]
+        intervals = [IntervalWire(*span) for span in spans]
+        assignment = TrackAssignment({w[0]: 0, w[1]: 0, w[2]: 0, w[3]: 1}, 2, 2)
+        cert = verify_assignment(intervals, assignment)
+        assert cert == _reference_verify(intervals, assignment)
+        assert cert.offenders == (w[0], w[1])
+
+    def test_no_record_is_sized_from_a_track_number(self):
+        # One wire on track 10**12 - 1 of 10**12: a per-track table sized
+        # from either number would need terabytes, and the child has 256 MB.
+        wire = Wire(1, 0, 1, 1, 1)
+        intervals = [IntervalWire(wire, 2, 2)]
+        assignment = TrackAssignment({wire: 10**12 - 1}, 10**12, 0)
+        want = _reference_verify(intervals, assignment)
+        assert want.reason == "track-count"
+        source = str(Path(cuberow.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run(
+            [sys.executable, "-c", _CAPPED_VERIFY, str(256 << 20)],
+            input=json.dumps([[[list(wire), 2, 2]], [10**12 - 1], 10**12]),
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout) == json.loads(json.dumps(want))
+
+
+class TestReadPathMemory:
+    @pytest.mark.parametrize("mode", list(TerminalMode))
+    def test_certificate_peak_per_interval(self, mode):
+        # The sorted (track, lo, hi, index) tuples peaked at 107-135 B per
+        # interval at this size; the sweep holds an index, a left end and a
+        # track per interval, at about 71 B.  Bound: 90 B per interval.
+        intervals = _intervals(1024, Placement.GRAY, mode)
+        assignment = left_edge_route(intervals)
+        tracemalloc.start()
+        try:
+            cert = verify_assignment(intervals, assignment)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.ok
+        assert peak < 90 * len(intervals)
+
+    @pytest.mark.parametrize("mode", list(TerminalMode))
+    def test_loaded_rows_share_one_int_per_value(self, mode):
+        # Each column number is one int object across the loaded wires and
+        # across the assignment rows: at most n each, where an int per
+        # field read made 7,927 and 9,000-10,500 of them.
+        n = 1024
+        net = build_netlist(HypercubeRow(n), Placement.GRAY, mode)
+        intervals = wire_intervals(net)
+        loaded = load_netlist(dump_netlist(net))
+        rows = load_assignment(dump_assignment(intervals, left_edge_route(intervals)))
+        assert loaded == net
+        assert len({id(field) for wire in loaded.wires for field in wire}) <= n
+        assert len({id(field) for row in rows for field in row}) <= n
+
+
+    def test_a_value_is_one_int_however_it_is_written(self):
+        # Ints above 256 are not cached by the interpreter, so only the
+        # reader can make these one object.
+        rows = load_assignment("1 300 301 0\n2 0300 302 0\n3 299 00301 0\n")
+        assert rows == [(1, 300, 301, 0), (2, 300, 302, 0), (3, 299, 301, 0)]
+        assert rows[0][1] is rows[1][1] and rows[0][2] is rows[2][2]
 
 
 class TestAssignmentText:

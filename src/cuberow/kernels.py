@@ -17,7 +17,9 @@ def accumulate_spans(num_cuts: int, spans: Iterable[tuple[int, int]]) -> tuple[i
 
     Difference array: every range adds 1 at its low end and removes it just
     past its high end, then a prefix sum recovers the per-cut totals.
-    ``spans`` is read once, so a generator of ranges costs no list.
+    ``spans`` is read once, so a generator of ranges costs no list.  The
+    totals share one int object per value, the first the sum made, so the
+    result holds a pointer per cut and an int per distinct count.
     Requires 0 <= low <= high < num_cuts for every range.
     """
     diff = [0] * (num_cuts + 1)
@@ -25,7 +27,17 @@ def accumulate_spans(num_cuts: int, spans: Iterable[tuple[int, int]]) -> tuple[i
         diff[low] += 1
         diff[high + 1] -= 1
     diff.pop()
-    return tuple(accumulate(diff))
+    return tuple(map(_First().__getitem__, accumulate(diff)))
+
+
+class _First(dict):
+    """Int -> the first int object of its value given as a key."""
+
+    __slots__ = ()
+
+    def __missing__(self, value: int) -> int:
+        self[value] = value
+        return value
 
 
 def density_profile(n: int) -> list[int]:

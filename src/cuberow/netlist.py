@@ -150,7 +150,13 @@ def _checked_wires(row: HypercubeRow, placement: Placement, mode: TerminalMode, 
     a rule, tested in that order, raises :class:`NetlistFormatError`.
     """
     n, dims = row.n, row.dims
-    node_at = (lambda col: col) if placement is Placement.NORMAL else gray_code
+    # A dimension-d link joins two columns whose xor is link_xor[d]: 2^(d-1)
+    # on a normal row, and 2^d - 1 on a gray row (build_netlist's mirror
+    # rule).  That is the rule on the nodes, gray(x) ^ gray(y) = 2^(d-1),
+    # since gray(x) ^ gray(y) = gray(x ^ y), and gray(z) = 2^(d-1) exactly
+    # when z = 2^d - 1; so no wire needs its nodes' gray codes.
+    gray = placement is Placement.GRAY
+    link_xor = [0, *((2 << k) - 1 if gray else 1 << k for k in range(dims))]
     # Integer keys: link dim * n + left_col, and terminal slot
     # col * (dims + 1) + slot (its fine cut index), so no tuple per wire.
     step = dims + 1
@@ -167,7 +173,7 @@ def _checked_wires(row: HypercubeRow, placement: Placement, mode: TerminalMode, 
             # In the text form's field order, so it reads as the file's line does.
             raise NetlistFormatError(f"slot outside 1..{dims} in wire '{dim} {left} {lslot} {right} {rslot}'"
                                      " (dim left_col left_slot right_col right_slot)")
-        if node_at(left) ^ node_at(right) != 1 << (dim - 1):
+        if left ^ right != link_xor[dim]:
             raise NetlistFormatError(f"columns {left} and {right} do not hold a dimension-{dim} pair")
         link = dim * n + left
         if link in link_seen:

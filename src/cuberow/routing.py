@@ -190,19 +190,18 @@ def left_edge_route(intervals: list[IntervalWire]) -> TrackAssignment:
     return TrackAssignment(by_wire, next_track, channel_density(intervals))
 
 
-def _clashes(intervals: list[IntervalWire], tracks: list[int]) -> bool:
-    """Whether two overlapping intervals share a track, by one sweep in
-    left-end order: each track keeps the right end of its latest interval,
-    and an interval that starts at or before it clashes.  The record holds
-    one entry per track in use, whatever the track numbers."""
-    lows = list(map(_lows, intervals))
-    order = sorted(range(len(lows)), key=lows.__getitem__)
+def _clashes(intervals: list[IntervalWire], by_wire) -> bool:
+    """Whether two overlapping intervals share a track, by one sweep of the
+    intervals in left-end order, ties in input order: each track keeps the
+    right end of its latest interval, and an interval that starts at or
+    before it clashes.  The record holds one entry per track in use,
+    whatever the track numbers, and the sweep keeps no int per interval."""
     last_hi: dict[int, int] = {}
-    for index in order:
-        lo, track = lows[index], tracks[index]
+    for wire, lo, hi in sorted(intervals, key=_lows):
+        track = by_wire[wire]
         if lo <= last_hi.get(track, lo - 1):
             return True
-        last_hi[track] = intervals[index].hi
+        last_hi[track] = hi
     return False
 
 
@@ -231,7 +230,7 @@ def verify_assignment(intervals: list[IntervalWire], assignment: TrackAssignment
     # ties in input order; an overlap on a track shows between neighbours.
     # The sweep decides whether there is one, so only then are they sorted.
     members = ()
-    if _clashes(intervals, tracks):
+    if _clashes(intervals, assignment.by_wire):
         members = sorted(zip(tracks, map(_lows, intervals), map(_highs, intervals), count()))
     prev_track = prev_hi = prev_index = None
     for track, lo, hi, index in members:

@@ -46,7 +46,10 @@ class _RowSource:
 
     Only the netlist of the last ``(placement, mode)`` asked for is kept,
     with its table once one is asked for, so the source holds one netlist
-    at a time; consecutive requests for the same pair share it.
+    at a time; consecutive requests for the same pair share it.  A check
+    keeps to the same rule: once it asks for another pair, it holds no
+    netlist of an earlier one in a local, nor anything that holds that
+    netlist's wires, such as its intervals or their track assignment.
     """
 
     __slots__ = ("row", "_key", "_net", "_table")
@@ -211,6 +214,8 @@ def check_router(source: _RowSource) -> int:
                 exact = oracle.coverage_bound(intervals)
             if assignment.track_count != exact:
                 raise _Mismatch(checked, f"{pair} exact minimum {exact}")
+            # They hold this pair's wires: drop them before the next is made.
+            del intervals, assignment
             checked += 3
     return checked
 
@@ -223,10 +228,11 @@ def check_gray_equalities(source: _RowSource) -> int:
     row = source.row
     n, checked = row.n, 0
     # The gray pair first: the router asked for it last, so the source still
-    # holds it.  Its table is kept here when the source moves to the normal one.
-    gray = source.netlist(Placement.GRAY, TerminalMode.DIM_ORDERED)
+    # holds it.  Its table and lengths are kept here when the source moves to
+    # the normal one, but not its netlist.
     table = source.table(Placement.GRAY, TerminalMode.DIM_ORDERED)
-    normal = source.netlist()
+    gray_total, gray_longest = _lengths(source.netlist(Placement.GRAY, TerminalMode.DIM_ORDERED))
+    normal_total, normal_longest = _lengths(source.netlist())
     for cut, want in enumerate(density.cut_density_profile(row)):
         got = table.gap(cut)
         if got != want:
@@ -238,13 +244,17 @@ def check_gray_equalities(source: _RowSource) -> int:
             if got != want:
                 raise _Mismatch(checked, f" col={col} slot={slot}: gray oracle {got} vs formula {want}")
             checked += 1
-    if netlist.total_wirelength(gray) != netlist.total_wirelength(normal):
+    if gray_total != normal_total:
         raise _Mismatch(checked, ": total wirelength differs")
-    if netlist.max_wirelength(normal) != n // 2 or netlist.max_wirelength(gray) != n - 1:
-        raise _Mismatch(
-            checked + 1, f": span extremes {netlist.max_wirelength(normal)}, {netlist.max_wirelength(gray)}"
-        )
+    if normal_longest != n // 2 or gray_longest != n - 1:
+        raise _Mismatch(checked + 1, f": span extremes {normal_longest}, {gray_longest}")
     return checked + 2
+
+
+def _lengths(net: Netlist) -> tuple[int, int]:
+    """A netlist's total and longest wire length, for a check to keep in
+    place of the netlist."""
+    return netlist.total_wirelength(net), netlist.max_wirelength(net)
 
 
 @_sweep(MAX_COARSE_NODES, start=8)
@@ -264,9 +274,8 @@ def check_profile_sum(source: _RowSource) -> int:
     expected = (row.n // 2) * (row.n - 1)
     formula = sum(density.cut_density_profile(row))
     for placement in Placement:
-        net = source.netlist(placement)
         brute = sum(source.table(placement).gap_profile())
-        if brute != expected or netlist.total_wirelength(net) != expected:
+        if brute != expected or netlist.total_wirelength(source.netlist(placement)) != expected:
             raise _Mismatch(checked, f" {placement.value}: sums diverge from {expected}")
         checked += 2
     if formula != expected:

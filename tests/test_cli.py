@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -25,7 +26,7 @@ from cuberow.cli import (
 from cuberow.density import HypercubeRow
 from cuberow.netlist import load_netlist
 from cuberow.oracle import crossing_profile
-from cuberow.routing import load_assignment
+from cuberow.routing import IntervalWire, TrackAssignment, load_assignment
 
 JSON_FIELDS = ["n", "placement", "mode", "profile", "m", "p", "maximizers", "tracks"]
 
@@ -359,6 +360,60 @@ class TestCheckCommand:
         # four.  Gray-equalities shares the router's last, gray dim-ordered
         # one, and then builds the normal free one.
         assert built == [n for n in rows for _ in range(8)]
+
+
+def _holds_wires(value) -> bool:
+    # A netlist, or what holds its wires: its intervals or their tracks.
+    if isinstance(value, list) and value:
+        value = value[0]
+    return isinstance(value, (netlist.Netlist, IntervalWire, TrackAssignment))
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCheckSweepMemory:
+    def test_no_check_holds_a_netlist_when_it_asks_for_another(self, monkeypatch):
+        # Each time a netlist is built, the check that asked for it holds no
+        # earlier netlist, intervals or assignment in its locals.
+        held = []
+        real_build = netlist.build_netlist
+
+        def watched(row, *args, **kwargs):
+            frame = sys._getframe(1)
+            while frame.f_globals is not vars(selfcheck) or not frame.f_code.co_name.startswith("check_"):
+                frame = frame.f_back
+            held.extend(
+                (frame.f_code.co_name, row.n, name) for name, value in frame.f_locals.items() if _holds_wires(value)
+            )
+            return real_build(row, *args, **kwargs)
+
+        monkeypatch.setattr(netlist, "build_netlist", watched)
+        assert all(outcome.passed for outcome in selfcheck.run_all(64))
+        assert held == []
+
+    def test_profile_sum_peak_is_one_netlist_and_its_table(self):
+        # With the normal table made, the check builds the gray netlist and
+        # its table.  Keeping the normal netlist in a local and an int per
+        # fine cut, it peaked at 0.99 MiB traced at 1024 nodes; it reads
+        # 0.71 MiB.  Bound: 0.85 MiB.
+        source = selfcheck._RowSource(HypercubeRow(1024))
+        source.table()
+        assert _traced_peak(lambda: selfcheck.check_profile_sum(source)) < 0.85 * 2**20
+
+    def test_router_peak_is_one_pair(self):
+        # Keeping a pair's intervals and assignment while the next netlist
+        # was made, the check peaked at 2.73 MiB traced at 1024 nodes; it
+        # reads 2.37 MiB, set by one pair and coverage_bound's events.
+        # Bound: 2.55 MiB.
+        source = selfcheck._RowSource(HypercubeRow(1024))
+        assert _traced_peak(lambda: selfcheck.check_router(source)) < 2.55 * 2**20
 
 
 def _bump_where(condition):

@@ -1,11 +1,13 @@
 """The brute-force oracle itself, checked against an even dumber per-cut
 count and its own stated self-consistency rules."""
 
+import tracemalloc
+
 import pytest
 
 from cuberow.density import HypercubeRow
 from cuberow.errors import TooManyWiresError
-from cuberow.netlist import Placement, TerminalMode, build_netlist, total_wirelength
+from cuberow.netlist import Placement, TerminalMode, build_netlist, fine_cut_count, total_wirelength
 from cuberow.oracle import (
     brute_link_count,
     brute_maximizers,
@@ -83,6 +85,32 @@ class TestCrossingProfile:
         for cut in range(9):
             assert table.gap(cut) == table.counts[cut * step]
         assert table.node_cut(4, 2) == table.counts[4 * step + 2] == 6
+
+
+class TestTableMemory:
+    @pytest.mark.parametrize("placement", list(Placement))
+    @pytest.mark.parametrize("mode", list(TerminalMode))
+    def test_counts_share_one_int_per_value(self, placement, mode):
+        # At 1024 nodes an int per fine cut made 9,946 objects for the 357
+        # distinct counts of a free row; the counts now share one per value.
+        counts = crossing_profile(build_netlist(HypercubeRow(1024), placement, mode)).counts
+        assert len({id(count) for count in counts}) == len(set(counts))
+
+    @pytest.mark.parametrize("placement", list(Placement))
+    @pytest.mark.parametrize("mode", list(TerminalMode))
+    def test_table_holds_under_16_bytes_per_fine_cut(self, placement, mode):
+        # A pointer per fine cut and an int per distinct count: 8.7-9.2 B
+        # per fine cut at 1024 nodes, where an int per cut held 36 B.
+        row = HypercubeRow(1024)
+        net = build_netlist(row, placement, mode)
+        tracemalloc.start()
+        try:
+            table = crossing_profile(net)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(table.counts) == fine_cut_count(row)
+        assert held < 16 * fine_cut_count(row)
 
 
 class TestBruteMaximizers:

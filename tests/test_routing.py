@@ -463,8 +463,10 @@ class TestReadPathMemory:
     @pytest.mark.parametrize("mode", list(TerminalMode))
     def test_certificate_peak_per_interval(self, mode):
         # The sorted (track, lo, hi, index) tuples peaked at 107-135 B per
-        # interval at this size; the sweep holds an index, a left end and a
-        # track per interval, at about 71 B.  Bound: 90 B per interval.
+        # interval at this size, and a sweep of sorted indexes, with a list
+        # of left ends, at about 71 B.  The sweep of the sorted records
+        # holds a track and two pointers per interval, at about 32 B.
+        # Bound: 48 B per interval.
         intervals = _intervals(1024, Placement.GRAY, mode)
         assignment = left_edge_route(intervals)
         tracemalloc.start()
@@ -474,7 +476,7 @@ class TestReadPathMemory:
         finally:
             tracemalloc.stop()
         assert cert.ok
-        assert peak < 90 * len(intervals)
+        assert peak < 48 * len(intervals)
 
     @pytest.mark.parametrize("mode", list(TerminalMode))
     def test_loaded_rows_share_one_int_per_value(self, mode):

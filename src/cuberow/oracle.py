@@ -109,8 +109,8 @@ def brute_link_count(net: Netlist, cut: int, dim: int) -> int:
 def coverage_bound(intervals) -> int:
     """Largest number of intervals stacked on one cut, by endpoint sweep.
 
-    Any assignment needs at least this many tracks.  This is the fallback
-    answer for instances too large for :func:`brute_track_count`.
+    Any assignment needs at least this many tracks.  For a netlist's own
+    intervals it equals the :meth:`CrossingTable.fine_max` of its table.
     """
     events = sorted(
         [(iv.lo, 1) for iv in intervals] + [(iv.hi + 1, -1) for iv in intervals]

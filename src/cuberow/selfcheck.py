@@ -7,6 +7,8 @@ to a requested size once, smallest first, and on each row calls every check
 whose range holds it and that has not yet failed.  The netlists and oracle
 tables a row's checks read are made once, by a source that lives for that
 row alone; they are shared between checks, never with the closed forms.
+On a row of the fine sweep the source keeps every table it makes, and the
+router is bounded by the oracle's table of each pair it routes.
 The ``check`` subcommand prints one line per check.
 """
 
@@ -14,6 +16,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable
+from itertools import repeat
+from operator import add
 
 from cuberow import density, netlist, oracle, routing
 from cuberow.density import HypercubeRow
@@ -45,32 +49,38 @@ class _RowSource:
     """One row's netlists and oracle tables, each made when first asked for.
 
     Only the netlist of the last ``(placement, mode)`` asked for is kept,
-    with its table once one is asked for, so the source holds one netlist
-    at a time; consecutive requests for the same pair share it.  A check
-    keeps to the same rule: once it asks for another pair, it holds no
-    netlist of an earlier one in a local, nor anything that holds that
-    netlist's wires, such as its intervals or their track assignment.
+    so the source holds one netlist at a time; consecutive requests for the
+    same pair share it.  On a row of up to ``MAX_FINE_NODES`` nodes every
+    table made is kept for the row, one per pair, so that the router reads
+    the tables the earlier checks made; above that only the held netlist's
+    table is kept.  A check keeps to the same rule: once it asks for
+    another pair, it holds no netlist of an earlier one in a local, nor
+    anything that holds that netlist's wires, such as its intervals or
+    their track assignment.
     """
 
-    __slots__ = ("row", "_key", "_net", "_table")
+    __slots__ = ("row", "_key", "_net", "_tables")
 
     def __init__(self, row: HypercubeRow):
         self.row = row
-        self._key = self._net = self._table = None
+        self._key = self._net = None
+        self._tables: dict[tuple[Placement, TerminalMode], CrossingTable] = {}
 
     def netlist(self, placement: Placement = Placement.NORMAL, mode: TerminalMode = TerminalMode.FREE) -> Netlist:
         if self._key != (placement, mode):
             # Drop the old pair first, so that the source never holds two.
-            self._key = self._net = self._table = None
+            self._key = self._net = None
+            if self.row.n > MAX_FINE_NODES:
+                self._tables.clear()
             self._net = netlist.build_netlist(self.row, placement, mode)
             self._key = placement, mode
         return self._net
 
     def table(self, placement: Placement = Placement.NORMAL, mode: TerminalMode = TerminalMode.FREE) -> CrossingTable:
-        net = self.netlist(placement, mode)
-        if self._table is None:
-            self._table = oracle.crossing_profile(net)
-        return self._table
+        table = self._tables.get((placement, mode))
+        if table is None:
+            table = self._tables[placement, mode] = oracle.crossing_profile(self.netlist(placement, mode))
+        return table
 
 
 def _sweep(ceiling: int, start: int = 2):
@@ -119,24 +129,29 @@ def check_symmetry_and_bounds(source: _RowSource) -> int:
     profile = density.cut_density_profile(row)
     peak = density.max_cut_density(row)
     first = density.leftmost_max_cut(row)
-    # links[dim - 1][cut] for the interior cuts; index 0 is unused.
-    links = [
-        [0, *(density.dimension_link_count(row, cut, dim) for cut in range(1, n))]
-        for dim in range(1, row.dims + 1)
-    ]
-    summed = [sum(counts) for counts in zip(*links)]
-    for cut in range(1, n):
+    cuts = range(1, n)
+    # summed[cut] over the interior cuts, one dimension's ramp at a time;
+    # index 0 is unused.  The first dimension whose ramp is not its own
+    # mirror is kept to report once the total has been checked.
+    summed = [0] * n
+    broken = None
+    for dim in range(1, row.dims + 1):
+        counts = [0, *map(density._ramp, cuts, repeat(dim))]
+        if broken is None and counts[1:] != counts[:0:-1]:
+            broken = dim, next(cut for cut in cuts if counts[cut] != counts[n - cut])
+        summed = list(map(add, summed, counts))
+    for cut in cuts:
         if profile[cut] != summed[n - cut]:
             raise _Mismatch(checked, f": S({cut}) != S({n - cut})")
         bound = min(peak, peak - (first - cut))
         if profile[cut] > bound:
             raise _Mismatch(checked, f" cut={cut}: {profile[cut]} exceeds bound {bound}")
         checked += 2
-    for dim, counts in enumerate(links, start=1):
-        for cut in range(1, n):
-            if counts[cut] != counts[n - cut]:
-                raise _Mismatch(checked, f" dim={dim} cut={cut}: per-dimension symmetry broken")
-            checked += 1
+    if broken:
+        dim, cut = broken
+        checked += (dim - 1) * (n - 1) + cut - 1
+        raise _Mismatch(checked, f" dim={dim} cut={cut}: per-dimension symmetry broken")
+    checked += row.dims * (n - 1)
     if profile[first] != peak:
         raise _Mismatch(checked, ": S(p) != m")
     return checked + 1
@@ -165,9 +180,11 @@ def check_terminal_density(source: _RowSource) -> int:
     row = source.row
     n, checked = row.n, 0
     table = source.table(Placement.NORMAL, TerminalMode.DIM_ORDERED)
+    counts, step = table.counts, row.dims + 1
     for cut in range(1, n + 1):
-        for slot in range(1, row.dims + 1):
-            want = table.node_cut(cut - 1, slot)
+        # The slot cuts of column cut - 1, slots 1..dims.
+        wants = counts[(cut - 1) * step + 1 : cut * step]
+        for slot, want in enumerate(wants, start=1):
             got = netlist.terminal_cut_density(row, cut, slot)
             if got != want:
                 raise _Mismatch(checked, f" cut={cut} slot={slot}: formula {got} vs oracle {want}")
@@ -180,43 +197,52 @@ def check_terminal_density(source: _RowSource) -> int:
     # scan order: fine index f is slot f % step of cut f // step + 1, and
     # f % step == 0 is a gap.  The peak is the oracle's largest count, so
     # these are the oracle's argmax over the slot cuts whenever there are any.
-    step = row.dims + 1
-    argmax = [
-        (f // step + 1, f % step) for f, count in enumerate(table.counts) if f % step and count == peak
-    ]
+    argmax = [(f // step + 1, f % step) for f, count in enumerate(counts) if f % step and count == peak]
     stray = sorted({cut for cut, _ in attained}.difference(density.max_density_cuts(row)))
     if attained != argmax or stray:
         raise _Mismatch(checked + 1, f": peak at {attained}, oracle {argmax}, non-maximizer cuts {stray}")
     return checked + 2
 
 
+# The router's pairs, from the one terminal-density leaves held to the one
+# gray-equalities reads first.
+_ROUTED_PAIRS = [
+    (Placement.NORMAL, TerminalMode.DIM_ORDERED),
+    (Placement.NORMAL, TerminalMode.FREE),
+    (Placement.GRAY, TerminalMode.FREE),
+    (Placement.GRAY, TerminalMode.DIM_ORDERED),
+]
+
+
 @_sweep(MAX_FINE_NODES)
 def check_router(source: _RowSource) -> int:
     """Left-edge output must verify, use exactly density tracks, hit the
-    known counts per mode, and match the exact search on small instances."""
+    known counts per mode, and match the exact search on small instances
+    and the oracle's largest crossing count on the rest."""
     row = source.row
     checked = 0
     peak = density.max_cut_density(row)
-    for placement in Placement:
-        for mode in TerminalMode:
-            pair = f" {placement.value}/{mode.value}:"
-            intervals = routing.wire_intervals(source.netlist(placement, mode))
-            assignment = routing.left_edge_route(intervals)
-            cert = routing.verify_assignment(intervals, assignment)
-            if not cert.ok:
-                raise _Mismatch(checked, f"{pair} {cert.reason} {cert.detail}")
-            expect = peak if mode is TerminalMode.FREE else (1 if row.n == 2 else peak + 1)
-            if assignment.track_count != expect:
-                raise _Mismatch(checked, f"{pair} {assignment.track_count} tracks, expected {expect}")
-            try:
-                exact = oracle.brute_track_count(intervals)
-            except TooManyWiresError:
-                exact = oracle.coverage_bound(intervals)
-            if assignment.track_count != exact:
-                raise _Mismatch(checked, f"{pair} exact minimum {exact}")
-            # They hold this pair's wires: drop them before the next is made.
-            del intervals, assignment
-            checked += 3
+    for placement, mode in _ROUTED_PAIRS:
+        pair = f" {placement.value}/{mode.value}:"
+        intervals = routing.wire_intervals(source.netlist(placement, mode))
+        assignment = routing.left_edge_route(intervals)
+        cert = routing.verify_assignment(intervals, assignment)
+        if not cert.ok:
+            raise _Mismatch(checked, f"{pair} {cert.reason} {cert.detail}")
+        expect = peak if mode is TerminalMode.FREE else (1 if row.n == 2 else peak + 1)
+        if assignment.track_count != expect:
+            raise _Mismatch(checked, f"{pair} {assignment.track_count} tracks, expected {expect}")
+        try:
+            exact = oracle.brute_track_count(intervals)
+        except TooManyWiresError:
+            # Every track assignment needs as many tracks as wires cross
+            # one fine cut, and left-edge needs no more.
+            exact = source.table(placement, mode).fine_max()
+        if assignment.track_count != exact:
+            raise _Mismatch(checked, f"{pair} exact minimum {exact}")
+        # They hold this pair's wires: drop them before the next is made.
+        del intervals, assignment
+        checked += 3
     return checked
 
 
@@ -233,14 +259,14 @@ def check_gray_equalities(source: _RowSource) -> int:
     table = source.table(Placement.GRAY, TerminalMode.DIM_ORDERED)
     gray_total, gray_longest = _lengths(source.netlist(Placement.GRAY, TerminalMode.DIM_ORDERED))
     normal_total, normal_longest = _lengths(source.netlist())
-    for cut, want in enumerate(density.cut_density_profile(row)):
-        got = table.gap(cut)
+    for cut, (got, want) in enumerate(zip(table.gap_profile(), density.cut_density_profile(row))):
         if got != want:
             raise _Mismatch(checked, f" cut={cut}: gray oracle {got} vs formula {want}")
         checked += 1
+    counts, step = table.counts, row.dims + 1
     for col in range(n):
-        for slot, want in enumerate(netlist.terminal_cut_densities(row, col + 1), start=1):
-            got = table.node_cut(col, slot)
+        gots = counts[col * step + 1 : (col + 1) * step]
+        for slot, (got, want) in enumerate(zip(gots, netlist.terminal_cut_densities(row, col + 1)), start=1):
             if got != want:
                 raise _Mismatch(checked, f" col={col} slot={slot}: gray oracle {got} vs formula {want}")
             checked += 1

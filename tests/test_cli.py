@@ -354,12 +354,13 @@ class TestCheckCommand:
         rows = [2**d for d in range(1, 7)]
         pairs = [(placement, mode) for placement in netlist.Placement for mode in netlist.TerminalMode]
         assert sorted(tables) == sorted((n, *pair) for n in rows for pair in pairs)
-        # Rows are swept smallest first, eight netlists each: closed-forms'
+        # Rows are swept smallest first, seven netlists each: closed-forms'
         # normal free one also serves maximizers and profile-sum, then come
-        # profile-sum's gray free one, terminal-density's and the router's
-        # four.  Gray-equalities shares the router's last, gray dim-ordered
-        # one, and then builds the normal free one.
-        assert built == [n for n in rows for _ in range(8)]
+        # profile-sum's gray free one and terminal-density's normal
+        # dim-ordered one, which the router routes first, and the router's
+        # other three.  Gray-equalities shares the router's last, gray
+        # dim-ordered one, and then builds the normal free one.
+        assert built == [n for n in rows for _ in range(7)]
 
 
 def _holds_wires(value) -> bool:
@@ -397,6 +398,31 @@ class TestCheckSweepMemory:
         monkeypatch.setattr(netlist, "build_netlist", watched)
         assert all(outcome.passed for outcome in selfcheck.run_all(64))
         assert held == []
+
+    def test_row_source_holds_one_netlist_and_the_tables_its_row_may_keep(self, monkeypatch):
+        # Each time the row's source builds a netlist, it holds none, and
+        # at most four tables on a row of the fine sweep, one above it.
+        sources, seen = [], []
+        real_source, real_build = selfcheck._RowSource, netlist.build_netlist
+
+        def made(row):
+            sources.append(real_source(row))
+            return sources[-1]
+
+        def watched(row, *args, **kwargs):
+            source = sources[-1]
+            seen.append((row.n, source._net is None, len(source._tables)))
+            return real_build(row, *args, **kwargs)
+
+        monkeypatch.setattr(selfcheck, "_RowSource", made)
+        monkeypatch.setattr(netlist, "build_netlist", watched)
+        assert all(outcome.passed for outcome in selfcheck.run_all(4096))
+        rows, fine = [2**d for d in range(1, 13)], selfcheck.MAX_FINE_NODES
+        assert sorted({n for n, _, _ in seen}) == rows
+        for n, none_held, tables in seen:
+            assert none_held and tables <= (4 if n <= fine else 1), (n, tables)
+        # A fine row ends with its four tables; above it, the last is kept.
+        assert [len(source._tables) for source in sources] == [4 if n <= fine else 1 for n in rows]
 
     def test_profile_sum_peak_is_one_netlist_and_its_table(self):
         # With the normal table made, the check builds the gray netlist and
@@ -442,13 +468,15 @@ CHECK_FAULTS = [
         {"closed-forms"},
     ),
     (
-        # S(n - cut) is summed from the per-dimension counts, so the bumped
-        # counts at cut 1 first show as S(15) against the profile.
+        # S(n - cut) is summed from the per-dimension ramps, so the bumped
+        # ramp of dimension 4 (first on the n=16 row) at cut 2 shows as S(2)
+        # against the profile at cut 14.  No spot check of the scalar form,
+        # which reads the same ramp, reads cut 2 on a row of 16 or more.
         "symmetry-and-bounds",
-        (density, "dimension_link_count"),
-        _bump_where(lambda row, cut, dim: row.n >= 16 and cut == 1),
-        81,
-        "n=16: S(15) != S(1)",
+        (density, "_ramp"),
+        _bump_where(lambda cut, dim: (cut, dim) == (2, 4)),
+        79,
+        "n=16: S(14) != S(2)",
         {"symmetry-and-bounds"},
     ),
     (
@@ -478,11 +506,14 @@ CHECK_FAULTS = [
     ),
     (
         # Rows up to n=8 are small enough for the exact search; from n=16 on
-        # the router is measured against the coverage bound.
+        # the router is measured against the oracle table's largest count.
+        # Only free tables are bumped: they cross no slot cut, so their
+        # count at fine cut 1 is 0.  Terminal-density reads the peak of a
+        # dim-ordered table alone.
         "router",
-        (oracle, "coverage_bound"),
-        _bump_where(lambda intervals: True),
-        36,
+        (oracle.CrossingTable, "fine_max"),
+        _bump_where(lambda table: table.counts[1] == 0),
+        39,
         "n=16 normal/free: exact minimum 11",
         {"router"},
     ),
@@ -524,6 +555,19 @@ GRAY_SLOT_FAULT = (
 )
 
 
+# A second symmetry fault, that moves one crossing of cut 14 from dimension 1
+# to dimension 2.  The total keeps its mirror, so only the per-dimension
+# sweep, which follows the total's, sees it, at dimension 1's mirror pair.
+SYMMETRY_DIM_FAULT = (
+    "symmetry-and-bounds",
+    (density, "_ramp"),
+    lambda real: lambda cut, dim: real(cut, dim) + (cut == 14) * ((dim == 2) - (dim == 1)),
+    84,
+    "n=16 dim=1 cut=2: per-dimension symmetry broken",
+    {"symmetry-and-bounds"},
+)
+
+
 # A terminal-density fault that drops the last (cut, slot) attaining the
 # peak.  Every pair left is still on an intercolumn maximizer, so only the
 # comparison with the oracle's argmax over the slot cuts sees it.
@@ -559,6 +603,7 @@ class TestEveryCheckCanFail:
         "name, target, fault, assertions, detail, failing",
         [pytest.param(*case, id=case[0]) for case in CHECK_FAULTS]
         + [pytest.param(*GRAY_SLOT_FAULT, id="gray-equalities-slot-cut")]
+        + [pytest.param(*SYMMETRY_DIM_FAULT, id="symmetry-and-bounds-per-dimension")]
         + [pytest.param(*TERMINAL_PEAK_FAULT, id="terminal-density-dropped-peak")],
     )
     def test_fault_is_reported(self, monkeypatch, name, target, fault, assertions, detail, failing):

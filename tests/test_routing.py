@@ -13,7 +13,7 @@ from itertools import count
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cuberow
@@ -368,10 +368,17 @@ class TestVerifyAssignment:
 
 
 def _reference_verify(intervals, assignment):
-    """The certificate as first written: the range check, then every
-    interval sorted as (track, lo, hi, index) and an overlap looked for
-    between neighbours, then the density."""
+    """The certificate as first written: the first wire in input order with
+    no track or a track that is not an int raised, the range check, then
+    every interval sorted as (track, lo, hi, index) and an overlap looked
+    for between neighbours, then the density."""
+    missing = [iv.wire for iv in intervals if iv.wire not in assignment.by_wire]
+    if missing:
+        raise IncompleteAssignmentError(f"no track assigned to wire {missing[0]}")
     tracks = [assignment.by_wire[iv.wire] for iv in intervals]
+    odd = [track for track in tracks if type(track) is not int]
+    if odd:
+        raise LayoutError(f"track {odd[0]!r} is not an int")
     track_count = assignment.track_count
     for track, iv in zip(tracks, intervals):
         if not 0 <= track < track_count:
@@ -406,6 +413,43 @@ def _assignments(draw):
     return intervals, TrackAssignment(by_wire, track_count, channel_density(intervals))
 
 
+@st.composite
+def _two_faults(draw):
+    """Shuffled intervals, routed by left edge, with two of them given the
+    same kind of fault: no track, a track that is not an int, a track out
+    of range, or the track of another interval they overlap."""
+    intervals = draw(_interval_sets().filter(lambda ivs: len(ivs) >= 2))
+    draw(st.randoms(use_true_random=False)).shuffle(intervals)
+    routed = left_edge_route(intervals)
+    by_wire, track_count = dict(routed.by_wire), routed.track_count
+    victims = draw(st.lists(st.sampled_from(intervals), min_size=2, max_size=2, unique=True))
+    kind = draw(st.sampled_from(["missing", "not-int", "range", "overlap"]))
+    if kind == "missing":
+        for iv in victims:
+            del by_wire[iv.wire]
+    elif kind == "not-int":
+        odd = draw(st.lists(st.sampled_from(["1", 1.0, True, None]), min_size=2, max_size=2, unique=True))
+        by_wire.update(zip((iv.wire for iv in victims), odd))
+    elif kind == "range":
+        outside = st.sampled_from([-2, -1, track_count, track_count + 1])
+        bad = draw(st.lists(outside, min_size=2, max_size=2, unique=True))
+        by_wire.update(zip((iv.wire for iv in victims), bad))
+    else:
+        for iv in victims:
+            others = [other for other in intervals if other is not iv and other.overlaps(iv)]
+            assume(others)
+            by_wire[iv.wire] = by_wire[draw(st.sampled_from(others)).wire]
+    return intervals, TrackAssignment(by_wire, track_count, channel_density(intervals))
+
+
+def _verdict(verify, intervals, assignment):
+    """The certificate, or the type and message of the error raised."""
+    try:
+        return verify(intervals, assignment)
+    except LayoutError as exc:
+        return type(exc), str(exc)
+
+
 # Runs verify_assignment under an address-space cap: the intervals and the
 # assignment come on stdin as JSON, and the certificate goes to stdout.
 _CAPPED_VERIFY = """
@@ -428,6 +472,16 @@ class TestCertificateAgainstReference:
     def test_same_certificate_as_reference(self, case):
         intervals, assignment = case
         assert verify_assignment(intervals, assignment) == _reference_verify(intervals, assignment)
+
+    @given(_two_faults())
+    @settings(max_examples=300, deadline=None)
+    def test_the_first_fault_in_input_order_is_named(self, case):
+        # The tracks are read in left-end order; whichever of two faults
+        # comes first there, the report names the one the reference names.
+        intervals, assignment = case
+        verdict = _verdict(verify_assignment, intervals, assignment)
+        assert verdict == _verdict(_reference_verify, intervals, assignment)
+        assert not isinstance(verdict, RouteCertificate) or not verdict.ok
 
     def test_nested_and_tied_spans_on_one_track(self):
         # [0, 9] holds [2, 3] and [5, 6]: the sweep sees the clash at 2, the
@@ -464,9 +518,10 @@ class TestReadPathMemory:
     def test_certificate_peak_per_interval(self, mode):
         # The sorted (track, lo, hi, index) tuples peaked at 107-135 B per
         # interval at this size, and a sweep of sorted indexes, with a list
-        # of left ends, at about 71 B.  The sweep of the sorted records
-        # holds a track and two pointers per interval, at about 32 B.
-        # Bound: 48 B per interval.
+        # of left ends, at about 71 B.  The sweep of the sorted records,
+        # with a list of tracks kept through the density pass, peaked at
+        # about 32 B; with the sweep's lists freed first it reads 24-27 B.
+        # Bound: 30 B per interval.
         intervals = _intervals(1024, Placement.GRAY, mode)
         assignment = left_edge_route(intervals)
         tracemalloc.start()
@@ -476,7 +531,7 @@ class TestReadPathMemory:
         finally:
             tracemalloc.stop()
         assert cert.ok
-        assert peak < 48 * len(intervals)
+        assert peak < 30 * len(intervals)
 
     @pytest.mark.parametrize("mode", list(TerminalMode))
     def test_loaded_rows_share_one_int_per_value(self, mode):

@@ -190,14 +190,15 @@ def left_edge_route(intervals: list[IntervalWire]) -> TrackAssignment:
     return TrackAssignment(by_wire, next_track, channel_density(intervals))
 
 
-def _clashes(swept: list[IntervalWire], tracks: list[int]) -> bool:
+def _clashes(intervals: list[IntervalWire], by_wire) -> bool:
     """Whether two overlapping intervals share a track, by one sweep of the
-    intervals in left-end order with each one's track: each track keeps the
+    intervals in left-end order, ties in input order: each track keeps the
     right end of its latest interval, and an interval that starts at or
     before it clashes.  The record holds one entry per track in use,
-    whatever the track numbers."""
+    whatever the track numbers, and the sweep keeps no int per interval."""
     last_hi: dict[int, int] = {}
-    for (_, lo, hi), track in zip(swept, tracks):
+    for wire, lo, hi in sorted(intervals, key=_lows):
+        track = by_wire[wire]
         if lo <= last_hi.get(track, lo - 1):
             return True
         last_hi[track] = hi
@@ -207,26 +208,17 @@ def _clashes(swept: list[IntervalWire], tracks: list[int]) -> bool:
 def verify_assignment(intervals: list[IntervalWire], assignment: TrackAssignment) -> RouteCertificate:
     """Check an assignment against the channel's two obligations.
 
-    Soundness: no two overlapping intervals share a track.  One sweep of
-    the intervals in left-end order, ties in input order, decides it; only
-    when it finds a clash are the tracks sorted, to report the first
-    violating pair.  Tightness: the track count equals the channel density
-    (gap reported otherwise).  A wire missing from the assignment raises
-    :class:`IncompleteAssignmentError` instead of returning a certificate.
-    The tracks are read once, in the sweep's order; whatever fault is
-    reported names the first offending wire or track in input order.
+    Soundness: no two overlapping intervals share a track.  One sweep in
+    left-end order decides it; only when it finds a clash are the tracks
+    sorted, to report the first violating pair.  Tightness: the track count
+    equals the channel density (gap reported otherwise).  A wire missing
+    from the assignment raises :class:`IncompleteAssignmentError` instead
+    of returning a certificate.
     """
-    swept = sorted(intervals, key=_lows)
-    try:
-        tracks = _tracks(assignment, map(_wires, swept))
-    except LayoutError:
-        # Raise the fault that the first offender in input order makes.
-        _tracks(assignment, map(_wires, intervals))
-        raise
+    tracks = _tracks(assignment, map(_wires, intervals))
     track_count = assignment.track_count
     if tracks and not (0 <= min(tracks) and max(tracks) < track_count):
-        in_order = zip(_tracks(assignment, map(_wires, intervals)), intervals)
-        track, iv = next((t, iv) for t, iv in in_order if not 0 <= t < track_count)
+        track, iv = next((t, iv) for t, iv in zip(tracks, intervals) if not 0 <= t < track_count)
         return RouteCertificate(
             False,
             reason="track-range",
@@ -235,16 +227,15 @@ def verify_assignment(intervals: list[IntervalWire], assignment: TrackAssignment
         )
 
     # Tracks in increasing order, each track's intervals by (lo, hi) with
-    # ties in input order, which is their order in the sweep; an overlap on
-    # a track shows between neighbours.  The sweep decides whether there is
-    # one, so only then are they sorted.
+    # ties in input order; an overlap on a track shows between neighbours.
+    # The sweep decides whether there is one, so only then are they sorted.
     members = ()
-    if _clashes(swept, tracks):
-        members = sorted(zip(tracks, map(_lows, swept), map(_highs, swept), count()))
+    if _clashes(intervals, assignment.by_wire):
+        members = sorted(zip(tracks, map(_lows, intervals), map(_highs, intervals), count()))
     prev_track = prev_hi = prev_index = None
     for track, lo, hi, index in members:
         if track == prev_track and prev_hi >= lo:
-            prev, cur = swept[prev_index], swept[index]
+            prev, cur = intervals[prev_index], intervals[index]
             return RouteCertificate(
                 False,
                 reason="overlap",
@@ -253,7 +244,6 @@ def verify_assignment(intervals: list[IntervalWire], assignment: TrackAssignment
                 offenders=(prev.wire, cur.wire),
             )
         prev_track, prev_hi, prev_index = track, hi, index
-    del swept, tracks  # freed before the density pass, which they would outlast
 
     density = channel_density(intervals)
     if track_count != density:

@@ -7,7 +7,7 @@ to a requested size once, smallest first, and on each row calls every check
 whose range holds it and that has not yet failed.  The netlists and oracle
 tables a row's checks read are made once, by a source that lives for that
 row alone; they are shared between checks, never with the closed forms.
-On a row of the fine sweep the source keeps every table it makes, and the
+On a row the router sweeps, the source keeps every table it makes, and the
 router is bounded by the oracle's table of each pair it routes.
 The ``check`` subcommand prints one line per check.
 """
@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable
-from itertools import repeat
-from operator import add
 
 from cuberow import density, netlist, oracle, routing
 from cuberow.density import HypercubeRow
@@ -29,6 +27,9 @@ from cuberow.oracle import CrossingTable
 # cutline and routing sweeps are the expensive ones.
 MAX_COARSE_NODES = 2**12
 MAX_FINE_NODES = 2**10
+# The router's ceiling.  The row source keeps every oracle table of a row
+# up to it, for the router to read, so the two must move together.
+_ROUTER_MAX_NODES = MAX_FINE_NODES
 
 
 class CheckOutcome(namedtuple("CheckOutcome", "name passed assertions detail up_to", defaults=("", 0))):
@@ -50,13 +51,13 @@ class _RowSource:
 
     Only the netlist of the last ``(placement, mode)`` asked for is kept,
     so the source holds one netlist at a time; consecutive requests for the
-    same pair share it.  On a row of up to ``MAX_FINE_NODES`` nodes every
-    table made is kept for the row, one per pair, so that the router reads
-    the tables the earlier checks made; above that only the held netlist's
-    table is kept.  A check keeps to the same rule: once it asks for
-    another pair, it holds no netlist of an earlier one in a local, nor
-    anything that holds that netlist's wires, such as its intervals or
-    their track assignment.
+    same pair share it.  On a row the router sweeps, of up to
+    ``_ROUTER_MAX_NODES`` nodes, every table made is kept for the row, one
+    per pair, so that the router reads the tables the earlier checks made;
+    above that only the held netlist's table is kept.  A check keeps to
+    the same rule: once it asks for another pair, it holds no netlist of an
+    earlier one in a local, nor anything that holds that netlist's wires,
+    such as its intervals or their track assignment.
     """
 
     __slots__ = ("row", "_key", "_net", "_tables")
@@ -70,7 +71,7 @@ class _RowSource:
         if self._key != (placement, mode):
             # Drop the old pair first, so that the source never holds two.
             self._key = self._net = None
-            if self.row.n > MAX_FINE_NODES:
+            if self.row.n > _ROUTER_MAX_NODES:
                 self._tables.clear()
             self._net = netlist.build_netlist(self.row, placement, mode)
             self._key = placement, mode
@@ -129,29 +130,24 @@ def check_symmetry_and_bounds(source: _RowSource) -> int:
     profile = density.cut_density_profile(row)
     peak = density.max_cut_density(row)
     first = density.leftmost_max_cut(row)
-    cuts = range(1, n)
-    # summed[cut] over the interior cuts, one dimension's ramp at a time;
-    # index 0 is unused.  The first dimension whose ramp is not its own
-    # mirror is kept to report once the total has been checked.
-    summed = [0] * n
-    broken = None
-    for dim in range(1, row.dims + 1):
-        counts = [0, *map(density._ramp, cuts, repeat(dim))]
-        if broken is None and counts[1:] != counts[:0:-1]:
-            broken = dim, next(cut for cut in cuts if counts[cut] != counts[n - cut])
-        summed = list(map(add, summed, counts))
-    for cut in cuts:
+    # links[dim - 1][cut] for the interior cuts; index 0 is unused.
+    links = [
+        [0, *(density.dimension_link_count(row, cut, dim) for cut in range(1, n))]
+        for dim in range(1, row.dims + 1)
+    ]
+    summed = [sum(counts) for counts in zip(*links)]
+    for cut in range(1, n):
         if profile[cut] != summed[n - cut]:
             raise _Mismatch(checked, f": S({cut}) != S({n - cut})")
         bound = min(peak, peak - (first - cut))
         if profile[cut] > bound:
             raise _Mismatch(checked, f" cut={cut}: {profile[cut]} exceeds bound {bound}")
         checked += 2
-    if broken:
-        dim, cut = broken
-        checked += (dim - 1) * (n - 1) + cut - 1
-        raise _Mismatch(checked, f" dim={dim} cut={cut}: per-dimension symmetry broken")
-    checked += row.dims * (n - 1)
+    for dim, counts in enumerate(links, start=1):
+        for cut in range(1, n):
+            if counts[cut] != counts[n - cut]:
+                raise _Mismatch(checked, f" dim={dim} cut={cut}: per-dimension symmetry broken")
+            checked += 1
     if profile[first] != peak:
         raise _Mismatch(checked, ": S(p) != m")
     return checked + 1
@@ -214,7 +210,7 @@ _ROUTED_PAIRS = [
 ]
 
 
-@_sweep(MAX_FINE_NODES)
+@_sweep(_ROUTER_MAX_NODES)
 def check_router(source: _RowSource) -> int:
     """Left-edge output must verify, use exactly density tracks, hit the
     known counts per mode, and match the exact search on small instances

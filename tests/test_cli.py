@@ -401,7 +401,7 @@ class TestCheckSweepMemory:
 
     def test_row_source_holds_one_netlist_and_the_tables_its_row_may_keep(self, monkeypatch):
         # Each time the row's source builds a netlist, it holds none, and
-        # at most four tables on a row of the fine sweep, one above it.
+        # at most four tables on a row the router sweeps, one above it.
         sources, seen = [], []
         real_source, real_build = selfcheck._RowSource, netlist.build_netlist
 
@@ -417,12 +417,15 @@ class TestCheckSweepMemory:
         monkeypatch.setattr(selfcheck, "_RowSource", made)
         monkeypatch.setattr(netlist, "build_netlist", watched)
         assert all(outcome.passed for outcome in selfcheck.run_all(4096))
-        rows, fine = [2**d for d in range(1, 13)], selfcheck.MAX_FINE_NODES
+        rows, routed = [2**d for d in range(1, 13)], selfcheck.check_router.rows[1]
         assert sorted({n for n, _, _ in seen}) == rows
         for n, none_held, tables in seen:
-            assert none_held and tables <= (4 if n <= fine else 1), (n, tables)
-        # A fine row ends with its four tables; above it, the last is kept.
-        assert [len(source._tables) for source in sources] == [4 if n <= fine else 1 for n in rows]
+            assert none_held and tables <= (4 if n <= routed else 1), (n, tables)
+        # A routed row ends with its four tables; above it, the last is kept.
+        assert [len(source._tables) for source in sources] == [4 if n <= routed else 1 for n in rows]
+        # The 4096-node row sets the sweep's traced peak: four tables of it
+        # would add about 1.9 MiB, so a raised router ceiling must fail here.
+        assert len(sources[-1]._tables) == 1
 
     def test_profile_sum_peak_is_one_netlist_and_its_table(self):
         # With the normal table made, the check builds the gray netlist and
@@ -435,9 +438,9 @@ class TestCheckSweepMemory:
 
     def test_router_peak_is_one_pair(self):
         # Keeping a pair's intervals and assignment while the next netlist
-        # was made, the check peaked at 2.73 MiB traced at 1024 nodes; it
-        # reads 2.37 MiB, set by one pair and coverage_bound's events.
-        # Bound: 2.55 MiB.
+        # was made, the check peaked at 2.73 MiB traced at 1024 nodes, and
+        # 2.37 MiB with coverage_bound's events on top of one pair.  Bounded
+        # by the row's tables instead, it reads 1.99 MiB.  Bound: 2.55 MiB.
         source = selfcheck._RowSource(HypercubeRow(1024))
         assert _traced_peak(lambda: selfcheck.check_router(source)) < 2.55 * 2**20
 
@@ -468,15 +471,13 @@ CHECK_FAULTS = [
         {"closed-forms"},
     ),
     (
-        # S(n - cut) is summed from the per-dimension ramps, so the bumped
-        # ramp of dimension 4 (first on the n=16 row) at cut 2 shows as S(2)
-        # against the profile at cut 14.  No spot check of the scalar form,
-        # which reads the same ramp, reads cut 2 on a row of 16 or more.
+        # S(n - cut) is summed from the per-dimension counts, so the bumped
+        # counts at cut 1 first show as S(15) against the profile.
         "symmetry-and-bounds",
-        (density, "_ramp"),
-        _bump_where(lambda cut, dim: (cut, dim) == (2, 4)),
-        79,
-        "n=16: S(14) != S(2)",
+        (density, "dimension_link_count"),
+        _bump_where(lambda row, cut, dim: row.n >= 16 and cut == 1),
+        81,
+        "n=16: S(15) != S(1)",
         {"symmetry-and-bounds"},
     ),
     (
@@ -560,8 +561,8 @@ GRAY_SLOT_FAULT = (
 # sweep, which follows the total's, sees it, at dimension 1's mirror pair.
 SYMMETRY_DIM_FAULT = (
     "symmetry-and-bounds",
-    (density, "_ramp"),
-    lambda real: lambda cut, dim: real(cut, dim) + (cut == 14) * ((dim == 2) - (dim == 1)),
+    (density, "dimension_link_count"),
+    lambda real: lambda row, cut, dim: real(row, cut, dim) + (cut == 14) * ((dim == 2) - (dim == 1)),
     84,
     "n=16 dim=1 cut=2: per-dimension symmetry broken",
     {"symmetry-and-bounds"},

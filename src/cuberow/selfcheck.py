@@ -7,8 +7,8 @@ to a requested size once, smallest first, and on each row calls every check
 whose range holds it and that has not yet failed.  The netlists and oracle
 tables a row's checks read are made once, by a source that lives for that
 row alone; they are shared between checks, never with the closed forms.
-On a row the router sweeps, the source keeps every table it makes, and the
-router is bounded by the oracle's table of each pair it routes.
+The router is bounded by the largest count of the oracle's table of each
+pair it routes, which the source keeps for the row.
 The ``check`` subcommand prints one line per check.
 """
 
@@ -27,9 +27,6 @@ from cuberow.oracle import CrossingTable
 # cutline and routing sweeps are the expensive ones.
 MAX_COARSE_NODES = 2**12
 MAX_FINE_NODES = 2**10
-# The router's ceiling.  The row source keeps every oracle table of a row
-# up to it, for the router to read, so the two must move together.
-_ROUTER_MAX_NODES = MAX_FINE_NODES
 
 
 class CheckOutcome(namedtuple("CheckOutcome", "name passed assertions detail up_to", defaults=("", 0))):
@@ -50,38 +47,42 @@ class _RowSource:
     """One row's netlists and oracle tables, each made when first asked for.
 
     Only the netlist of the last ``(placement, mode)`` asked for is kept,
-    so the source holds one netlist at a time; consecutive requests for the
-    same pair share it.  On a row the router sweeps, of up to
-    ``_ROUTER_MAX_NODES`` nodes, every table made is kept for the row, one
-    per pair, so that the router reads the tables the earlier checks made;
-    above that only the held netlist's table is kept.  A check keeps to
-    the same rule: once it asks for another pair, it holds no netlist of an
+    with its table once one is asked for, so the source holds one netlist
+    at a time; consecutive requests for the same pair share it.  The
+    largest count of every table made is kept for the row, so the router's
+    bound reads the tables the earlier checks made.  A check keeps to the
+    same rule: once it asks for another pair, it holds no netlist of an
     earlier one in a local, nor anything that holds that netlist's wires,
     such as its intervals or their track assignment.
     """
 
-    __slots__ = ("row", "_key", "_net", "_tables")
+    __slots__ = ("row", "_key", "_net", "_table", "_fine_max")
 
     def __init__(self, row: HypercubeRow):
         self.row = row
-        self._key = self._net = None
-        self._tables: dict[tuple[Placement, TerminalMode], CrossingTable] = {}
+        self._key = self._net = self._table = None
+        self._fine_max: dict[tuple[Placement, TerminalMode], int] = {}
 
     def netlist(self, placement: Placement = Placement.NORMAL, mode: TerminalMode = TerminalMode.FREE) -> Netlist:
         if self._key != (placement, mode):
             # Drop the old pair first, so that the source never holds two.
-            self._key = self._net = None
-            if self.row.n > _ROUTER_MAX_NODES:
-                self._tables.clear()
+            self._key = self._net = self._table = None
             self._net = netlist.build_netlist(self.row, placement, mode)
             self._key = placement, mode
         return self._net
 
     def table(self, placement: Placement = Placement.NORMAL, mode: TerminalMode = TerminalMode.FREE) -> CrossingTable:
-        table = self._tables.get((placement, mode))
-        if table is None:
-            table = self._tables[placement, mode] = oracle.crossing_profile(self.netlist(placement, mode))
-        return table
+        net = self.netlist(placement, mode)
+        if self._table is None:
+            self._table = oracle.crossing_profile(net)
+            self._fine_max[placement, mode] = self._table.fine_max()
+        return self._table
+
+    def fine_max(self, placement: Placement, mode: TerminalMode) -> int:
+        """The largest count of the pair's table, made at most once a row."""
+        if (placement, mode) not in self._fine_max:
+            self.table(placement, mode)
+        return self._fine_max[placement, mode]
 
 
 def _sweep(ceiling: int, start: int = 2):
@@ -210,7 +211,7 @@ _ROUTED_PAIRS = [
 ]
 
 
-@_sweep(_ROUTER_MAX_NODES)
+@_sweep(MAX_FINE_NODES)
 def check_router(source: _RowSource) -> int:
     """Left-edge output must verify, use exactly density tracks, hit the
     known counts per mode, and match the exact search on small instances
@@ -233,7 +234,7 @@ def check_router(source: _RowSource) -> int:
         except TooManyWiresError:
             # Every track assignment needs as many tracks as wires cross
             # one fine cut, and left-edge needs no more.
-            exact = source.table(placement, mode).fine_max()
+            exact = source.fine_max(placement, mode)
         if assignment.track_count != exact:
             raise _Mismatch(checked, f"{pair} exact minimum {exact}")
         # They hold this pair's wires: drop them before the next is made.

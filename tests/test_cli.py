@@ -399,9 +399,10 @@ class TestCheckSweepMemory:
         assert all(outcome.passed for outcome in selfcheck.run_all(64))
         assert held == []
 
-    def test_row_source_holds_one_netlist_and_the_tables_its_row_may_keep(self, monkeypatch):
-        # Each time the row's source builds a netlist, it holds none, and
-        # at most four tables on a row the router sweeps, one above it.
+    def test_row_source_holds_one_netlist_and_one_int_per_table(self, monkeypatch):
+        # Each time the row's source builds a netlist, it holds no netlist
+        # and no table.  Across pairs it keeps only each table's largest
+        # count, and on a row the router sweeps it has all four of them.
         sources, seen = [], []
         real_source, real_build = selfcheck._RowSource, netlist.build_netlist
 
@@ -411,21 +412,19 @@ class TestCheckSweepMemory:
 
         def watched(row, *args, **kwargs):
             source = sources[-1]
-            seen.append((row.n, source._net is None, len(source._tables)))
+            seen.append((row.n, source._net, source._table))
             return real_build(row, *args, **kwargs)
 
         monkeypatch.setattr(selfcheck, "_RowSource", made)
         monkeypatch.setattr(netlist, "build_netlist", watched)
         assert all(outcome.passed for outcome in selfcheck.run_all(4096))
-        rows, routed = [2**d for d in range(1, 13)], selfcheck.check_router.rows[1]
-        assert sorted({n for n, _, _ in seen}) == rows
-        for n, none_held, tables in seen:
-            assert none_held and tables <= (4 if n <= routed else 1), (n, tables)
-        # A routed row ends with its four tables; above it, the last is kept.
-        assert [len(source._tables) for source in sources] == [4 if n <= routed else 1 for n in rows]
-        # The 4096-node row sets the sweep's traced peak: four tables of it
-        # would add about 1.9 MiB, so a raised router ceiling must fail here.
-        assert len(sources[-1]._tables) == 1
+        assert sorted({n for n, _, _ in seen}) == [2**d for d in range(1, 13)]
+        assert all(net is None and table is None for _, net, table in seen)
+        pairs = {(placement, mode) for placement in netlist.Placement for mode in netlist.TerminalMode}
+        routed = [source for source in sources if source.row.n <= selfcheck.check_router.rows[1]]
+        assert [source.row.n for source in routed] == [2**d for d in range(1, 11)]
+        assert all(set(source._fine_max) == pairs for source in routed)
+        assert all(type(peak) is int for source in sources for peak in source._fine_max.values())
 
     def test_profile_sum_peak_is_one_netlist_and_its_table(self):
         # With the normal table made, the check builds the gray netlist and
@@ -440,7 +439,7 @@ class TestCheckSweepMemory:
         # Keeping a pair's intervals and assignment while the next netlist
         # was made, the check peaked at 2.73 MiB traced at 1024 nodes, and
         # 2.37 MiB with coverage_bound's events on top of one pair.  Bounded
-        # by the row's tables instead, it reads 1.99 MiB.  Bound: 2.55 MiB.
+        # by each pair's table instead, it reads 1.70 MiB.  Bound: 2.55 MiB.
         source = selfcheck._RowSource(HypercubeRow(1024))
         assert _traced_peak(lambda: selfcheck.check_router(source)) < 2.55 * 2**20
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable
+from itertools import repeat
 
 from cuberow import density, netlist, oracle, routing
 from cuberow.density import HypercubeRow
@@ -131,11 +132,10 @@ def check_symmetry_and_bounds(source: _RowSource) -> int:
     profile = density.cut_density_profile(row)
     peak = density.max_cut_density(row)
     first = density.leftmost_max_cut(row)
-    # links[dim - 1][cut] for the interior cuts; index 0 is unused.
-    links = [
-        [0, *(density.dimension_link_count(row, cut, dim) for cut in range(1, n))]
-        for dim in range(1, row.dims + 1)
-    ]
+    # links[dim - 1][cut] for the interior cuts; index 0 is unused.  Each
+    # is the ramp that dimension_link_count returns once its arguments are
+    # checked, read without that check: every cut and dim here is in range.
+    links = [[0, *map(density._ramp, range(1, n), repeat(dim))] for dim in range(1, row.dims + 1)]
     summed = [sum(counts) for counts in zip(*links)]
     for cut in range(1, n):
         if profile[cut] != summed[n - cut]:

@@ -470,13 +470,15 @@ CHECK_FAULTS = [
         {"closed-forms"},
     ),
     (
-        # S(n - cut) is summed from the per-dimension counts, so the bumped
-        # counts at cut 1 first show as S(15) against the profile.
+        # S(n - cut) is summed from the per-dimension ramps, so the bumped
+        # ramp of dimension 4 (first on the n=16 row) at cut 2 shows as S(2)
+        # against the profile at cut 14.  The scalar form reads the same
+        # ramp, but no spot check of it reads cut 2 on a row of 16 or more.
         "symmetry-and-bounds",
-        (density, "dimension_link_count"),
-        _bump_where(lambda row, cut, dim: row.n >= 16 and cut == 1),
-        81,
-        "n=16: S(15) != S(1)",
+        (density, "_ramp"),
+        _bump_where(lambda cut, dim: (cut, dim) == (2, 4)),
+        79,
+        "n=16: S(14) != S(2)",
         {"symmetry-and-bounds"},
     ),
     (
@@ -560,8 +562,8 @@ GRAY_SLOT_FAULT = (
 # sweep, which follows the total's, sees it, at dimension 1's mirror pair.
 SYMMETRY_DIM_FAULT = (
     "symmetry-and-bounds",
-    (density, "dimension_link_count"),
-    lambda real: lambda row, cut, dim: real(row, cut, dim) + (cut == 14) * ((dim == 2) - (dim == 1)),
+    (density, "_ramp"),
+    lambda real: lambda cut, dim: real(cut, dim) + (cut == 14) * ((dim == 2) - (dim == 1)),
     84,
     "n=16 dim=1 cut=2: per-dimension symmetry broken",
     {"symmetry-and-bounds"},

@@ -42,6 +42,14 @@ from cuberow.errors import InvalidCutError, InvalidDimensionError, RowSizeError
 MAX_NODES = 2**30
 
 
+@classmethod
+def _checked_make(cls, iterable):
+    # A named tuple's ``_replace`` builds through ``_make``, which skips
+    # ``__new__``; a record whose ``__new__`` checks its fields takes this
+    # ``_make``, so a replaced field is checked as a new record's are.
+    return cls(*iterable)
+
+
 class HypercubeRow(namedtuple("HypercubeRow", "n")):
     """A single-row layout instance: ``n = 2**dims >= 2`` nodes, one per column.
 
@@ -59,10 +67,7 @@ class HypercubeRow(namedtuple("HypercubeRow", "n")):
             raise RowSizeError(f"node count {n} exceeds the supported cap {MAX_NODES}")
         return tuple.__new__(cls, (n,))
 
-    @classmethod
-    def _make(cls, iterable):
-        # ``_replace`` builds through here; keep it on the checked path.
-        return cls(*iterable)
+    _make = _checked_make
 
     @property
     def dims(self) -> int:

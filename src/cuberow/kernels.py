@@ -1,8 +1,10 @@
 """Batch kernels: the inner loops behind the package's exhaustive sweeps.
 
-Pure Python, one home per formula.  :mod:`cuberow.density` and
-:mod:`cuberow.oracle` wrap these with validation, so inputs are assumed
-valid here: every ``n`` is a power of two.
+Pure Python, one home per formula.  Inputs are assumed valid here: every
+``n`` is a power of two.  :mod:`cuberow.density` and :mod:`cuberow.oracle`
+wrap these with validation; :mod:`cuberow.cli` reads :func:`_profile_blocks`
+and :mod:`cuberow.netlist` reads :func:`_excess_above` directly, each on a
+row and arguments it has already checked.
 """
 
 from __future__ import annotations

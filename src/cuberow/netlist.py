@@ -25,7 +25,7 @@ from functools import lru_cache, partial
 from itertools import accumulate, compress, cycle, islice, repeat
 from operator import add, itemgetter, sub, xor
 
-from cuberow.density import HypercubeRow, _bad_index
+from cuberow.density import HypercubeRow, _bad_index, _checked_make
 from cuberow.errors import InvalidCutError, LayoutError, NetlistFormatError, UnknownChoiceError
 from cuberow.kernels import _excess_above
 
@@ -85,10 +85,7 @@ class Wire(_WireFields):
             )
         return tuple.__new__(cls, fields)
 
-    @classmethod
-    def _make(cls, iterable):
-        # ``_replace`` builds through here; keep it on the checked path.
-        return cls(*iterable)
+    _make = _checked_make
 
     @property
     def span(self) -> int:
@@ -133,10 +130,7 @@ class Netlist(namedtuple("Netlist", "row placement mode wires")):
         wires = _checked_wires(row, placement, mode, wires)
         return tuple.__new__(cls, (row, placement, mode, wires))
 
-    @classmethod
-    def _make(cls, iterable):
-        # ``_replace`` builds through here; keep it on the checked path.
-        return cls(*iterable)
+    _make = _checked_make
 
 
 def _checked_wires(row: HypercubeRow, placement: Placement, mode: TerminalMode, wires):
@@ -225,7 +219,8 @@ def build_netlist(
     if slot_order is not None:
         if mode is not TerminalMode.DIM_ORDERED:
             raise LayoutError("slot_order applies to dimension-ordered netlists only")
-        if sorted(slot_order) != list(range(1, dims + 1)):
+        # A bool or a float would sort among the slots and then be drawn.
+        if any(type(slot) is not int for slot in slot_order) or sorted(slot_order) != list(range(1, dims + 1)):
             raise LayoutError(f"slot_order must permute 1..{dims}, got {slot_order!r}")
 
     # For dimension k, the left ends are the lower half of each aligned block

@@ -15,7 +15,7 @@ from collections.abc import Iterator
 from itertools import accumulate
 
 from cuberow import kernels
-from cuberow.errors import TooManyWiresError
+from cuberow.errors import InvalidCutError, InvalidDimensionError, TooManyWiresError
 from cuberow.netlist import Netlist, TerminalMode, fine_cut_count
 
 __all__ = [
@@ -32,22 +32,36 @@ __all__ = [
 EXACT_SEARCH_WIRES = 24
 
 
+def _check(what: str, value, low: int, top: int, error=InvalidCutError) -> None:
+    # The oracle's own statement of its argument ranges.  A bool is an int,
+    # but True would silently stand for 1, and a negative index would read
+    # the table from its end.
+    if type(value) is not int or not low <= value <= top:
+        raise error(f"{what} must be an int in {low}..{top}, got {value!r}")
+
+
 class CrossingTable(namedtuple("CrossingTable", "n dims counts")):
     """Crossing count at every fine cut of a routed row: a named tuple
     ``(n, dims, counts)``.
 
     ``counts[f]`` is the number of wires whose crossing range covers fine
-    cut ``f``; gap and through-node cuts are addressed via the accessors.
+    cut ``f``; gap and through-node cuts are addressed via the accessors,
+    which refuse an argument that is not an int in range, a bool included,
+    with :class:`InvalidCutError`.
     """
 
     __slots__ = ()
 
     def gap(self, cut: int) -> int:
         """Crossings at intercolumn position ``cut`` (0..n)."""
+        _check("cut", cut, 0, self.n)
         return self.counts[cut * (self.dims + 1)]
 
     def node_cut(self, col: int, slot: int) -> int:
-        """Crossings at the through-node cut right of ``slot`` on ``col``."""
+        """Crossings at the through-node cut right of ``slot`` (1..dims) on
+        column ``col`` (0..n-1)."""
+        _check("column", col, 0, self.n - 1)
+        _check("terminal slot", slot, 1, self.dims)
         return self.counts[col * (self.dims + 1) + slot]
 
     def gap_profile(self) -> list[int]:
@@ -61,8 +75,9 @@ class CrossingTable(namedtuple("CrossingTable", "n dims counts")):
 
     def gap_maximizers(self) -> list[int]:
         """Every interior intercolumn cut attaining :meth:`interior_gap_max`."""
-        peak = self.interior_gap_max()
-        return [cut for cut in range(1, self.n) if self.gap(cut) == peak]
+        gaps = self.gap_profile()[1 : self.n]
+        peak = max(gaps, default=0)
+        return [cut for cut, count in enumerate(gaps, start=1) if count == peak]
 
     def fine_max(self) -> int:
         """Largest crossing count over every fine cut."""
@@ -100,7 +115,14 @@ def brute_maximizers(net: Netlist) -> list[int]:
 
 
 def brute_link_count(net: Netlist, cut: int, dim: int) -> int:
-    """Dimension-``dim`` wires crossing intercolumn ``cut``, by enumeration."""
+    """Dimension-``dim`` wires crossing intercolumn ``cut``, by enumeration.
+
+    A ``cut`` that is not an int in 0..n raises :class:`InvalidCutError`,
+    and a ``dim`` that is not one in 1..dims :class:`InvalidDimensionError`,
+    a bool included.
+    """
+    _check("cut", cut, 0, net.row.n)
+    _check("dimension", dim, 1, net.row.dims, InvalidDimensionError)
     return sum(
         1 for w in net.wires if w.dim == dim and w.left_col < cut <= w.right_col
     )

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 
+from cuberow.density import _checked_make
 from cuberow.errors import LayoutError, RenderSizeError
 from cuberow.netlist import Netlist, Placement, gray_code
 from cuberow.routing import TrackAssignment, _tracks
@@ -48,34 +49,28 @@ class RenderSpec(namedtuple("RenderSpec", "cell_width cell_height show_tracks"))
             raise RenderSizeError(f"cell size must be positive integers, got {cell_width}x{cell_height}")
         return tuple.__new__(cls, (cell_width, cell_height, show_tracks))
 
-    @classmethod
-    def _make(cls, iterable):
-        # ``_replace`` builds through here; keep it on the checked path.
-        return cls(*iterable)
+    _make = _checked_make
 
 
 def _node_label(net: Netlist, col: int) -> str:
     return str(gray_code(col) if net.placement is Placement.GRAY else col)
 
 
-def _drawn(net: Netlist, assignment: TrackAssignment, spec: RenderSpec, tracks: list[int] | None = None):
+def _drawn(net: Netlist, assignment: TrackAssignment, spec: RenderSpec, tracks: list[int]):
     """The number of track rows drawn, and a generator of the drawn wires.
 
     Each wire comes as ``(dim, row, xa, xb)``: its dimension, its track row
     counted from the top (track 0 is the row nearest the nodes), and the
     sub-columns of its two terminals; terminal ``slot`` of column ``col``
     sits in sub-column ``col * (dims + 1) + slot - 1``.  ``tracks`` holds
-    each wire's track in the netlist's order, and is read from the
-    assignment when not given, with tracks hidden too, so that every
-    drawing refuses what :func:`_tracks` refuses.  With tracks hidden there
-    are no rows and no wires.  The netlist's wires lie on the row (see
-    :class:`Netlist`); a wire with no track, or with a track outside
-    ``0..rows-1``, raises :class:`LayoutError` here, so the generator
-    cannot raise.
+    each wire's track in the netlist's order, as :func:`_tracks` reads them
+    from the assignment; every drawing reads them so, with tracks hidden
+    too, and so refuses what :func:`_tracks` refuses.  With tracks hidden
+    there are no rows and no wires.  The netlist's wires lie on the row
+    (see :class:`Netlist`); a track outside ``0..rows-1`` raises
+    :class:`LayoutError` here, so the generator cannot raise.
     """
     rows, wires = assignment.track_count, net.wires
-    if tracks is None:
-        tracks = _tracks(assignment, wires)
     if not spec.show_tracks:
         return 0, ()
     if tracks and not (0 <= min(tracks) and max(tracks) < rows):
@@ -98,7 +93,7 @@ def render_text(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = Re
         raise RenderSizeError(
             f"text rendering needs {width} columns, cap is {MAX_TEXT_COLUMNS}"
         )
-    rows, wires = _drawn(net, assignment, spec)
+    rows, wires = _drawn(net, assignment, spec, _tracks(assignment, net.wires))
     wires = list(wires)  # walked twice
     grid = [[" "] * width for _ in range(rows)]
 
@@ -135,12 +130,10 @@ def render_svg(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = Ren
     node label's x when ``dims`` times the cell width is.  So a coordinate
     is printed exactly as its whole part, an integer, and that suffix.
     """
-    return "".join(_svg_lines(net, assignment, spec))
+    return "".join(_svg_lines(net, assignment, spec, _tracks(assignment, net.wires)))
 
 
-def _svg_lines(
-    net: Netlist, assignment: TrackAssignment, spec: RenderSpec, tracks: list[int] | None = None
-) -> Iterator[str]:
+def _svg_lines(net: Netlist, assignment: TrackAssignment, spec: RenderSpec, tracks: list[int]) -> Iterator[str]:
     """The lines of :func:`render_svg`'s drawing, each ending in its
     newline: the header, then the node columns, then the wires.  ``tracks``
     is as for :func:`_drawn`; every check runs before this returns."""

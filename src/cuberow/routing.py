@@ -17,6 +17,7 @@ from heapq import heappop, heappush
 from itertools import count, repeat
 from operator import add, itemgetter, mul, sub
 
+from cuberow.density import _checked_make
 from cuberow.errors import IncompleteAssignmentError, LayoutError
 from cuberow.netlist import (
     Netlist,
@@ -73,10 +74,7 @@ class IntervalWire(_IntervalFields):
             raise LayoutError(f"empty crossing range [{lo}, {hi}]")
         return tuple.__new__(cls, (wire, lo, hi))
 
-    @classmethod
-    def _make(cls, iterable):
-        # ``_replace`` builds through here; keep it on the checked path.
-        return cls(*iterable)
+    _make = _checked_make
 
     def overlaps(self, other: "IntervalWire") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
@@ -190,30 +188,16 @@ def left_edge_route(intervals: list[IntervalWire]) -> TrackAssignment:
     return TrackAssignment(by_wire, next_track, channel_density(intervals))
 
 
-def _clashes(intervals: list[IntervalWire], by_wire) -> bool:
-    """Whether two overlapping intervals share a track, by one sweep of the
-    intervals in left-end order, ties in input order: each track keeps the
-    right end of its latest interval, and an interval that starts at or
-    before it clashes.  The record holds one entry per track in use,
-    whatever the track numbers, and the sweep keeps no int per interval."""
-    last_hi: dict[int, int] = {}
-    for wire, lo, hi in sorted(intervals, key=_lows):
-        track = by_wire[wire]
-        if lo <= last_hi.get(track, lo - 1):
-            return True
-        last_hi[track] = hi
-    return False
-
-
 def verify_assignment(intervals: list[IntervalWire], assignment: TrackAssignment) -> RouteCertificate:
     """Check an assignment against the channel's two obligations.
 
-    Soundness: no two overlapping intervals share a track.  One sweep in
-    left-end order decides it; only when it finds a clash are the tracks
-    sorted, to report the first violating pair.  Tightness: the track count
-    equals the channel density (gap reported otherwise).  A wire missing
-    from the assignment raises :class:`IncompleteAssignmentError` instead
-    of returning a certificate.
+    Soundness: no two overlapping intervals share a track.  One sweep of
+    the intervals in ``(lo, hi)`` order, ties in input order, decides it
+    and names the pair: on each track it compares each interval with the
+    one before it there, and the first overlapping pair of the lowest track
+    that has one is reported.  Tightness: the track count equals the channel density (gap
+    reported otherwise).  A wire missing from the assignment raises
+    :class:`IncompleteAssignmentError` instead of returning a certificate.
     """
     tracks = _tracks(assignment, map(_wires, intervals))
     track_count = assignment.track_count
@@ -225,25 +209,34 @@ def verify_assignment(intervals: list[IntervalWire], assignment: TrackAssignment
             detail=f"track {track} outside 0..{track_count - 1}",
             offenders=(iv.wire,),
         )
+    del tracks  # not held through the sorts, which set the peak
 
-    # Tracks in increasing order, each track's intervals by (lo, hi) with
-    # ties in input order; an overlap on a track shows between neighbours.
-    # The sweep decides whether there is one, so only then are they sorted.
-    members = ()
-    if _clashes(intervals, assignment.by_wire):
-        members = sorted(zip(tracks, map(_lows, intervals), map(_highs, intervals), count()))
-    prev_track = prev_hi = prev_index = None
-    for track, lo, hi, index in members:
-        if track == prev_track and prev_hi >= lo:
-            prev, cur = intervals[prev_index], intervals[index]
-            return RouteCertificate(
-                False,
-                reason="overlap",
-                detail=f"track {track} holds overlapping spans "
-                f"[{prev.lo}, {prev.hi}] and [{cur.lo}, {cur.hi}]",
-                offenders=(prev.wire, cur.wire),
-            )
-        prev_track, prev_hi, prev_index = track, hi, index
+    # Two stable sorts of the records put them in (lo, hi, input order)
+    # with no key tuple per interval.  The records kept are one per track in
+    # use, whatever the track numbers: its latest interval, and its first
+    # overlapping pair.
+    swept = sorted(intervals, key=_highs)
+    swept.sort(key=_lows)
+    by_wire = assignment.by_wire
+    latest: dict[int, IntervalWire] = {}
+    first: dict[int, tuple[IntervalWire, IntervalWire]] = {}
+    for iv in swept:
+        track = by_wire[iv.wire]
+        prev = latest.get(track)
+        if prev is not None and prev.hi >= iv.lo:
+            first.setdefault(track, (prev, iv))
+        latest[track] = iv
+    del swept, latest
+    if first:
+        track = min(first)
+        prev, cur = first[track]
+        return RouteCertificate(
+            False,
+            reason="overlap",
+            detail=f"track {track} holds overlapping spans "
+            f"[{prev.lo}, {prev.hi}] and [{cur.lo}, {cur.hi}]",
+            offenders=(prev.wire, cur.wire),
+        )
 
     density = channel_density(intervals)
     if track_count != density:

@@ -152,6 +152,10 @@ class TestBuildNetlist:
             build_netlist(row, mode=TerminalMode.FREE, slot_order=(1, 2, 3))
         with pytest.raises(LayoutError):
             build_netlist(row, mode=TerminalMode.DIM_ORDERED, slot_order=(1, 1, 3))
+        # A bool or a float sorts as its int, and would be drawn as a slot.
+        for order in [(True, 2), (1.0, 2)]:
+            with pytest.raises(LayoutError, match=r"slot_order must permute 1\.\.2"):
+                build_netlist(HypercubeRow(4), mode=TerminalMode.DIM_ORDERED, slot_order=order)
 
     @pytest.mark.parametrize("n", [2, 8, 64])
     @pytest.mark.parametrize("placement", list(Placement))

@@ -2,11 +2,12 @@
 count and its own stated self-consistency rules."""
 
 import tracemalloc
+from functools import partial
 
 import pytest
 
 from cuberow.density import HypercubeRow
-from cuberow.errors import TooManyWiresError
+from cuberow.errors import InvalidCutError, InvalidDimensionError, TooManyWiresError
 from cuberow.netlist import Placement, TerminalMode, build_netlist, fine_cut_count, total_wirelength
 from cuberow.oracle import (
     brute_link_count,
@@ -85,6 +86,40 @@ class TestCrossingProfile:
         for cut in range(9):
             assert table.gap(cut) == table.counts[cut * step]
         assert table.node_cut(4, 2) == table.counts[4 * step + 2] == 6
+
+
+class TestArgumentRanges:
+    @pytest.mark.parametrize(
+        "call, args, error",
+        [
+            ("brute_link_count", (99, 1), InvalidCutError),
+            ("brute_link_count", (-1, 1), InvalidCutError),
+            ("brute_link_count", (True, 1), InvalidCutError),
+            ("brute_link_count", (2, 9), InvalidDimensionError),
+            ("brute_link_count", (2, 0), InvalidDimensionError),
+            ("brute_link_count", (2, 1.0), InvalidDimensionError),
+            ("gap", (-1,), InvalidCutError),
+            ("gap", (9,), InvalidCutError),
+            ("gap", (True,), InvalidCutError),
+            ("gap", (2.0,), InvalidCutError),
+            ("node_cut", (0, 4), InvalidCutError),
+            ("node_cut", (0, 0), InvalidCutError),
+            ("node_cut", (-1, 1), InvalidCutError),
+            ("node_cut", (8, 1), InvalidCutError),
+            ("node_cut", (False, 1), InvalidCutError),
+        ],
+    )
+    def test_out_of_range_argument_is_refused(self, call, args, error):
+        # On an 8-node row each of these answered a count, 0 off the row,
+        # cut 1 for True or a cell read from the table's other end, or
+        # raised a bare IndexError or TypeError.
+        net = build_netlist(HypercubeRow(8), mode=TerminalMode.DIM_ORDERED)
+        if call == "brute_link_count":
+            accessor = partial(brute_link_count, net)
+        else:
+            accessor = getattr(crossing_profile(net), call)
+        with pytest.raises(error):
+            accessor(*args)
 
 
 class TestTableMemory:

@@ -1,6 +1,7 @@
 """Interval extraction, channel density, the left-edge router, and the
 assignment verifier."""
 
+import gc
 import heapq
 import json
 import os
@@ -476,7 +477,7 @@ class TestCertificateAgainstReference:
     @given(_two_faults())
     @settings(max_examples=300, deadline=None)
     def test_the_first_fault_in_input_order_is_named(self, case):
-        # The sweep meets the intervals in left-end order; whichever of two
+        # The sweep meets the intervals in (lo, hi) order; whichever of two
         # faults comes first there, the report names the one the reference
         # names, the first in input order.
         intervals, assignment = case
@@ -494,6 +495,34 @@ class TestCertificateAgainstReference:
         cert = verify_assignment(intervals, assignment)
         assert cert == _reference_verify(intervals, assignment)
         assert cert.offenders == (w[0], w[1])
+
+    def test_equal_left_ends_are_named_by_right_end(self):
+        # One track holds [0, 5] before [0, 3] in input order: the reference
+        # takes a track's neighbours in (lo, hi) order, so it names [0, 3]
+        # then [0, 5], and so must the sweep.
+        w = [Wire(1, k, k + 1, 1, 1) for k in range(3)]
+        intervals = [IntervalWire(w[0], 0, 5), IntervalWire(w[1], 7, 8), IntervalWire(w[2], 0, 3)]
+        assignment = TrackAssignment({w[0]: 0, w[1]: 0, w[2]: 0}, 1, 2)
+        cert = verify_assignment(intervals, assignment)
+        assert cert == _reference_verify(intervals, assignment)
+        assert cert.offenders == (w[2], w[0])
+        assert cert.detail == "track 0 holds overlapping spans [0, 3] and [0, 5]"
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_many_equal_left_ends(self, data):
+        # Left ends from three values and tracks from three, shuffled, so
+        # that most tracks hold several intervals of one left end, which a
+        # sweep ordered by left end alone would name in input order.
+        size = data.draw(st.integers(2, 24))
+        wires = [Wire(1, k, k + 1, 1, 1) for k in range(size)]
+        lows = data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+        highs = data.draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))
+        intervals = [IntervalWire(w, lo, lo + extra) for w, lo, extra in zip(wires, lows, highs)]
+        data.draw(st.randoms(use_true_random=False)).shuffle(intervals)
+        by_wire = {w: data.draw(st.integers(0, 2)) for w in wires}
+        assignment = TrackAssignment(by_wire, 3, channel_density(intervals))
+        assert verify_assignment(intervals, assignment) == _reference_verify(intervals, assignment)
 
     def test_no_record_is_sized_from_a_track_number(self):
         # One wire on track 10**12 - 1 of 10**12: a per-track table sized
@@ -519,11 +548,14 @@ class TestReadPathMemory:
     def test_certificate_peak_per_interval(self, mode):
         # The sorted (track, lo, hi, index) tuples peaked at 107-135 B per
         # interval at this size, and a sweep of sorted indexes, with a list
-        # of left ends, at about 71 B.  The sweep of the sorted records
-        # holds a track and two pointers per interval, at about 32 B.
-        # Bound: 48 B per interval.
+        # of left ends, at about 71 B.  A sweep of the sorted records that
+        # held the input-order tracks too peaked at about 32 B; the one
+        # sweep frees them before its sorts, at about 24 B.  Bound: 48 B per
+        # interval.  A peak moves with where full collections fall, so one
+        # runs first.
         intervals = _intervals(1024, Placement.GRAY, mode)
         assignment = left_edge_route(intervals)
+        gc.collect()
         tracemalloc.start()
         try:
             cert = verify_assignment(intervals, assignment)

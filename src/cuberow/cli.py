@@ -14,7 +14,6 @@ import os
 import stat
 import sys
 from collections.abc import Iterable, Iterator
-from functools import partial
 from itertools import chain, islice, repeat, starmap
 from operator import itemgetter
 
@@ -126,121 +125,81 @@ def _write(texts: _Texts) -> None:
         raise UsageError(f"cannot write {where}: {exc.strerror or exc}") from None
 
 
-_scalar_text = json.JSONEncoder().encode
-# A dict or list of scalars one level into a document, items on their own
-# lines; only the newlines at its brackets are left to splice in.
+# A list of scalars one level into a document, items on their own lines;
+# only its brackets are left to strip.
 _items_text = json.JSONEncoder(separators=(",\n    ", ": ")).encode
 
-# The one block size of a streamed output: scalars per encoder call in a
-# long list and cuts per profile block, lines per chunk of a streamed text
-# (a density or track table, an svg drawing, an emitted file), and records
-# per chunk of a JSON record list.  A block's list and text then take tens
-# of KB, far below the interpreter's own memory, while the Python work per
-# block stays small beside the C loops it runs.
+# The one block size of a streamed output: cuts per profile block, and lines
+# or items per chunk of a streamed text (a density or track table, an svg
+# drawing, an emitted file, a JSON list).  A block's list and text then take
+# tens of KB, far below the interpreter's own memory, while the Python work
+# per block stays small beside the C loops it runs.
 _BLOCK = 2**10
-
-
-class _Records:
-    """A document's list of records, each a dict with the str keys ``names``,
-    in that order, and int values, given as the tuples of values that
-    ``rows`` yields; ``names`` is not empty, and ``rows`` is walked once,
-    so no record is made as a dict."""
-
-    __slots__ = ("names", "rows")
-
-    def __init__(self, names, rows):
-        self.names, self.rows = names, rows
-
-
-class _Stream:
-    """A document's list of scalars, given as the non-empty lists that
-    ``blocks()`` yields; each iteration calls it anew, so the list is never
-    held whole."""
-
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks):
-        self.blocks = blocks
-
-    def __iter__(self):
-        return self.blocks()
 
 
 def _json_text(doc: dict) -> Iterator[str]:
     """The chunks of ``json.dumps(doc, indent=2) + "\\n"``, byte for byte,
     for a command's document, made as they are drained.
 
-    ``doc`` is a non-empty dict with str keys, and each value is one of four
-    kinds: a scalar or an empty container; a dict of scalars, encoded in one
-    call; a list of scalars, encoded in one call per ``_BLOCK`` items, or a
-    ``_Stream``, encoded in one call per block, each written as a list of
-    its items; or ``_Records``, written as a list of dicts, formatted one
-    record at a time and joined ``_BLOCK`` records to a chunk.  No
-    chunk is kept once it is yielded, and none is joined into one string.
+    ``doc`` is a non-empty dict with str keys, and each value is one of two
+    kinds.  An iterator is a list given as the texts of its items: each
+    chunk it yields holds one or more of them joined by ``",\\n    "``, and
+    it is written as a list of its items, ``[]`` when it yields nothing, so
+    it is never held whole.  Any other value is written whole by
+    ``json.dumps``.  No chunk is kept once it is yielded.
     """
     yield "{"
     separator = "\n  "
     for key, value in doc.items():
-        yield f"{separator}{_scalar_text(key)}: "
+        yield f"{separator}{json.dumps(key)}: "
         separator = ",\n  "
-        if isinstance(value, _Stream):
-            yield from _list_text(value)
-        elif isinstance(value, _Records):
-            # One format call per record, its separator included; an int's
-            # text is its str().  '"key": ' as the encoder writes it, with
-            # the braces escaped for format.
-            names = (_scalar_text(name).replace("{", "{{").replace("}", "}}") for name in value.names)
-            record = ",\n    {{" + ",".join(f"\n      {name}: {{}}" for name in names) + "\n    }}"
-            chunks = _blocks(starmap(record.format, value.rows))
-            first = next(chunks, None)
-            if first is None:
-                yield "[]"
-                continue
-            # The first record's comma becomes the list's bracket.
-            yield "[" + first[1:]
-            yield from chunks
-            yield "\n  ]"
-        elif not value or not isinstance(value, (list, dict)):
-            yield _scalar_text(value)
-        elif isinstance(value, dict):
-            yield from ("{\n    ", _items_text(value)[1:-1], "\n  }")
+        if not isinstance(value, Iterator):
+            # One level in, each line of its text is indented two more spaces.
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+        elif (first := next(value, None)) is None:
+            yield "[]"
         else:
-            # One slice at a time, so no text of a long list is made whole.
-            yield from _list_text(value[start : start + _BLOCK] for start in range(0, len(value), _BLOCK))
+            yield from ("[\n    ", first)
+            for chunk in value:
+                yield from (",\n    ", chunk)
+            yield "\n  ]"
     yield "\n}\n"
 
 
-def _blocks(lines: Iterable[str]) -> Iterator[str]:
-    """``lines``, texts that are not empty, joined ``_BLOCK`` to a chunk
-    as they are drained."""
+def _blocks(lines: Iterable[str], separator: str = "") -> Iterator[str]:
+    """``lines``, texts that are not empty, joined by ``separator``
+    ``_BLOCK`` to a chunk as they are drained."""
     lines = iter(lines)
-    return iter(lambda: "".join(islice(lines, _BLOCK)), "")
+    return iter(lambda: separator.join(islice(lines, _BLOCK)), "")
 
 
-def _list_text(blocks: Iterable[list]) -> Iterator[str]:
-    # A list of scalars one level into a document, from its non-empty blocks.
-    opener = "[\n    "
-    for block in blocks:
-        yield opener
-        yield _items_text(block)[1:-1]
-        opener = ",\n    "
-    yield "\n  ]"
+def _record_texts(names: Iterable[str], rows: Iterable[tuple]) -> Iterator[str]:
+    """A JSON list of records as :func:`_json_text` takes it: each record a
+    dict with the str keys ``names``, in that order, and the int values of
+    one tuple that ``rows`` yields, ``_BLOCK`` records to a chunk; ``names``
+    is not empty, and no record is made as a dict."""
+    # One format call per record; an int's text is its str().  '"key": ' as
+    # the encoder writes it, with the braces escaped for format.
+    fields = (json.dumps(name).replace("{", "{{").replace("}", "}}") for name in names)
+    record = "{{" + ",".join(f"\n      {field}: {{}}" for field in fields) + "\n    }}"
+    return _blocks(starmap(record.format, rows), ",\n    ")
 
 
 def _density_data(row: HypercubeRow, placement: Placement, mode: TerminalMode) -> dict:
     """The JSON density document, with ``tracks`` None, from the closed forms.
 
-    Its ``profile`` is a ``_Stream`` of the interior cuts' densities in
-    blocks of ``_BLOCK`` cuts, each made from the one before as it is
-    written.  A gray row has the normal row's crossing count at every cut
-    (see :mod:`cuberow.density`), so both placements take the same formulas.
+    Its ``profile`` is an iterator of the interior cuts' densities as item
+    texts, one chunk per block of ``_BLOCK`` cuts, each block made from the
+    one before as it is written, so the document is written once.  A gray
+    row has the normal row's crossing count at every cut (see
+    :mod:`cuberow.density`), so both placements take the same formulas.
     """
     cuts = density.max_density_cuts(row)
     return {
         "n": row.n,
         "placement": placement.value,
         "mode": mode.value,
-        "profile": _Stream(partial(kernels._profile_blocks, row.n, _BLOCK)),
+        "profile": (_items_text(block)[1:-1] for block in kernels._profile_blocks(row.n, _BLOCK)),
         "m": density.max_cut_density(row),
         "p": cuts[0],
         "maximizers": cuts,
@@ -283,7 +242,8 @@ def cmd_density(args) -> tuple[_Texts, int]:
     # Each profile value and slot row becomes part of its line as it is
     # computed, and the lines are joined one block of rows at a time as the
     # writer drains them, so neither the profile nor the text is held whole.
-    table_rows = zip(enumerate(chain.from_iterable(doc["profile"]), start=1), terminal_rows)
+    profile = chain.from_iterable(kernels._profile_blocks(row.n, _BLOCK))
+    table_rows = zip(enumerate(profile, start=1), terminal_rows)
     lines = (row_format(cut, value, *slots) for (cut, value), slots in table_rows)
     chunks = chain([row_format("i", "S", *slot_headers)], _blocks(lines), ["\n".join(summary) + "\n"])
     return [(args.out, chunks)], EXIT_OK
@@ -334,7 +294,7 @@ def cmd_route(args) -> tuple[_Texts, int]:
             # The routed channel's fine-cut peak, certified equal to the tracks.
             doc["terminal_max"] = assignment.density
         dims, lefts, rights = (map(itemgetter(field), wires) for field in range(3))
-        doc["wires"] = _Records(("dim", "left_col", "right_col", "track"), zip(dims, lefts, rights, tracks))
+        doc["wires"] = _record_texts(("dim", "left_col", "right_col", "track"), zip(dims, lefts, rights, tracks))
         chunks = _json_text(doc)
     texts.append((args.out, chunks))
     return texts, EXIT_OK

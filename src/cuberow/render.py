@@ -94,6 +94,9 @@ def render_text(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = Re
             f"text rendering needs {width} columns, cap is {MAX_TEXT_COLUMNS}"
         )
     rows, wires = _drawn(net, assignment, spec, _tracks(assignment, net.wires))
+    # A grid row per track: a hand-made count is capped as the width is.
+    if rows > MAX_TEXT_COLUMNS:
+        raise RenderSizeError(f"text rendering needs {rows} track rows, cap is {MAX_TEXT_COLUMNS}")
     wires = list(wires)  # walked twice
     grid = [[" "] * width for _ in range(rows)]
 

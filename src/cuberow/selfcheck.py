@@ -325,7 +325,10 @@ def run_all(max_n: int) -> list[CheckOutcome]:
     On each row, every check whose range holds it and that has not failed
     on a smaller row is called with that row's one :class:`_RowSource`.
     A check's sweep stops at the first row where it raises :class:`_Mismatch`.
+    ``max_n`` is a row size, so one that :class:`HypercubeRow` refuses
+    raises its :class:`RowSizeError` rather than sweeping no row.
     """
+    max_n = HypercubeRow(max_n).n
     checks = ALL_CHECKS
     totals = [0] * len(checks)
     details = [""] * len(checks)

@@ -24,6 +24,7 @@ from cuberow.cli import (
     main,
 )
 from cuberow.density import HypercubeRow
+from cuberow.errors import RowSizeError
 from cuberow.netlist import load_netlist
 from cuberow.oracle import crossing_profile
 from cuberow.routing import IntervalWire, TrackAssignment, load_assignment
@@ -322,6 +323,18 @@ class TestCheckCommand:
         capped = [line.split()[0] for line in out.splitlines() if line.endswith(", rows up to 1024 nodes)")]
         assert capped == ["terminal-density", "router", "gray-equalities"]
         assert out.splitlines()[-1].endswith("rows up to 2048 nodes")
+
+    @pytest.mark.parametrize("max_n", [0, 1, True, 4.0], ids=repr)
+    def test_run_all_takes_only_a_row_size(self, max_n):
+        # Each was once swept as no row at all, every check passing on 0
+        # assertions, or, for 4.0, reported as "up to 4.0".
+        with pytest.raises(RowSizeError):
+            selfcheck.run_all(max_n)
+
+    def test_run_all_sweeps_the_smallest_row(self):
+        outcomes = selfcheck.run_all(2)
+        assert [outcome.passed for outcome in outcomes] == [True] * len(selfcheck.ALL_CHECKS)
+        assert sum(outcome.assertions for outcome in outcomes) == 43
 
     def test_rejects_bad_range(self):
         assert run_cli("check", "--max-n", "100")[0] == EXIT_USAGE

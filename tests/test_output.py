@@ -7,21 +7,26 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from collections import namedtuple
 from collections.abc import Iterator
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 from itertools import chain
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cuberow import cli, netlist
+import cuberow
+from cuberow import cli, kernels, netlist
 from cuberow.density import HypercubeRow
 from cuberow.errors import IncompleteAssignmentError, LayoutError, RenderSizeError
 from cuberow.netlist import Netlist, Placement, TerminalMode, Wire, build_netlist, dump_netlist
-from cuberow.render import RenderSpec, render_svg, render_text
+from cuberow.render import MAX_TEXT_COLUMNS, RenderSpec, render_svg, render_text
 from cuberow.routing import (
     TrackAssignment,
     dump_assignment,
@@ -57,92 +62,136 @@ _scalars = (
 # the fields of the record format.
 _tricky = st.sampled_from(["},\n{", "{", "}", "{}", "{0}", ",\n", "},\n    {", '"}, {"', "\n  ", "[", "]"])
 _keys = st.text() | _tricky
-# A list of records with int values and one key order, as in the route
-# command's wire table: the key names and a list of value tuples.
-_records = st.lists(_keys, min_size=1, max_size=5, unique=True).flatmap(
-    lambda keys: st.lists(
-        st.tuples(*[st.integers()] * len(keys)), max_size=8
-    ).map(lambda rows: cli._Records(tuple(keys), rows))
-)
 
 
-def _listed(doc):
-    """``doc`` as ``json.dumps`` takes it: each record list as a list of
-    dicts, and each streamed list walked into a list."""
+# A record list's source, as in the route command's wire table: the key
+# names, in order, and a tuple of int values per record.
+Records = namedtuple("Records", "names rows")
+# A streamed list's source, as in the density profile: its scalars, in
+# blocks that are not empty.
+Streamed = namedtuple("Streamed", "blocks")
+
+
+def _written(source):
+    """``source`` as the writer takes it: each record list formatted by
+    ``cli._record_texts``, and each streamed list as the texts of its
+    blocks, both as iterators made anew at each call."""
+    doc = {}
+    for key, value in source.items():
+        if isinstance(value, Records):
+            value = cli._record_texts(value.names, iter(value.rows))
+        elif isinstance(value, Streamed):
+            value = (cli._items_text(block)[1:-1] for block in value.blocks)
+        doc[key] = value
+    return doc
+
+
+def _listed(source):
+    """``source`` as ``json.dumps`` takes it: each record list as a list of
+    dicts, and each streamed list as the list of its items."""
     listed = {}
-    for key, value in doc.items():
-        if isinstance(value, cli._Records):
+    for key, value in source.items():
+        if isinstance(value, Records):
             value = [dict(zip(value.names, row)) for row in value.rows]
-        elif isinstance(value, cli._Stream):
-            value = list(chain.from_iterable(value))
+        elif isinstance(value, Streamed):
+            value = list(chain.from_iterable(value.blocks))
         listed[key] = value
     return listed
 
 
-# A command's document: str keys, each value a scalar, a list or dict of
-# scalars (either may be empty), or a record list.
-_documents = st.dictionaries(
-    _keys,
-    _scalars | _tricky | st.lists(_scalars | _tricky) | st.dictionaries(_keys, _scalars | _tricky) | _records,
-    min_size=1,
+def _matches_json_dumps(source) -> bool:
+    return "".join(cli._json_text(_written(source))) == _reference(_listed(source))
+
+
+_records = st.lists(_keys, min_size=1, max_size=5, unique=True).flatmap(
+    lambda keys: st.lists(st.tuples(*[st.integers()] * len(keys)), max_size=8).map(
+        lambda rows: Records(tuple(keys), rows)
+    )
 )
+_streamed = st.lists(st.lists(_scalars | _tricky, min_size=1), max_size=4).map(Streamed)
+# Any value that is written whole: a scalar, or lists and dicts of any depth.
+_plain = st.recursive(_scalars | _tricky, lambda inner: st.lists(inner) | st.dictionaries(_keys, inner), max_leaves=12)
+
+# A command's document: str keys, each value written whole, a record list or
+# a streamed list.
+_documents = st.dictionaries(_keys, _plain | _records | _streamed, min_size=1)
 
 
 @given(_documents)
-def test_json_text_matches_json_dumps(doc):
-    assert "".join(cli._json_text(doc)) == _reference(_listed(doc))
+def test_json_text_matches_json_dumps(source):
+    assert _matches_json_dumps(source)
 
 
 # Documents made only of record lists, several to a document, so each is cut
 # at its separators between other keys' text.
 @given(st.dictionaries(_keys, _records, min_size=1, max_size=4))
-def test_json_text_matches_json_dumps_on_record_lists(doc):
-    assert "".join(cli._json_text(doc)) == _reference(_listed(doc))
+def test_json_text_matches_json_dumps_on_record_lists(source):
+    assert _matches_json_dumps(source)
 
 
 @pytest.mark.parametrize(
-    "value",
+    "source",
     [
         {"profile": []},
+        {"profile": Streamed([])},
         {"normal": {}},
-        {"profile": list(range(-600, 600)), "wires": cli._Records(("dim", "track"), [(1, -1)] * 3)},
+        {
+            "profile": Streamed([list(range(-600, 424)), list(range(424, 600))]),
+            "wires": Records(("dim", "track"), [(1, -1)] * 3),
+        },
         {"k": float("nan"), "inf": [float("inf"), -float("inf")], "é\n": "日"},
-        {"wires": cli._Records(("dim", "{}", "}{", "{0}"), [(1, -5, 10**20, 0)])},
-        {"wires": cli._Records(("dim", "track"), [(1, 0)])},
-        {"wires": cli._Records(("dim", "track"), []), "n": 2},
+        {"wires": Records(("dim", "{}", "}{", "{0}"), [(1, -5, 10**20, 0)])},
+        {"wires": Records(("dim", "track"), [(1, 0)])},
+        {"wires": Records(("dim", "track"), []), "n": 2},
+        {"normal": {"a": [1, {"b": []}], "c": {}}, "gray": [[], [[2]]]},
     ],
-    ids=["empty-list", "empty-dict", "cli-shaped", "specials", "braces-in-keys", "one-record", "no-records"],
+    ids=[
+        "empty-list", "empty-stream", "empty-dict", "cli-shaped", "specials", "braces-in-keys", "one-record",
+        "no-records", "nested",
+    ],
 )
-def test_json_text_matches_json_dumps_on_edge_cases(value):
-    assert "".join(cli._json_text(value)) == _reference(_listed(value))
+def test_json_text_matches_json_dumps_on_edge_cases(source):
+    assert _matches_json_dumps(source)
 
 
 def _long_lists():
-    # Scalar lists on both sides of the chunk size, under a key as in every
-    # document.
+    # Streamed lists on both sides of the chunk size, in blocks of _BLOCK
+    # items as the profile comes.
     for length in (cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 2 * cli._BLOCK + 1):
-        numbers = list(range(-(length // 2), length - length // 2))
-        yield f"under-a-key-{length}", {"n": length, "profile": numbers, "m": None}
+        yield f"numbers-{length}", list(range(-(length // 2), length - length // 2))
     mixed = [None, True, False, -1, 2.5, float("nan"), "é\n", "", "\"", 10**30]
-    yield "mixed-scalars", {"maximizers": (mixed * (2 * cli._BLOCK // len(mixed) + 1))[: 2 * cli._BLOCK + 1]}
+    yield "mixed-scalars", (mixed * (2 * cli._BLOCK // len(mixed) + 1))[: 2 * cli._BLOCK + 1]
 
 
-@pytest.mark.parametrize("value", [value for _, value in _long_lists()], ids=[name for name, _ in _long_lists()])
-def test_long_scalar_lists_are_encoded_in_chunks(value):
-    stream = cli._json_text(value)
+def _chunks_of(source):
+    stream = cli._json_text(_written(source))
     assert isinstance(stream, Iterator) and not isinstance(stream, str)
     chunks = list(stream)
-    assert "".join(chunks) == _reference(value)
+    assert "".join(chunks) == _reference(_listed(source))
+    return chunks
+
+
+@pytest.mark.parametrize("items", [items for _, items in _long_lists()], ids=[name for name, _ in _long_lists()])
+def test_long_streamed_lists_are_written_in_chunks(items):
+    blocks = [items[start : start + cli._BLOCK] for start in range(0, len(items), cli._BLOCK)]
+    chunks = _chunks_of({"n": len(items), "profile": Streamed(blocks), "m": None})
     # A raw newline only comes from an item separator, so no chunk holds
     # more than _BLOCK items.
     assert max(chunk.count("\n") for chunk in chunks) < cli._BLOCK
 
 
+@pytest.mark.parametrize("length", [cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 2 * cli._BLOCK + 1])
+def test_long_record_lists_are_written_in_chunks(length):
+    chunks = _chunks_of({"n": length, "wires": Records(("dim", "track"), [(i, -i) for i in range(length)])})
+    # Each record's text ends in its closing brace on a line of its own.
+    per_chunk = [chunk.count("\n    }") for chunk in chunks]
+    assert sum(per_chunk) == length and max(per_chunk) == min(length, cli._BLOCK)
+
+
 def test_a_long_dict_is_encoded_whole():
     value = {"normal": {f"k{i}": i for i in range(cli._BLOCK + 1)}}
-    chunks = list(cli._json_text(value))
-    assert "".join(chunks) == _reference(value)
-    assert max(chunk.count("\n") for chunk in chunks) == cli._BLOCK
+    chunks = _chunks_of(value)
+    assert json.dumps(value["normal"], indent=2).replace("\n", "\n  ") in chunks
 
 
 def _json_commands():
@@ -153,29 +202,40 @@ def _json_commands():
 
 
 def _payload_and_stdout(monkeypatch, *argv):
-    payloads = []
+    """The document a command writes, as ``json.dumps`` takes it, and its
+    stdout.  Each streamed list is rebuilt from the rows its producer read:
+    the profile's blocks of densities and the route's wire records."""
+    payloads, sources = [], {}
+    real_blocks, real_records = kernels._profile_blocks, cli._record_texts
 
-    def recording(value, encode=cli._json_text):
-        # A record list's rows are walked once, so they are kept in a list
-        # that both the encoder and _listed can read.
-        value = {
-            key: cli._Records(v.names, list(v.rows)) if isinstance(v, cli._Records) else v
-            for key, v in value.items()
-        }
-        payloads.append(value)
-        return encode(value)
+    def profile_blocks(n, size):
+        blocks = list(real_blocks(n, size))
+        sources["profile"] = list(chain.from_iterable(blocks))
+        return iter(blocks)
 
+    def record_texts(names, rows):
+        rows = list(rows)
+        sources["wires"] = [dict(zip(names, row)) for row in rows]
+        return real_records(names, rows)
+
+    def recording(doc, encode=cli._json_text):
+        payloads.append(doc)
+        return encode(doc)
+
+    monkeypatch.setattr(kernels, "_profile_blocks", profile_blocks)
+    monkeypatch.setattr(cli, "_record_texts", record_texts)
     monkeypatch.setattr(cli, "_json_text", recording)
     out = stdout_of(*argv)
     assert len(payloads) == 1
-    return _listed(payloads[0]), out
+    streamed = {key for key, value in payloads[0].items() if isinstance(value, Iterator)}
+    assert streamed == set(sources)
+    return {key: sources.get(key, value) for key, value in payloads[0].items()}, out
 
 
 @given(st.lists(st.lists(_scalars | _tricky, min_size=1), min_size=1), _records)
 def test_a_streamed_list_beside_a_record_list_matches_json_dumps(blocks, records):
     # Shaped like route json: a streamed profile among scalars, then the wires.
-    doc = {"n": 8, "profile": cli._Stream(lambda: iter(blocks)), "m": 5, "maximizers": [3, 5], "wires": records}
-    assert "".join(cli._json_text(doc)) == _reference(_listed(doc))
+    assert _matches_json_dumps({"n": 8, "profile": Streamed(blocks), "m": 5, "maximizers": [3, 5], "wires": records})
 
 
 @pytest.mark.parametrize("n", [2, 8, 64, 1024])
@@ -188,7 +248,7 @@ def test_every_cli_json_payload_matches_json_dumps(monkeypatch, argv, n):
 
 
 def test_a_profile_longer_than_a_chunk_matches_json_dumps(monkeypatch):
-    # 2 * _BLOCK - 1 profile items: two encoder slices, the second one short.
+    # 2 * _BLOCK - 1 profile items: two blocks, the second one short.
     n = 2 * cli._BLOCK
     payload, out = _payload_and_stdout(monkeypatch, "density", "--n", str(n), "--format", "json")
     assert cli._BLOCK < len(payload["profile"]) < 2 * cli._BLOCK
@@ -352,6 +412,48 @@ def test_text_refuses_a_track_outside_its_rows(track):
     for render in (render_text, render_svg):
         with pytest.raises(LayoutError, match=f"^track {track} outside 0..1$"):
             render(net, TrackAssignment({wires[0]: track}, 2, 1))
+
+
+_CAPPED_RENDER = """
+import resource, sys
+limit, track_count = map(int, sys.argv[1:])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from cuberow.density import HypercubeRow
+from cuberow.errors import RenderSizeError
+from cuberow.netlist import build_netlist
+from cuberow.render import render_text
+from cuberow.routing import left_edge_route, wire_intervals
+net = build_netlist(HypercubeRow(4))
+try:
+    render_text(net, left_edge_route(wire_intervals(net))._replace(track_count=track_count))
+except RenderSizeError as exc:
+    print(exc)
+"""
+
+
+def test_text_caps_its_track_rows_as_its_columns():
+    # A grid row per track: 10**9 hand-made tracks on a 12-column row raised
+    # a bare MemoryError under this 512 MB cap.
+    source = str(Path(cuberow.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-c", _CAPPED_RENDER, str(512 << 20), str(10**9)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "text rendering needs 1000000000 track rows, cap is 512\n"
+
+
+def test_text_draws_up_to_the_track_row_cap():
+    net = build_netlist(HypercubeRow(4))
+    routed = left_edge_route(wire_intervals(net))
+    drawing = render_text(net, routed._replace(track_count=MAX_TEXT_COLUMNS))
+    assert drawing.count("\n") == MAX_TEXT_COLUMNS + 4
+    with pytest.raises(RenderSizeError, match=f"^text rendering needs {MAX_TEXT_COLUMNS + 1} track rows, cap is"):
+        render_text(net, routed._replace(track_count=MAX_TEXT_COLUMNS + 1))
+    # With the tracks hidden, no track row is drawn.
+    hidden = render_text(net, routed._replace(track_count=10**9), RenderSpec(show_tracks=False))
+    assert hidden.endswith(f"tracks: 1000000000  channel density: {routed.density}\n")
 
 
 # Every reader of a track assignment, each given a netlist and the assignment.

@@ -120,3 +120,34 @@ class TestRecords:
     def test_a_netlist_stores_members_for_values(self):
         net = build_netlist(HypercubeRow(2))._replace(placement="gray")
         assert net.placement is Placement.GRAY and net.mode is TerminalMode.FREE
+
+
+def _unused_imports(tree: ast.AST) -> list[str]:
+    """The names that the import statements in ``tree`` bind, ``from
+    __future__`` features aside, that no name in it reads."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+class TestImports:
+    def test_every_imported_name_is_used(self):
+        # No linter ships with the package, so a stale import would stay.
+        unused = []
+        for path in sorted(Path(cuberow.__file__).parent.glob("*.py")):
+            unused += [f"{path.name}: {name}" for name in _unused_imports(ast.parse(path.read_text(), str(path)))]
+        assert unused == []
+
+    def test_the_rule_catches_each_kind_of_import(self):
+        source = (
+            "from __future__ import annotations\nimport os, json\nimport xml.etree\n"
+            "from functools import partial, reduce\nfrom itertools import chain as join\n"
+            "import collections.abc as abc\n"
+            "def f(x: abc.Iterable) -> None:\n    from math import tau\n    return json.dumps(reduce(x))\n"
+        )
+        assert _unused_imports(ast.parse(source)) == ["join", "os", "partial", "tau", "xml"]

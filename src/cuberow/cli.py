@@ -129,11 +129,10 @@ def _write(texts: _Texts) -> None:
 # only its brackets are left to strip.
 _items_text = json.JSONEncoder(separators=(",\n    ", ": ")).encode
 
-# The one block size of a streamed output: cuts per profile block, and lines
-# or items per chunk of a streamed text (a density or track table, an svg
-# drawing, an emitted file, a JSON list).  A block's list and text then take
-# tens of KB, far below the interpreter's own memory, while the Python work
-# per block stays small beside the C loops it runs.
+# Lines or records per chunk of a streamed text (a table, an svg drawing, an
+# emitted file, the JSON wires), as wide as a profile block at the density
+# cap.  A chunk's text then takes tens of KB, far below the interpreter's own
+# memory, while the Python work per chunk stays small beside its C loops.
 _BLOCK = 2**10
 
 
@@ -189,9 +188,9 @@ def _density_data(row: HypercubeRow, placement: Placement, mode: TerminalMode) -
     """The JSON density document, with ``tracks`` None, from the closed forms.
 
     Its ``profile`` is an iterator of the interior cuts' densities as item
-    texts, one chunk per block of ``_BLOCK`` cuts, each block made from the
-    one before as it is written, so the document is written once.  A gray
-    row has the normal row's crossing count at every cut (see
+    texts, one chunk per block of ``kernels._profile_blocks``, each made
+    from the split tables as it is written, so the document is written once.
+    A gray row has the normal row's crossing count at every cut (see
     :mod:`cuberow.density`), so both placements take the same formulas.
     """
     cuts = density.max_density_cuts(row)
@@ -199,7 +198,7 @@ def _density_data(row: HypercubeRow, placement: Placement, mode: TerminalMode) -
         "n": row.n,
         "placement": placement.value,
         "mode": mode.value,
-        "profile": (_items_text(block)[1:-1] for block in kernels._profile_blocks(row.n, _BLOCK)),
+        "profile": (_items_text(block)[1:-1] for block in kernels._profile_blocks(row.n)),
         "m": density.max_cut_density(row),
         "p": cuts[0],
         "maximizers": cuts,
@@ -242,7 +241,7 @@ def cmd_density(args) -> tuple[_Texts, int]:
     # Each profile value and slot row becomes part of its line as it is
     # computed, and the lines are joined one block of rows at a time as the
     # writer drains them, so neither the profile nor the text is held whole.
-    profile = chain.from_iterable(kernels._profile_blocks(row.n, _BLOCK))
+    profile = chain.from_iterable(kernels._profile_blocks(row.n))
     table_rows = zip(enumerate(profile, start=1), terminal_rows)
     lines = (row_format(cut, value, *slots) for (cut, value), slots in table_rows)
     chunks = chain([row_format("i", "S", *slot_headers)], _blocks(lines), ["\n".join(summary) + "\n"])

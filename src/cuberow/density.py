@@ -29,12 +29,12 @@ from cuberow.errors import InvalidCutError, InvalidDimensionError, RowSizeError
 # Contract cap: every operation is exact up to this many nodes.  Density
 # values stay far below 2**63, but inputs beyond the cap are rejected rather
 # than silently accepted.  Cost: the list profiles and the netlist are O(n)
-# in time and memory.  The density command's profile takes O(n) time but is
-# made and written one block of 2**10 cuts at a time
-# (``kernels._profile_blocks``), so it holds no O(n) list.  The slot rows
-# and ``netlist.terminal_cut_density`` read tables of O(sqrt(n)) entries
-# (``netlist._row_tables``), made once per row size in O(sqrt(n) * d) time
-# and memory (about 0.3 s and 29 MB at 2**30), and then take O(d) each.
+# in time and memory.  The gap recurrence runs once per row size, into split
+# tables of O(sqrt(n)) entries (``kernels._gap_tables``).  The density
+# command's profile takes O(n) time but is read from them one block of
+# 2**ceil(d/2) cuts at a time, so it holds no O(n) list.  The slot rows and
+# ``netlist.terminal_cut_density`` read them and O(sqrt(n) * d) slot ramps
+# (``netlist._row_tables``; about 0.3 s and 29 MB at 2**30), then take O(d).
 # Every other scalar form is O(d), and ``max_density_cuts`` is O(d) per
 # maximizer.  The one small answer that costs O(n * d) is the dim-ordered
 # peak, ``netlist.max_terminal_cut_density``, which reads the slot row of

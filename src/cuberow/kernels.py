@@ -1,16 +1,17 @@
 """Batch kernels: the inner loops behind the package's exhaustive sweeps.
 
-Pure Python, one home per formula.  Inputs are assumed valid here: every
-``n`` is a power of two.  :mod:`cuberow.density` and :mod:`cuberow.oracle`
-wrap these with validation; :mod:`cuberow.cli` reads :func:`_profile_blocks`
-and :mod:`cuberow.netlist` reads :func:`_excess_above` directly, each on a
-row and arguments it has already checked.
+Pure Python, one home per formula: the gap recurrence runs only in
+:func:`_gap_tables`.  Inputs are assumed valid here: every ``n`` is a power
+of two, at least 2.  :mod:`cuberow.density` and :mod:`cuberow.oracle` wrap
+these with validation; :mod:`cuberow.cli` and :mod:`cuberow.netlist` read
+the private ones directly, each on a row and arguments it has checked.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import accumulate, islice, repeat
+from functools import lru_cache
+from itertools import accumulate, chain, islice
 from operator import add
 
 
@@ -45,48 +46,59 @@ class _First(dict):
 def density_profile(n: int) -> list[int]:
     """Crossing count at every intercolumn cut 0..n of an n-node row.
 
-    The cuts up to ``n/2`` are the first block of :func:`_profile_blocks`;
-    the rest of the list is their mirror ``S(n - i) = S(i)``, holding the
-    very same int objects, so the second half costs neither arithmetic nor
-    int memory.
+    The cuts up to ``n/2`` are read from :func:`_profile_blocks`; the rest
+    of the list is their mirror ``S(n - i) = S(i)``, holding the very same
+    int objects, so the second half costs neither arithmetic nor int memory.
     """
-    half = n // 2
-    profile = next(_profile_blocks(n, half)) if half else []
-    profile.insert(0, 0)
-    # The middle cut is its own mirror, so it is not repeated; a one-node
-    # row has no middle cut and mirrors its only entry.
-    profile.extend(islice(reversed(profile), 1 - n % 2, None))
+    profile = [0, *islice(chain.from_iterable(_profile_blocks(n)), n // 2)]
+    # The middle cut is its own mirror, so it is not repeated.
+    profile.extend(islice(reversed(profile), 1, None))
     return profile
 
 
-def _profile_blocks(n: int, size: int) -> Iterator[list[int]]:
-    """The crossing counts at the interior cuts 1..n-1 of an n-node row
-    (n >= 2), yielded in order as lists of 1 to ``size`` cuts, where
-    ``size`` is a power of two.
+@lru_cache(maxsize=1)
+def _gap_tables(n: int):
+    """The split tables of the crossing count S at the cuts of an n-node
+    row, for the last row size asked for: h = ceil(dims / 2) and its mask,
+    ``top[k] = S(k * 2^h)`` and ``twice[k] = 2*popcount(k)`` for
+    k = 0..2^(dims-h), and ``start[lo] = S(lo)`` for lo = 0..2^h.
 
     Column ``i`` sends ``dims - popcount(i)`` wires to the right and receives
     ``popcount(i)`` from the left, so ``S(i+1) = S(i) + dims - 2*popcount(i)``
-    starting from ``S(0) = 0``.  A block covers the cuts past ``a``, a
-    multiple of its width, and for ``j`` below the width
-    ``popcount(a + j) = popcount(a) + popcount(j)``: each block is one step
-    table, made once per row, shifted by ``-2*popcount(a)`` and summed from
-    ``S(a)``, with no Python call per cut.  A caller that drops each block
-    before the next holds O(size) memory for the whole row.
+    from ``S(0) = 0``, which splits over the halves of a cut's bits as
+    ``S(k * 2^h + lo) = S(k * 2^h) + S(lo) - 2*popcount(k)*lo`` for
+    ``lo <= 2^h``: O(sqrt(n)) entries, exact at 2^30.  Keyed on n, so a
+    cache hit hashes one int; the tables are shared, so none is handed on.
     """
     dims = n.bit_length() - 1
-    width = min(size, n)
-    steps = [dims - 2 * j.bit_count() for j in range(width)]
-    count = 0
-    for start in range(0, n, width):
-        shift = -2 * start.bit_count()
-        # The list form reads only the first block, which needs no shift.
-        block = list(accumulate(map(add, steps, repeat(shift)) if shift else steps, initial=count))
-        del block[0]
-        count = block[-1]
-        if start + width == n:
-            block.pop()  # the outer cut n
-        if block:
-            yield block
+    half = (dims + 1) // 2
+    start = list(accumulate((dims - 2 * j.bit_count() for j in range(1 << half)), initial=0))
+    twice = [2 * k.bit_count() for k in range((n >> half) + 1)]
+    # Each step spans 2^h cuts, from S(k * 2^h) by the split at lo = 2^h.
+    top = list(accumulate((start[-1] - (t << half) for t in twice[:-1]), initial=0))
+    return half, (1 << half) - 1, top, twice, start
+
+
+def _gap_density(n: int, cut: int) -> int:
+    # S(cut) for 0 <= cut <= n, read from the split tables.
+    half, mask, top, twice, start = _gap_tables(n)
+    k, lo = cut >> half, cut & mask
+    return top[k] - twice[k] * lo + start[lo]
+
+
+def _profile_blocks(n: int) -> Iterator[list[int]]:
+    """The crossing counts at the interior cuts 1..n-1 of an n-node row, in
+    blocks of 2^h cuts, the first without cut 0: block k is ``S(lo) +
+    S(k * 2^h) - 2*popcount(k)*lo`` for lo below 2^h, with no Python call
+    per cut.  A caller that drops each block before the next holds
+    O(sqrt(n)) memory for the row: 2^10 cuts at 2^20 nodes.
+    """
+    half, _, top, twice, start = _gap_tables(n)
+    width = 1 << half
+    yield start[1:width]
+    # The range has the block's width, so map stops before start's last entry.
+    for k in range(1, n >> half):
+        yield list(map(add, start, range(top[k], top[k] - twice[k] * width, -twice[k])))
 
 
 def bitsum_profile(n: int) -> list[int]:

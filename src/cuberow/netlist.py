@@ -27,7 +27,7 @@ from operator import add, itemgetter, sub, xor
 
 from cuberow.density import HypercubeRow, _bad_index, _checked_make
 from cuberow.errors import InvalidCutError, LayoutError, NetlistFormatError, UnknownChoiceError
-from cuberow.kernels import _excess_above
+from cuberow.kernels import _excess_above, _gap_density, _gap_tables
 
 
 class Placement(str, Enum):
@@ -264,31 +264,12 @@ def _ramps(bits: int) -> list[tuple[int, ...]]:
 
 @lru_cache(maxsize=1)
 def _row_tables(n: int):
-    # For the last row size asked for, with h = ceil(dims / 2) the width of
-    # the low half of a node's bits: h and its mask; the intercolumn density
-    # S at the cuts k * 2^h, for k = 0..2^(dims-h), and twice each k's
-    # popcount; S at the cuts 0..2^h; the slot ramps of the low h bits, each
-    # entry plus S of its low half; and the slot ramps of the bits above.
-    # S(i+1) = S(i) + dims - 2*popcount(i) splits over the halves of a cut,
-    # S(k * 2^h + lo) = S(k * 2^h) + S(lo) - 2*popcount(k)*lo for lo <= 2^h,
-    # so no table holds S at every cut: O(sqrt(n)) entries, exact at 2^30.
-    # Keyed on n, not on the row, so a cache hit hashes one int.  The tables
-    # are shared between calls, so none is handed to a caller.
-    dims = n.bit_length() - 1
-    half = (dims + 1) // 2
-    start = list(accumulate((dims - 2 * j.bit_count() for j in range(1 << half)), initial=0))
-    twice = [2 * k.bit_count() for k in range((n >> half) + 1)]
-    # Each step spans 2^h cuts, from S(k * 2^h) by the split at lo = 2^h.
-    top = list(accumulate((start[-1] - (t << half) for t in twice[:-1]), initial=0))
+    # For the last row size, one tuple so that a slot row costs one lookup:
+    # the split tables of kernels._gap_tables less S(lo), then the slot ramps
+    # of the low h bits, each entry plus S(lo), and the ramps of the bits above.
+    half, mask, top, twice, start = _gap_tables(n)
     low = [tuple(s + r for r in ramp) for s, ramp in zip(start, _ramps(half))]
-    return half, (1 << half) - 1, top, twice, start, low, _ramps(dims - half)
-
-
-def _gap_density(n: int, cut: int) -> int:
-    # S(cut) for 0 <= cut <= n, read from the row tables by the split.
-    half, mask, top, twice, start = _row_tables(n)[:5]
-    k, lo = cut >> half, cut & mask
-    return top[k] - twice[k] * lo + start[lo]
+    return half, mask, top, twice, low, _ramps(n.bit_length() - 1 - half)
 
 
 def terminal_cut_density(row: HypercubeRow, cut: int, slot: int) -> int:
@@ -330,7 +311,7 @@ def terminal_cut_densities(row: HypercubeRow, cut: int) -> list[int]:
     # The range check also keeps cut 0 from reading a node of -1.
     if type(cut) is not int or not 1 <= cut <= n:
         raise InvalidCutError(_bad_index("cut", cut, 1, n))
-    half, mask, top, twice, _, low, high = _row_tables(n)
+    half, mask, top, twice, low, high = _row_tables(n)
     node = cut - 1
     k, lo = node >> half, node & mask
     # S(node) less S(lo), which every entry of the low ramp already holds.
@@ -402,7 +383,8 @@ def _rows(text: str, start: int, lines, kind: str, width: int):
     netlist's wires do."""
     bad = _NON_DIGIT.search(text, start)
     if bad:
-        line = text[text.rfind("\n", 0, bad.start()) + 1 :].partition("\n")[0]
+        # As splitlines gives it; the character alone if in no line.
+        line = next((line for line in lines if _NON_DIGIT.search(line)), text[bad.start()])
         raise NetlistFormatError(f"non-integer field in {kind} line {line!r}")
     parsed = _Ints()
     for line in lines:

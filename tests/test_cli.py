@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import cuberow
-from cuberow import density, netlist, oracle, selfcheck
+from cuberow import density, kernels, netlist, oracle, selfcheck
 from cuberow.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INTERNAL,
@@ -608,11 +608,13 @@ TERMINAL_PEAK_FAULT = (
 class TestEveryCheckCanFail:
     @pytest.fixture(autouse=True)
     def fresh_row_tables(self):
-        # The one-entry cache would otherwise serve a profile computed under
+        # The one-entry caches would otherwise serve a profile computed under
         # another case's fault, or keep one computed under this case's.
         netlist._row_tables.cache_clear()
+        kernels._gap_tables.cache_clear()
         yield
         netlist._row_tables.cache_clear()
+        kernels._gap_tables.cache_clear()
 
     @pytest.mark.parametrize(
         "name, target, fault, assertions, detail, failing",

@@ -1,12 +1,13 @@
 """The batch kernels on small inputs and against each other."""
 
+import os
 from itertools import accumulate, chain
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cuberow import cli, kernels
+from cuberow import cli, kernels, netlist
 from cuberow.density import HypercubeRow, cut_density_profile
 
 
@@ -42,17 +43,16 @@ class TestProfiles:
     def test_pure_profile_small_values(self):
         assert kernels.density_profile(4) == [0, 2, 2, 2, 0]
         assert kernels.bitsum_profile(4) == [0, 2, 2, 2, 0]
-        assert kernels.density_profile(1) == [0, 0]
 
     def test_profile_equals_the_full_recurrence(self):
-        for d in range(17):
+        for d in range(1, 17):
             n = 2**d
             full = list(accumulate((d - 2 * i.bit_count() for i in range(n)), initial=0))
             assert kernels.density_profile(n) == full
 
     def test_second_half_holds_the_first_halfs_ints(self):
         # What keeps the profile's memory to one int object per mirror pair.
-        for d in range(17):
+        for d in range(1, 17):
             n = 2**d
             profile = kernels.density_profile(n)
             assert all(profile[i] is profile[n - i] for i in range(n + 1))
@@ -66,17 +66,40 @@ class TestProfiles:
 
 
 class TestProfileBlocks:
-    # Block sizes from one cut up to the CLI's, on rows from one block up to
-    # many: a block wider than half the row, a block that ends at n/2, the
-    # last block, which drops the outer cut n, and n = 2, whose last block
-    # of size 1 would be that cut alone.
-    @pytest.mark.parametrize("size, top", [(1, 2**10), (2, 2**10), (4, 2**10), (cli._BLOCK, 2**18)])
-    def test_blocks_join_to_the_interior_profile(self, size, top):
-        for d in range(1, top.bit_length()):
-            n = 2**d
-            blocks = list(kernels._profile_blocks(n, size))
-            assert all(0 < len(block) <= size for block in blocks)
-            assert list(chain.from_iterable(blocks)) == cut_density_profile(HypercubeRow(n))[1:n]
+    # Rows from one block (n = 2, whose only block is cut 1) up to many, so
+    # the first block, which lacks cut 0, and the last, which ends at n - 1,
+    # are each met on their own and beside others.  The profile itself is
+    # read from the blocks, so the plain recurrence is the reference too.
+    @pytest.mark.parametrize("d", range(1, 21))
+    def test_blocks_join_to_the_interior_profile(self, d):
+        n = 2**d
+        blocks = list(kernels._profile_blocks(n))
+        full = list(accumulate((d - 2 * i.bit_count() for i in range(n)), initial=0))
+        assert list(chain.from_iterable(blocks)) == cut_density_profile(HypercubeRow(n))[1:n] == full[1:n]
+
+    @pytest.mark.parametrize("d", range(1, 21))
+    def test_blocks_span_half_the_bits(self, d):
+        # 2^ceil(d/2) cuts a block, the first one short by cut 0, and so at
+        # most one chunk of the writer's up to the density command's cap.
+        width = 2 ** ((d + 1) // 2)
+        lengths = [len(block) for block in kernels._profile_blocks(2**d)]
+        assert lengths == [width - 1] + [width] * (2**d // width - 1)
+        if 2**d <= cli.MAX_CLOSED_FORM_NODES:
+            assert max(lengths) <= cli._BLOCK
+
+    def test_the_tables_are_built_once_per_row_size(self):
+        # The S column and the slot rows of a dim-ordered table read the
+        # same split tables, so one command builds them once.
+        kernels._gap_tables.cache_clear()
+        netlist._row_tables.cache_clear()
+        try:
+            assert cli.main(["density", "--n", "256", "--mode", "dim-ordered", "--format", "csv", "--out", os.devnull]) == 0
+            top, twice = kernels._gap_tables(256)[2:4]
+            assert netlist._row_tables(256)[2] is top and netlist._row_tables(256)[3] is twice
+            assert kernels._gap_tables.cache_info().misses == 1
+        finally:
+            kernels._gap_tables.cache_clear()
+            netlist._row_tables.cache_clear()
 
 
 class TestExcessAbove:

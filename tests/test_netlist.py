@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cuberow
-from cuberow import netlist
+from cuberow import kernels, netlist
 from cuberow.density import HypercubeRow, cut_density, cut_density_profile, max_cut_density, max_density_cuts
 from cuberow.errors import InvalidCutError, LayoutError, NetlistFormatError, UnknownChoiceError
 from cuberow.kernels import _excess_above
@@ -501,19 +501,21 @@ print(json.dumps([terminal_cut_density(row, cut, slot) for cut, slot in json.loa
 
 
 class TestRowTables:
-    # The slot rows and the scalar read S from tables of O(sqrt(n)) entries,
-    # by S(k * 2^h + lo) = S(k * 2^h) + S(lo) - 2*popcount(k)*lo.
+    # The slot rows and the scalar read S from the split tables of
+    # kernels._gap_tables, O(sqrt(n)) entries, by
+    # S(k * 2^h + lo) = S(k * 2^h) + S(lo) - 2*popcount(k)*lo.
 
     @pytest.fixture(autouse=True)
     def fresh_row_tables(self):
         # So that no row's tables outlive the test that made them.
         yield
         netlist._row_tables.cache_clear()
+        kernels._gap_tables.cache_clear()
 
     @pytest.mark.parametrize("d", range(1, 17))
     def test_tables_hold_the_profile(self, d):
         row = HypercubeRow(2**d)
-        assert [netlist._gap_density(row.n, cut) for cut in range(row.n + 1)] == cut_density_profile(row)
+        assert [kernels._gap_density(row.n, cut) for cut in range(row.n + 1)] == cut_density_profile(row)
 
     @pytest.mark.parametrize("d", range(1, 31))
     def test_tables_match_the_scalar_forms_up_to_the_cap(self, d):
@@ -526,7 +528,7 @@ class TestRowTables:
         for k in rng.sample(range(row.n // low + 1), min(row.n // low + 1, 20)):
             cuts.update(cut for cut in (k * low - 1, k * low, k * low + 1) if 0 <= cut <= row.n)
         for cut in sorted(cuts):
-            assert netlist._gap_density(row.n, cut) == cut_density(row, cut)
+            assert kernels._gap_density(row.n, cut) == cut_density(row, cut)
             if cut:
                 slot = rng.randint(1, d)
                 want = cut_density(row, cut) + _excess_above(cut - 1, d, slot)
@@ -750,6 +752,38 @@ class TestSerialization:
         with pytest.raises(NetlistFormatError) as error:
             load("\n".join(lines) + "\n")
         assert str(error.value) == message.format(kind=kind, bad=bad, width=width)
+
+    @pytest.mark.parametrize("load", [load_netlist, load_assignment], ids=["netlist", "assignment"])
+    @pytest.mark.parametrize("newline", ["\n", "\r", "\v", "\f", "\r\n"], ids=["LF", "CR", "VT", "FF", "CRLF"])
+    def test_a_non_digit_field_quotes_only_its_line(self, load, newline):
+        # The loaders split lines as str.splitlines does, so a text split by
+        # any of these breaks loads, and a bad field names its line alone:
+        # not the text up to the next LF, nor the line with its CR.
+        net = build_netlist(HypercubeRow(64))
+        intervals = wire_intervals(net)
+        if load is load_netlist:
+            text = dump_netlist(net)
+        else:
+            text = dump_assignment(intervals, left_edge_route(intervals))
+        lines = text.splitlines()
+        assert load(newline.join(lines)) == load(text)
+        middle = len(lines) // 2
+        lines[middle] = bad = lines[middle].replace(" ", " x", 1)
+        with pytest.raises(NetlistFormatError) as error:
+            load(newline.join(lines) + newline)
+        kind = "wire" if load is load_netlist else "assignment"
+        assert str(error.value) == f"non-integer field in {kind} line {bad!r}"
+
+    @pytest.mark.parametrize(
+        "odd", ["\x1c", "\u2028", "\n\x1f\n", "\n\xa0\n"], ids=["FS", "LS", "US-line", "NBSP-line"]
+    )
+    def test_a_character_between_lines_is_quoted_alone(self, odd):
+        # splitlines breaks at a file separator, and str.strip drops a line
+        # of one unit separator or no-break space, but none of them is a
+        # field character: each is refused and quoted on its own.
+        with pytest.raises(NetlistFormatError) as error:
+            load_assignment(f"1 0 1 1{odd}1 2 3 1\n")
+        assert str(error.value) == f"non-integer field in assignment line {odd.strip(chr(10))!r}"
 
     def test_zero_padded_fields_load(self):
         good = dump_netlist(build_netlist(HypercubeRow(4)))

@@ -208,8 +208,8 @@ def _payload_and_stdout(monkeypatch, *argv):
     payloads, sources = [], {}
     real_blocks, real_records = kernels._profile_blocks, cli._record_texts
 
-    def profile_blocks(n, size):
-        blocks = list(real_blocks(n, size))
+    def profile_blocks(n):
+        blocks = list(real_blocks(n))
         sources["profile"] = list(chain.from_iterable(blocks))
         return iter(blocks)
 
@@ -248,7 +248,8 @@ def test_every_cli_json_payload_matches_json_dumps(monkeypatch, argv, n):
 
 
 def test_a_profile_longer_than_a_chunk_matches_json_dumps(monkeypatch):
-    # 2 * _BLOCK - 1 profile items: two blocks, the second one short.
+    # 2 * _BLOCK - 1 profile items, in 32 blocks of 2^6 cuts, the first
+    # one short.
     n = 2 * cli._BLOCK
     payload, out = _payload_and_stdout(monkeypatch, "density", "--n", str(n), "--format", "json")
     assert cli._BLOCK < len(payload["profile"]) < 2 * cli._BLOCK
@@ -266,8 +267,9 @@ def test_a_profile_longer_than_a_chunk_matches_json_dumps(monkeypatch):
 def test_a_density_output_is_written_in_bounded_memory(argv):
     # Drained into a null sink, neither command holds a profile, a table or
     # a text whole: the traced peak stays below 1 MiB (a 2^18-cut profile
-    # alone takes 2 MiB), counting the slot tables the command builds.
+    # alone takes 2 MiB), counting the split and slot tables it builds.
     netlist._row_tables.cache_clear()
+    kernels._gap_tables.cache_clear()
     tracemalloc.start()
     try:
         code = cli.main([*argv, "--out", os.devnull])
@@ -275,6 +277,7 @@ def test_a_density_output_is_written_in_bounded_memory(argv):
     finally:
         tracemalloc.stop()
         netlist._row_tables.cache_clear()
+        kernels._gap_tables.cache_clear()
     assert code == cli.EXIT_OK
     assert peak < 2**20
 

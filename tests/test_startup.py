@@ -122,6 +122,10 @@ class TestRecords:
         assert net.placement is Placement.GRAY and net.mode is TerminalMode.FREE
 
 
+def _sources() -> list[Path]:
+    return sorted(Path(cuberow.__file__).parent.glob("*.py"))
+
+
 def _unused_imports(tree: ast.AST) -> list[str]:
     """The names that the import statements in ``tree`` bind, ``from
     __future__`` features aside, that no name in it reads."""
@@ -135,11 +139,40 @@ def _unused_imports(tree: ast.AST) -> list[str]:
     return sorted(bound - read)
 
 
+def _private_names(tree: ast.Module) -> set[str]:
+    """The private names, dunder names aside, that the top-level
+    statements of ``tree`` define: functions, classes and assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _read_names(tree: ast.AST) -> set[str]:
+    """The names that ``tree`` reads, bare or as an attribute of anything."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute)
+    }
+
+
+def _unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Each private module-level name of ``trees``, keyed by file name,
+    that no tree reads, as ``file: name``."""
+    read = set().union(*map(_read_names, trees.values()))
+    return [f"{name}: {private}" for name, tree in trees.items() for private in sorted(_private_names(tree) - read)]
+
+
 class TestImports:
     def test_every_imported_name_is_used(self):
         # No linter ships with the package, so a stale import would stay.
         unused = []
-        for path in sorted(Path(cuberow.__file__).parent.glob("*.py")):
+        for path in _sources():
             unused += [f"{path.name}: {name}" for name in _unused_imports(ast.parse(path.read_text(), str(path)))]
         assert unused == []
 
@@ -151,3 +184,22 @@ class TestImports:
             "def f(x: abc.Iterable) -> None:\n    from math import tau\n    return json.dumps(reduce(x))\n"
         )
         assert _unused_imports(ast.parse(source)) == ["join", "os", "partial", "tau", "xml"]
+
+    def test_every_private_name_is_read(self):
+        # A private name has no reader outside the package, so one that no
+        # module reads is dead code: a leftover table or helper.
+        trees = {path.name: ast.parse(path.read_text(), str(path)) for path in _sources()}
+        assert len(set().union(*map(_private_names, trees.values()))) > 50
+        assert _unread_private_names(trees) == []
+
+    def test_the_private_rule_catches_each_kind_of_definition(self):
+        trees = {
+            "a.py": ast.parse(
+                "import os as _os\n__all__ = []\n_TABLE, _SIZE = {}, 4\n_hint: int = 1\n"
+                "def _helper():\n    _local = 1\n    return _local\nclass _Kind:\n    _field = 1\n"
+                "def _recursive():\n    return _recursive()\n"
+                "def public():\n    return _SIZE\n"
+            ),
+            "b.py": ast.parse("import a\nprint(a._helper, a._TABLE)\n_spare = 3\n"),
+        }
+        assert _unread_private_names(trees) == ["a.py: _Kind", "a.py: _hint", "b.py: _spare"]

@@ -382,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--n", type=_count, required=True, help="node count (power of two)")
             if name != "compare":
-                p.add_argument("--placement", choices=["normal", "gray"], default="normal")
-                p.add_argument("--mode", choices=["free", "dim-ordered"], default="free")
+                p.add_argument("--placement", choices=[v.value for v in Placement], default=Placement.NORMAL.value)
+                p.add_argument("--mode", choices=[v.value for v in TerminalMode], default=TerminalMode.FREE.value)
             p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
 
@@ -411,7 +411,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # anything else is a bug, not a usage problem
         print(f"cuberow: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

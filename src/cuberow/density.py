@@ -21,7 +21,6 @@ or dimension that is not an int in range, a bool included, is refused.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import product
 
 from cuberow import kernels
 from cuberow.errors import InvalidCutError, InvalidDimensionError, RowSizeError
@@ -32,13 +31,20 @@ from cuberow.errors import InvalidCutError, InvalidDimensionError, RowSizeError
 # in time and memory.  The gap recurrence runs once per row size, into split
 # tables of O(sqrt(n)) entries (``kernels._gap_tables``).  The density
 # command's profile takes O(n) time but is read from them one block of
-# 2**ceil(d/2) cuts at a time, so it holds no O(n) list.  The slot rows and
-# ``netlist.terminal_cut_density`` read them and O(sqrt(n) * d) slot ramps
-# (``netlist._row_tables``; about 0.3 s and 29 MB at 2**30), then take O(d).
-# Every other scalar form is O(d), and ``max_density_cuts`` is O(d) per
-# maximizer.  The one small answer that costs O(n * d) is the dim-ordered
-# peak, ``netlist.max_terminal_cut_density``, which reads the slot row of
-# every cut: about 5 s per 2**20 cuts, so hours at 2**30.
+# 2**ceil(d/2) cuts at a time, so it holds no O(n) list.  Every other public
+# answer is polynomial in d.  At 2**30, in 256 MB of address space on a
+# 2-core host (the capped audit of tests/test_netlist.py), each call takes:
+# - ``netlist.terminal_cut_densities`` and ``terminal_cut_density``: about
+#   0.3 s for a row's first, which builds its O(sqrt(n) * d) slot ramps
+#   (``netlist._row_tables``, about 29 MB), then O(d), about 0.1 ms;
+# - ``max_density_cuts``: O(d) per maximizer, about 10 ms for all 49,152;
+# - ``cut_density``, ``cut_density_bitsum``, ``max_cut_density``,
+#   ``dimension_link_count``, ``netlist.gray_code`` and ``gray_rank``: O(d),
+#   under 0.1 ms.
+# The one small answer that costs O(n * d) is the dim-ordered peak,
+# ``netlist.max_terminal_cut_density``, which reads the slot row of every
+# cut: 2.6 to 4 s per 2**20 cuts on the same host, so an hour or more at
+# 2**30.
 MAX_NODES = 2**30
 
 
@@ -165,17 +171,9 @@ def max_density_cuts(row: HypercubeRow) -> list[int]:
     except that the final pair may also be 11 when the width is even; an odd
     width instead ends with a single 1 bit.
     """
-    width = row.dims
-    npairs = width // 2
-    choices = [(0b01, 0b10)] * npairs
-    if width % 2 == 0:
-        choices[-1] = (0b01, 0b10, 0b11)
-    cuts = []
-    for combo in product(*choices):
-        value = 0
-        for pair in combo:
-            value = (value << 2) | pair
-        if width % 2:
-            value = (value << 1) | 1
-        cuts.append(value)
-    return cuts
+    pairs, odd = divmod(row.dims, 2)
+    cuts = [0]
+    for left in range(pairs, 0, -1):
+        choice = (0b01, 0b10) if odd or left > 1 else (0b01, 0b10, 0b11)
+        cuts = [cut << 2 | pair for cut in cuts for pair in choice]
+    return [cut << 1 | 1 for cut in cuts] if odd else cuts

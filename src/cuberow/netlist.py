@@ -48,10 +48,8 @@ def gray_code(index: int) -> int:
 def gray_rank(value: int) -> int:
     """Position of ``value`` in the binary-reflected gray sequence."""
     rank = value
-    shift = 1
-    while (value >> shift) > 0:
-        rank ^= value >> shift
-        shift += 1
+    while (value := value >> 1) > 0:
+        rank ^= value
     return rank
 
 

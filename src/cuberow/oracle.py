@@ -18,15 +18,6 @@ from cuberow import kernels
 from cuberow.errors import InvalidCutError, InvalidDimensionError, TooManyWiresError
 from cuberow.netlist import Netlist, TerminalMode, fine_cut_count
 
-__all__ = [
-    "CrossingTable",
-    "crossing_profile",
-    "brute_maximizers",
-    "brute_link_count",
-    "brute_track_count",
-    "coverage_bound",
-]
-
 # Largest instance the exhaustive track search takes; its cost grows
 # exponentially in the wire count.
 EXACT_SEARCH_WIRES = 24

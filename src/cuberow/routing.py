@@ -31,18 +31,6 @@ from cuberow.netlist import (
     gap_cut_index,
 )
 
-__all__ = [
-    "IntervalWire",
-    "TrackAssignment",
-    "RouteCertificate",
-    "wire_intervals",
-    "channel_density",
-    "left_edge_route",
-    "verify_assignment",
-    "dump_assignment",
-    "load_assignment",
-]
-
 _wires = itemgetter(0)
 _lows = itemgetter(1)
 _highs = itemgetter(2)

@@ -219,11 +219,17 @@ class TestMaximizers:
         row = HypercubeRow(2**d)
         assert max_density_cuts(row) == brute_maximizers(build_netlist(row))
 
-    @pytest.mark.parametrize("d", range(1, 13))
+    @pytest.mark.parametrize("d", range(1, 21))
     def test_sorted_and_leftmost(self, d):
-        cuts = max_density_cuts(HypercubeRow(2**d))
+        # Every row the density command takes: the cuts where the
+        # recurrence's profile peaks know nothing of the bit-pair rule.
+        row = HypercubeRow(2**d)
+        cuts = max_density_cuts(row)
         assert cuts == sorted(cuts)
-        assert cuts[0] == leftmost_max_cut(HypercubeRow(2**d))
+        assert cuts[0] == leftmost_max_cut(row)
+        profile = cut_density_profile(row)
+        peak = max(profile)
+        assert cuts == [cut for cut, value in enumerate(profile) if value == peak]
 
     @pytest.mark.parametrize("d", range(1, 31))
     def test_scalar_forms_agree_up_to_the_largest_row(self, d):

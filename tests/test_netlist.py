@@ -16,7 +16,14 @@ from hypothesis import strategies as st
 
 import cuberow
 from cuberow import kernels, netlist
-from cuberow.density import HypercubeRow, cut_density, cut_density_profile, max_cut_density, max_density_cuts
+from cuberow.density import (
+    HypercubeRow,
+    cut_density,
+    cut_density_profile,
+    leftmost_max_cut,
+    max_cut_density,
+    max_density_cuts,
+)
 from cuberow.errors import InvalidCutError, LayoutError, NetlistFormatError, UnknownChoiceError
 from cuberow.kernels import _excess_above
 from cuberow.netlist import (
@@ -487,17 +494,25 @@ class TestTerminalDensity:
                 )
 
 
-# A child that caps its own address space, then prints the slot-cut
-# densities of a 2^30-node row at the (cut, slot) pairs it reads as JSON.
+# A child that caps its own address space, then evaluates each call it
+# reads as JSON, an expression in a 2^30-node row and the names of density
+# and netlist, and prints each value with the seconds its call took.
 _CAPPED_CHILD = """
-import json, resource, sys
+import json, resource, sys, time
 limit = int(sys.argv[1])
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-from cuberow.density import HypercubeRow
-from cuberow.netlist import terminal_cut_density
-row = HypercubeRow(2**30)
-print(json.dumps([terminal_cut_density(row, cut, slot) for cut, slot in json.load(sys.stdin)]))
+from cuberow import density, netlist
+names = {**vars(density), **vars(netlist), "row": density.HypercubeRow(2**30)}
+answers = []
+for call in json.load(sys.stdin):
+    start = time.perf_counter()
+    answers.append((eval(call, names), time.perf_counter() - start))
+print(json.dumps(answers))
 """
+
+# Wall-time budget of each call at the cap, the first slot call's build of
+# the row's tables included.
+_CAP_SECONDS = 2.0
 
 
 class TestRowTables:
@@ -537,22 +552,44 @@ class TestRowTables:
 
     def test_the_scalar_runs_at_the_cap_in_bounded_memory(self):
         # A whole profile of 2^30 cuts cannot fit in 256 MB of address space:
-        # a scalar that built one failed there with MemoryError.
+        # a scalar that built one failed there with MemoryError.  Every
+        # public answer polynomial in d runs there within the budget; the one
+        # left out is max_terminal_cut_density, O(n * d), which reads the
+        # slot row of every cut.
         row = HypercubeRow(2**30)
         rng = random.Random(30)
-        cuts = [1, 2, row.n // 2, row.n // 2 + 1, row.n - 1, row.n, *max_density_cuts(row)[:3]]
+        maximizers = max_density_cuts(row)
+        assert len(maximizers) == 49_152 and maximizers[0] == leftmost_max_cut(row)
+        picks = maximizers[:: len(maximizers) // 8] + maximizers[-1:]
+        cuts = [1, 2, row.n // 2, row.n // 2 + 1, row.n - 1, row.n, *maximizers[:3]]
         cuts += [k * 2**15 + j for k in (1, 2**14, 2**15 - 1) for j in (-1, 0, 1)]
         cuts += [rng.randrange(1, row.n + 1) for _ in range(30)]
         pairs = [(cut, slot) for cut in cuts for slot in (1, 15, 16, 30, rng.randint(1, 30))]
+        peak = 715_827_882
+        calls = {"max_density_cuts(row)": maximizers, "max_cut_density(row)": peak}
+        for cut in picks:
+            calls[f"cut_density(row, {cut})"] = calls[f"cut_density_bitsum(row, {cut})"] = peak
+            calls[f"sum(dimension_link_count(row, {cut}, dim) for dim in range(1, 31))"] = peak
+
+        def slot_density(cut, slot):
+            return cut_density(row, cut) + _excess_above(cut - 1, 30, slot)
+
+        for cut, slot in pairs:
+            calls[f"terminal_cut_density(row, {cut}, {slot})"] = slot_density(cut, slot)
+        for cut in cuts[::4]:
+            calls[f"terminal_cut_densities(row, {cut})"] = [slot_density(cut, slot) for slot in range(1, 31)]
+        for x in (0, 1, 2**29, row.n - 1, *(rng.randrange(row.n) for _ in range(20))):
+            calls[f"gray_rank(gray_code({x}))"] = x
         source = str(Path(cuberow.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
         child = subprocess.run(
             [sys.executable, "-c", _CAPPED_CHILD, str(256 << 20)],
-            input=json.dumps(pairs), capture_output=True, text=True, env=env, timeout=120,
+            input=json.dumps(list(calls)), capture_output=True, text=True, env=env, timeout=120,
         )
         assert child.returncode == 0, child.stderr
-        want = [cut_density(row, cut) + _excess_above(cut - 1, row.dims, slot) for cut, slot in pairs]
-        assert json.loads(child.stdout) == want
+        answers = json.loads(child.stdout)
+        assert [value for value, _ in answers] == list(calls.values())
+        assert {call: seconds for call, (_, seconds) in zip(calls, answers) if seconds > _CAP_SECONDS} == {}
 
 
 class TestExcessReexpression:
@@ -775,10 +812,13 @@ class TestSerialization:
         assert str(error.value) == f"non-integer field in {kind} line {bad!r}"
 
     @pytest.mark.parametrize(
-        "odd", ["\x1c", "\u2028", "\n\x1f\n", "\n\xa0\n"], ids=["FS", "LS", "US-line", "NBSP-line"]
+        "odd",
+        ["\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\n\x1f\n", "\n\xa0\n"],
+        ids=["FS", "GS", "RS", "NEL", "LS", "PS", "US-line", "NBSP-line"],
     )
     def test_a_character_between_lines_is_quoted_alone(self, odd):
-        # splitlines breaks at a file separator, and str.strip drops a line
+        # splitlines breaks at the file, group and record separators, NEL
+        # and the line and paragraph separators, and str.strip drops a line
         # of one unit separator or no-break space, but none of them is a
         # field character: each is refused and quoted on its own.
         with pytest.raises(NetlistFormatError) as error:

@@ -203,3 +203,22 @@ class TestImports:
             "b.py": ast.parse("import a\nprint(a._helper, a._TABLE)\n_spare = 3\n"),
         }
         assert _unread_private_names(trees) == ["a.py: _Kind", "a.py: _hint", "b.py: _spare"]
+
+    def test_only_the_package_lists_its_public_names(self):
+        # cuberow._HOMES is the one list of public names, and nothing
+        # star-imports a submodule, so a submodule's __all__ is a second copy.
+        binders = [path.name for path in _sources() if _binds_all(ast.parse(path.read_text(), str(path)))]
+        assert binders == ["__init__.py"]
+
+    def test_the_all_rule_catches_each_kind_of_binding(self):
+        for source in (
+            "__all__ = []", "__all__ += []", "__all__: list = []", "x, __all__ = 1, []", "for __all__ in []: pass"
+        ):
+            assert _binds_all(ast.parse(source)), source
+        assert not _binds_all(ast.parse("names = __all__\nprint(module.__all__)\n"))
+
+
+def _binds_all(tree: ast.AST) -> bool:
+    """Whether any statement of ``tree`` binds the name ``__all__``."""
+    names = (node for node in ast.walk(tree) if isinstance(node, ast.Name))
+    return any(name.id == "__all__" and isinstance(name.ctx, ast.Store) for name in names)

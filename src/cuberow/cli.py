@@ -290,8 +290,8 @@ def cmd_route(args) -> tuple[_Texts, int]:
         doc = _density_data(row, placement, mode)
         doc["tracks"] = assignment.track_count
         if mode is TerminalMode.DIM_ORDERED:
-            # The routed channel's fine-cut peak, certified equal to the tracks.
-            doc["terminal_max"] = assignment.density
+            # The routed channel's fine-cut peak, which the certificate proved equal to the track count.
+            doc["terminal_max"] = assignment.track_count
         dims, lefts, rights = (map(itemgetter(field), wires) for field in range(3))
         doc["wires"] = _record_texts(("dim", "left_col", "right_col", "track"), zip(dims, lefts, rights, tracks))
         chunks = _json_text(doc)

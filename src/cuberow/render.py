@@ -4,8 +4,8 @@ Both renderers share one geometry: every node occupies one sub-column per
 terminal slot plus a trailing gap sub-column, tracks are stacked above the
 node row (track 0 nearest the nodes), and each wire is a horizontal segment
 on its track with vertical stubs dropping to its two terminals.  That
-geometry, and the rule that a drawn wire lies on a drawn track, are
-applied once, by :func:`_drawn`; the netlist keeps every wire on the row.
+geometry is applied once, by :func:`_drawn`.  The assignment's reader
+keeps every wire on a drawn track, and the netlist keeps it on the row.
 
 SVG coordinates are exact at every cell size: a cell centre on a half
 pixel is printed as an integer whole part and ".5", and whether it has
@@ -47,6 +47,9 @@ class RenderSpec(namedtuple("RenderSpec", "cell_width cell_height show_tracks"))
         # in them and printed as they are: a bool would print as "True".
         if not all(type(size) is int and size > 0 for size in (cell_width, cell_height)):
             raise RenderSizeError(f"cell size must be positive integers, got {cell_width}x{cell_height}")
+        # A bool, since any other value would pass for true or false.
+        if type(show_tracks) is not bool:
+            raise LayoutError(f"show_tracks must be a bool, got {show_tracks!r}")
         return tuple.__new__(cls, (cell_width, cell_height, show_tracks))
 
     _make = _checked_make
@@ -65,17 +68,14 @@ def _drawn(net: Netlist, assignment: TrackAssignment, spec: RenderSpec, tracks: 
     sits in sub-column ``col * (dims + 1) + slot - 1``.  ``tracks`` holds
     each wire's track in the netlist's order, as :func:`_tracks` reads them
     from the assignment; every drawing reads them so, with tracks hidden
-    too, and so refuses what :func:`_tracks` refuses.  With tracks hidden
-    there are no rows and no wires.  The netlist's wires lie on the row
-    (see :class:`Netlist`); a track outside ``0..rows-1`` raises
-    :class:`LayoutError` here, so the generator cannot raise.
+    too, and so refuses what :func:`_tracks` refuses, a track outside
+    ``0..rows-1`` among them.  With tracks hidden there are no rows and no
+    wires.  The netlist's wires lie on the row (see :class:`Netlist`), so
+    the generator cannot raise.
     """
     rows, wires = assignment.track_count, net.wires
     if not spec.show_tracks:
         return 0, ()
-    if tracks and not (0 <= min(tracks) and max(tracks) < rows):
-        track = next(t for t in tracks if not 0 <= t < rows)
-        raise LayoutError(f"track {track} outside 0..{rows - 1}")
     step = net.row.dims + 1
     drawn = (
         (dim, rows - 1 - track, left * step + left_slot - 1, right * step + right_slot - 1)

@@ -94,10 +94,12 @@ class RouteCertificate(
 def _tracks(assignment: TrackAssignment, wires) -> list[int]:
     """Each wire's track, in the order given.  A wire missing from the
     assignment raises :class:`IncompleteAssignmentError`, and a track, a
-    track count or a density that is not a plain int, a bool included,
-    raises :class:`LayoutError`."""
-    if type(assignment.track_count) is not int:
-        raise LayoutError(f"track count {assignment.track_count!r} is not an int")
+    track count or a density that is not a plain int, a bool included, or
+    a track outside ``0..track_count-1``, raises :class:`LayoutError`: the
+    first such wire or track in the order given."""
+    track_count = assignment.track_count
+    if type(track_count) is not int:
+        raise LayoutError(f"track count {track_count!r} is not an int")
     if type(assignment.density) is not int:
         raise LayoutError(f"channel density {assignment.density!r} is not an int")
     try:
@@ -107,6 +109,9 @@ def _tracks(assignment: TrackAssignment, wires) -> list[int]:
     if not {int}.issuperset(map(type, tracks)):
         track = next(t for t in tracks if type(t) is not int)
         raise LayoutError(f"track {track!r} is not an int")
+    if tracks and not (0 <= min(tracks) and max(tracks) < track_count):
+        track = next(t for t in tracks if not 0 <= t < track_count)
+        raise LayoutError(f"track {track} outside 0..{track_count - 1}")
     return tracks
 
 
@@ -184,20 +189,11 @@ def verify_assignment(intervals: list[IntervalWire], assignment: TrackAssignment
     and names the pair: on each track it compares each interval with the
     one before it there, and the first overlapping pair of the lowest track
     that has one is reported.  Tightness: the track count equals the channel density (gap
-    reported otherwise).  A wire missing from the assignment raises
-    :class:`IncompleteAssignmentError` instead of returning a certificate.
+    reported otherwise).  A record that :func:`_tracks` refuses, a wire
+    without a track or a track out of range among them, raises instead of
+    returning a certificate.
     """
-    tracks = _tracks(assignment, map(_wires, intervals))
-    track_count = assignment.track_count
-    if tracks and not (0 <= min(tracks) and max(tracks) < track_count):
-        track, iv = next((t, iv) for t, iv in zip(tracks, intervals) if not 0 <= t < track_count)
-        return RouteCertificate(
-            False,
-            reason="track-range",
-            detail=f"track {track} outside 0..{track_count - 1}",
-            offenders=(iv.wire,),
-        )
-    del tracks  # not held through the sorts, which set the peak
+    _tracks(assignment, map(_wires, intervals))  # dropped before the sorts, which set the peak
 
     # Two stable sorts of the records put them in (lo, hi, input order)
     # with no key tuple per interval.  The records kept are one per track in
@@ -226,7 +222,7 @@ def verify_assignment(intervals: list[IntervalWire], assignment: TrackAssignment
             offenders=(prev.wire, cur.wire),
         )
 
-    density = channel_density(intervals)
+    density, track_count = channel_density(intervals), assignment.track_count
     if track_count != density:
         return RouteCertificate(
             False,

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import cuberow
-from cuberow import density, kernels, netlist, oracle, selfcheck
+from cuberow import density, kernels, netlist, oracle, routing, selfcheck
 from cuberow.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INTERNAL,
@@ -25,7 +25,7 @@ from cuberow.cli import (
 )
 from cuberow.density import HypercubeRow
 from cuberow.errors import RowSizeError
-from cuberow.netlist import load_netlist
+from cuberow.netlist import dump_netlist, load_netlist
 from cuberow.oracle import crossing_profile
 from cuberow.routing import IntervalWire, TrackAssignment, load_assignment
 
@@ -605,6 +605,114 @@ TERMINAL_PEAK_FAULT = (
 )
 
 
+def _move_gap_crossing(pinned):
+    """A fault that moves one crossing from cut 2 to cut 1 of the gap
+    profile of each dim-ordered table, or each free one, from n=16 on.  A
+    free table crosses no slot cut, so its count at fine cut 1 is 0.  The
+    sum and the peak cuts stay as they are."""
+
+    def fault(real):
+        def patched(table):
+            gaps = real(table)
+            if table.n >= 16 and (table.counts[1] != 0) == pinned:
+                gaps[1:3] = gaps[1] + 1, gaps[2] - 1
+            return gaps
+
+        return patched
+
+    return fault
+
+
+def _raise_peak(real):
+    def patched(row):
+        peak, attained = real(row)
+        return peak + (row.n >= 16), attained
+
+    return patched
+
+
+def _add_track(real):
+    # The n=16 row is the first with 32 wires.
+    def patched(intervals):
+        assignment = real(intervals)
+        return assignment._replace(track_count=assignment.track_count + (len(intervals) >= 32))
+
+    return patched
+
+
+# A fault for each failure branch that the faults above leave unreached,
+# first wrong on the n=16 row, with the report of every check that fails
+# under it: its assertion count and its detail.
+BRANCH_FAULTS = [
+    (
+        "closed-forms-oracle",
+        (oracle.CrossingTable, "gap_profile"),
+        _move_gap_crossing(pinned=False),
+        {"closed-forms": (50, "n=16 cut=1: formula 4 vs oracle 5")},
+    ),
+    (
+        "symmetry-and-bounds-bound",
+        (density, "leftmost_max_cut"),
+        _bump_where(lambda row: row.n >= 16),
+        {"symmetry-and-bounds": (57, "n=16 cut=3: 8 exceeds bound 7"), "maximizers": (9, "n=16: leftmost mismatch")},
+    ),
+    (
+        "symmetry-and-bounds-peak",
+        (density, "leftmost_max_cut"),
+        lambda real: lambda row: real(row) - (row.n >= 16),
+        {"symmetry-and-bounds": (143, "n=16: S(p) != m"), "maximizers": (9, "n=16: leftmost mismatch")},
+    ),
+    (
+        "terminal-density-peak",
+        (netlist, "max_terminal_cut_density"),
+        _raise_peak,
+        {"terminal-density": (104, "n=16: peak 12, expected 11, oracle 11")},
+    ),
+    (
+        "router-certificate",
+        (routing, "left_edge_route"),
+        _add_track,
+        {"router": (36, "n=16 normal/dim-ordered: track-count 12 tracks used, channel density is 11")},
+    ),
+    (
+        # The certificate holds the router to the channel, not to the peak.
+        "router-expected-tracks",
+        (density, "max_cut_density"),
+        _bump_where(lambda row: row.n >= 16),
+        {
+            "symmetry-and-bounds": (143, "n=16: S(p) != m"),
+            "terminal-density": (104, "n=16: peak 11, expected 12, oracle 11"),
+            "router": (36, "n=16 normal/dim-ordered: 11 tracks, expected 12"),
+        },
+    ),
+    (
+        "gray-equalities-gap",
+        (oracle.CrossingTable, "gap_profile"),
+        _move_gap_crossing(pinned=True),
+        {"gray-equalities": (58, "n=16 cut=1: gray oracle 5 vs formula 4")},
+    ),
+    (
+        # Profile-sum reads the free nets' totals alone.
+        "gray-equalities-total",
+        (netlist, "total_wirelength"),
+        _bump_where(lambda net: net.row.n >= 16 and net.mode is netlist.TerminalMode.DIM_ORDERED and net.placement is netlist.Placement.GRAY),
+        {"gray-equalities": (138, "n=16: total wirelength differs")},
+    ),
+    (
+        # Cut 0 lies outside every interior sweep, but not outside the sum
+        # or the sweeps of every cut.
+        "profile-sum-formula",
+        (density, "cut_density_profile"),
+        lambda real: lambda row: [v + (row.n >= 16 and cut == 0) for cut, v in enumerate(real(row))],
+        {
+            "closed-forms": (48, "n=16 cut=0: formula 1 vs oracle 0"),
+            "profile-sum": (19, "n=16: formula sum 121"),
+            "gray-equalities": (57, "n=16 cut=0: gray oracle 0 vs formula 1"),
+        },
+    ),
+]
+
+
 class TestEveryCheckCanFail:
     @pytest.fixture(autouse=True)
     def fresh_row_tables(self):
@@ -635,6 +743,13 @@ class TestEveryCheckCanFail:
         assert f"{name:<22} FAIL  ({assertions} assertions)  {detail}" in lines
         assert {line.split()[0] for line in lines[:-1] if " FAIL " in line} == failing
         assert lines[-1].startswith(f"{len(failing)} check(s) failed")
+
+    @pytest.mark.parametrize("target, fault, failed", [pytest.param(*case[1:], id=case[0]) for case in BRANCH_FAULTS])
+    def test_every_failure_branch_can_fire(self, monkeypatch, target, fault, failed):
+        module, attr = target
+        monkeypatch.setattr(module, attr, fault(getattr(module, attr)))
+        outcomes = selfcheck.run_all(64)
+        assert {outcome.name: (outcome.assertions, outcome.detail) for outcome in outcomes if not outcome.passed} == failed
 
     def test_a_failed_check_leaves_the_sweep(self, monkeypatch):
         name, (module, attr), fault, *_ = CHECK_FAULTS[0]
@@ -1058,6 +1173,30 @@ class TestProcessLevel:
     def test_usage_error_exit_code(self):
         result = run_module("density", "--n", "8", "--format", "bogus", capture_output=True)
         assert result.returncode == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv, emits",
+        [
+            (("route", "--n", "4096", "--format", "csv"), True),
+            (("density", "--n", str(2**20), "--format", "json"), False),
+        ],
+        ids=["route", "density"],
+    )
+    def test_a_reader_that_stops_early_ends_the_command_quietly(self, tmp_path, argv, emits):
+        # Each text is far larger than a pipe holds, so the reader closes
+        # stdout while the command still writes to it.  The emitted file is
+        # written before stdout, so it is whole.
+        emitted = tmp_path / "row.netlist"
+        argv += ("--emit-netlist", str(emitted)) if emits else ()
+        child = subprocess.Popen(
+            [sys.executable, "-m", "cuberow", *argv], env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        assert len(child.stdout.read(1)) == 1
+        child.stdout.close()
+        assert (child.wait(timeout=60), child.stderr.read()) == (EXIT_OK, b"")
+        child.stderr.close()
+        if emits:
+            assert emitted.read_text() == dump_netlist(netlist.build_netlist(HypercubeRow(4096)))
 
     @pytest.mark.skipif(not hasattr(os, "posix_spawn"), reason="needs os.posix_spawn and os.wait4")
     def test_the_largest_density_document_is_written_in_blocks(self):

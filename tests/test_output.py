@@ -406,17 +406,6 @@ def test_every_route_output_is_streamed_in_blocks(tmp_path, placement, mode, fmt
         assert json.loads(joined[None])["wires"] == [dict(zip(names, row)) for row in load_assignment(table)]
 
 
-@pytest.mark.parametrize("track", [-1, 2, 3])
-def test_text_refuses_a_track_outside_its_rows(track):
-    # Two tracks draw two rows; a row index below 0 would wrap to another
-    # row, and the svg would draw the wire above or below the picture.
-    wires = (Wire(1, 0, 1, 1, 1),)
-    net = Netlist(HypercubeRow(2), Placement.NORMAL, TerminalMode.FREE, wires)
-    for render in (render_text, render_svg):
-        with pytest.raises(LayoutError, match=f"^track {track} outside 0..1$"):
-            render(net, TrackAssignment({wires[0]: track}, 2, 1))
-
-
 _CAPPED_RENDER = """
 import resource, sys
 limit, track_count = map(int, sys.argv[1:])
@@ -514,6 +503,20 @@ def test_every_reader_of_an_assignment_refuses_a_density_that_is_not_an_int(read
     net = Netlist(HypercubeRow(2), Placement.NORMAL, TerminalMode.FREE, wires)
     with pytest.raises(LayoutError, match=f"^channel density {re.escape(repr(density))} is not an int$"):
         reader(net, TrackAssignment({wires[0]: 0}, 1, density))
+
+
+@pytest.mark.parametrize("track", [-1, 2, 3], ids=["below", "at-count", "past-count"])
+@READERS
+def test_every_reader_of_an_assignment_refuses_a_track_out_of_range(reader, track):
+    # Two tracks draw two rows; a row index below 0 would wrap to another
+    # row, and the svg would draw the wire above or below the picture.
+    # Unchecked, dump_assignment wrote a track of -1 that load_assignment
+    # refused, the drawings with tracks hidden took it, and the certificate
+    # gave a verdict on it.
+    wires = (Wire(1, 0, 1, 1, 1),)
+    net = Netlist(HypercubeRow(2), Placement.NORMAL, TerminalMode.FREE, wires)
+    with pytest.raises(LayoutError, match=f"^track {track} outside 0..1$"):
+        reader(net, TrackAssignment({wires[0]: track}, 2, 1))
 
 
 def _svg_sizes():

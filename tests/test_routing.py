@@ -339,9 +339,10 @@ class TestVerifyAssignment:
         bad = dict(good.by_wire)
         bad[ivs[3].wire] = -1
         bad[ivs[5].wire] = good.track_count
-        cert = verify_assignment(ivs, TrackAssignment(bad, good.track_count, good.density))
-        assert (cert.reason, cert.offenders) == ("track-range", (ivs[3].wire,))
-        assert cert.detail == f"track -1 outside 0..{good.track_count - 1}"
+        # A malformed record is refused, as a missing or non-int track is,
+        # not judged: the first bad track in input order is named.
+        with pytest.raises(LayoutError, match=f"^track -1 outside 0..{good.track_count - 1}$"):
+            verify_assignment(ivs, TrackAssignment(bad, good.track_count, good.density))
 
     def test_missing_wire_raises(self):
         ivs = _intervals(4)
@@ -370,9 +371,9 @@ class TestVerifyAssignment:
 
 def _reference_verify(intervals, assignment):
     """The certificate as first written: the first wire in input order with
-    no track or a track that is not an int raised, the range check, then
-    every interval sorted as (track, lo, hi, index) and an overlap looked
-    for between neighbours, then the density."""
+    no track, a track that is not an int or a track out of range raised,
+    then every interval sorted as (track, lo, hi, index) and an overlap
+    looked for between neighbours, then the density."""
     missing = [iv.wire for iv in intervals if iv.wire not in assignment.by_wire]
     if missing:
         raise IncompleteAssignmentError(f"no track assigned to wire {missing[0]}")
@@ -381,9 +382,9 @@ def _reference_verify(intervals, assignment):
     if odd:
         raise LayoutError(f"track {odd[0]!r} is not an int")
     track_count = assignment.track_count
-    for track, iv in zip(tracks, intervals):
+    for track in tracks:
         if not 0 <= track < track_count:
-            return RouteCertificate(False, "track-range", f"track {track} outside 0..{track_count - 1}", (iv.wire,))
+            raise LayoutError(f"track {track} outside 0..{track_count - 1}")
     members = sorted(zip(tracks, (iv.lo for iv in intervals), (iv.hi for iv in intervals), count()))
     for (track, _, hi, prev), (next_track, lo, _, cur) in zip(members, members[1:]):
         if track == next_track and hi >= lo:
@@ -471,8 +472,10 @@ class TestCertificateAgainstReference:
     @given(_assignments())
     @settings(max_examples=300, deadline=None)
     def test_same_certificate_as_reference(self, case):
+        # Tracks of -1 and of the track count are drawn, so the verdict may
+        # be the error raised.
         intervals, assignment = case
-        assert verify_assignment(intervals, assignment) == _reference_verify(intervals, assignment)
+        assert _verdict(verify_assignment, intervals, assignment) == _verdict(_reference_verify, intervals, assignment)
 
     @given(_two_faults())
     @settings(max_examples=300, deadline=None)
@@ -604,6 +607,21 @@ class TestAssignmentText:
             wire = by_key[(dim, left)]
             assert wire.right_col == right
             assert assignment.by_wire[wire] == track
+
+    @given(_assignments())
+    @settings(max_examples=200, deadline=None)
+    def test_what_dump_writes_load_reads_back(self, case):
+        # Unchecked, a track of -1 was written as it stood, and the reader
+        # refused the text.  A record out of range is refused before any
+        # text is made.
+        intervals, assignment = case
+        try:
+            text = dump_assignment(intervals, assignment)
+        except LayoutError as exc:
+            assert re.fullmatch(r"track -?\d+ outside 0\.\.-?\d+", str(exc))
+            return
+        wires = sorted(iv.wire for iv in intervals)
+        assert load_assignment(text) == [(w.dim, w.left_col, w.right_col, assignment.by_wire[w]) for w in wires]
 
     def test_rejects_bad_line(self):
         with pytest.raises(LayoutError):

@@ -11,7 +11,7 @@ import pytest
 
 import cuberow
 from cuberow.density import HypercubeRow
-from cuberow.errors import RenderSizeError, RowSizeError, UnknownChoiceError
+from cuberow.errors import LayoutError, RenderSizeError, RowSizeError, UnknownChoiceError
 from cuberow.netlist import Netlist, Placement, TerminalMode, build_netlist
 from cuberow.oracle import CrossingTable, crossing_profile
 from cuberow.render import RenderSpec
@@ -108,10 +108,12 @@ class TestRecords:
             (lambda: RenderSpec(True, 5), RenderSizeError),
             (lambda: RenderSpec(cell_height=0), RenderSizeError),
             (lambda: RenderSpec()._replace(cell_width=0), RenderSizeError),
+            (lambda: RenderSpec(12, 12, "no"), LayoutError),
+            (lambda: RenderSpec()._replace(show_tracks=0), LayoutError),
             (lambda: Netlist(HypercubeRow(2), "grey", "free", ()), UnknownChoiceError),
             (lambda: build_netlist(HypercubeRow(2))._replace(mode="ordered"), UnknownChoiceError),
         ],
-        ids=["row-7", "row-bool", "row-replace", "spec-bool", "spec-zero", "spec-replace", "netlist", "netlist-replace"],
+        ids=["row-7", "row-bool", "row-replace", "spec-bool", "spec-zero", "spec-replace", "spec-show", "spec-show-replace", "netlist", "netlist-replace"],
     )
     def test_a_checked_record_is_checked_on_every_path(self, make, error):
         with pytest.raises(error):

@@ -20,7 +20,7 @@ from collections.abc import Iterator
 from cuberow.density import _checked_make
 from cuberow.errors import LayoutError, RenderSizeError
 from cuberow.netlist import Netlist, Placement, gray_code
-from cuberow.routing import TrackAssignment, _tracks
+from cuberow.routing import TrackAssignment, _tracks, channel_density, wire_intervals
 
 MAX_TEXT_COLUMNS = 512
 
@@ -120,7 +120,8 @@ def render_text(net: Netlist, assignment: TrackAssignment, spec: RenderSpec = Re
     lines.append(ticks.rstrip())
     lines.append(labels.rstrip())
     lines.append("")
-    lines.append(f"tracks: {assignment.track_count}  channel density: {assignment.density}")
+    # The channel's own density, not the record's unchecked field.
+    lines.append(f"tracks: {assignment.track_count}  channel density: {channel_density(wire_intervals(net))}")
     return "\n".join(lines) + "\n"
 
 

@@ -9,13 +9,12 @@ assignment.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import partial
 from heapq import heappop, heappush
-from itertools import count, repeat
-from operator import add, itemgetter, mul, sub
+from itertools import count, islice, repeat
+from operator import add, itemgetter, le, mul, sub
 
 from cuberow.density import _checked_make
 from cuberow.errors import IncompleteAssignmentError, LayoutError
@@ -34,9 +33,6 @@ from cuberow.netlist import (
 _wires = itemgetter(0)
 _lows = itemgetter(1)
 _highs = itemgetter(2)
-# Left-edge sweep order: left end, then right end, then the wire's
-# canonical (dim, left_col) order.
-_sweep_key = itemgetter(1, 2, 0)
 
 
 _IntervalFields = namedtuple("_IntervalFields", "wire lo hi")
@@ -94,12 +90,14 @@ class RouteCertificate(
 def _tracks(assignment: TrackAssignment, wires) -> list[int]:
     """Each wire's track, in the order given.  A wire missing from the
     assignment raises :class:`IncompleteAssignmentError`, and a track, a
-    track count or a density that is not a plain int, a bool included, or
-    a track outside ``0..track_count-1``, raises :class:`LayoutError`: the
-    first such wire or track in the order given."""
+    track count or a density that is not a plain int, a bool included, a
+    negative track count, or a track outside ``0..track_count-1``, raises
+    :class:`LayoutError`: the first such wire or track in the order given."""
     track_count = assignment.track_count
     if type(track_count) is not int:
         raise LayoutError(f"track count {track_count!r} is not an int")
+    if track_count < 0:
+        raise LayoutError(f"track count {track_count} is negative")
     if type(assignment.density) is not int:
         raise LayoutError(f"channel density {assignment.density!r} is not an int")
     try:
@@ -147,7 +145,13 @@ def channel_density(intervals: list[IntervalWire]) -> int:
     # 1) it is k minus the intervals that have already ended before it.
     lows = sorted(map(_lows, intervals))
     highs = sorted(map(_highs, intervals))
-    return max(map(sub, count(1), map(bisect_left, repeat(highs), lows)), default=0)
+    best = done = 0
+    for k, lo in enumerate(lows, 1):
+        while highs[done] < lo:  # an IntervalWire has lo <= hi: done stays below k, inside highs
+            done += 1
+        if k - done > best:
+            best = k - done
+    return best
 
 
 def left_edge_route(intervals: list[IntervalWire]) -> TrackAssignment:
@@ -159,26 +163,24 @@ def left_edge_route(intervals: list[IntervalWire]) -> TrackAssignment:
     interval starts.  With contiguous crossing ranges and no vertical
     constraints this uses exactly ``channel_density`` tracks.
     """
-    swept = sorted(intervals, key=_sweep_key)
-    highs = list(map(_highs, swept))
-    # Sweep positions by right end: ``ends[done]`` is the next to finish.
-    # An interval ending before ``lo`` started before it, so it has a track.
-    ends = sorted(range(len(swept)), key=highs.__getitem__)
-    tracks: list[int] = []
-    free_tracks: list[int] = []
-    done = next_track = 0
-    for lo in map(_lows, swept):
+    # Input positions stand for canonical wire order once the input is sorted, as a netlist's is.
+    if not all(map(le, intervals, islice(intervals, 1, None))):
+        intervals = sorted(intervals)
+    lows = list(map(_lows, intervals))
+    highs = list(map(_highs, intervals))
+    # Positions by right end (``ends[done]`` is the next to finish), then stably by left end: the
+    # sweep order (lo, hi, position).  An interval ending before ``lo`` started before it, and
+    # ``opened`` numbers the new tracks, so its next value is their count.
+    ends = sorted(range(len(lows)), key=highs.__getitem__)
+    swept = sorted(ends, key=lows.__getitem__)
+    tracks, free_tracks, opened, done = [0] * len(lows), [], count(), 0
+    for lo, i in zip(map(lows.__getitem__, swept), swept):
         while highs[ends[done]] < lo:
             heappush(free_tracks, tracks[ends[done]])
             done += 1
-        if free_tracks:
-            tracks.append(heappop(free_tracks))
-        else:
-            tracks.append(next_track)
-            next_track += 1
-    del highs, ends  # freed before the dict is made, which they would outlast
-    by_wire = dict(zip(map(_wires, swept), tracks))
-    return TrackAssignment(by_wire, next_track, channel_density(intervals))
+        tracks[i] = heappop(free_tracks) if free_tracks else next(opened)
+    del lows, highs, ends, swept  # freed before the dict is made, which they would outlast
+    return TrackAssignment(dict(zip(map(_wires, intervals), tracks)), next(opened), channel_density(intervals))
 
 
 def verify_assignment(intervals: list[IntervalWire], assignment: TrackAssignment) -> RouteCertificate:

@@ -448,6 +448,16 @@ def test_text_draws_up_to_the_track_row_cap():
     assert hidden.endswith(f"tracks: 1000000000  channel density: {routed.density}\n")
 
 
+@pytest.mark.parametrize("spec", [RenderSpec(), RenderSpec(show_tracks=False)], ids=["shown", "hidden"])
+def test_text_prints_the_channels_density_not_the_records(spec):
+    # Unchecked, the summary line printed "channel density: 999".
+    net = build_netlist(HypercubeRow(8))
+    routed = left_edge_route(wire_intervals(net))
+    drawing = render_text(net, routed._replace(density=999), spec)
+    assert drawing == render_text(net, routed, spec)
+    assert drawing.endswith("tracks: 5  channel density: 5\n")
+
+
 # Every reader of a track assignment, each given a netlist and the assignment.
 READERS = pytest.mark.parametrize(
     "reader",
@@ -517,6 +527,16 @@ def test_every_reader_of_an_assignment_refuses_a_track_out_of_range(reader, trac
     net = Netlist(HypercubeRow(2), Placement.NORMAL, TerminalMode.FREE, wires)
     with pytest.raises(LayoutError, match=f"^track {track} outside 0..1$"):
         reader(net, TrackAssignment({wires[0]: track}, 2, 1))
+
+
+@pytest.mark.parametrize("wires", [(), (Wire(1, 0, 1, 1, 1),)], ids=["no-wires", "one-wire"])
+@READERS
+def test_every_reader_of_an_assignment_refuses_a_negative_track_count(reader, wires):
+    # Unchecked, render_text printed "tracks: -3", render_svg drew a picture
+    # titled "-3 tracks", and the certificate gave a verdict on it.
+    net = Netlist(HypercubeRow(2), Placement.NORMAL, TerminalMode.FREE, wires)
+    with pytest.raises(LayoutError, match="^track count -3 is negative$"):
+        reader(net, TrackAssignment(dict.fromkeys(wires, 0), -3, len(wires)))
 
 
 def _svg_sizes():

@@ -268,8 +268,8 @@ def cmd_route(args) -> tuple[_Texts, int]:
     spec = render.RenderSpec(args.cell_width, args.cell_height, show_tracks=not args.hide_tracks)
     net, intervals, assignment = _route(row, placement, mode)
     # Every check that can raise runs before this returns: each output below
-    # is made as the writer drains it.  The router's wires are in canonical
-    # order, so they are the rows of the track table as they stand.
+    # is made as the writer drains it.  The track table's rows are the
+    # netlist's wires in build_netlist's order, which is canonical order.
     wires = net.wires
     tracks = routing._tracks(assignment, wires)
     texts = []

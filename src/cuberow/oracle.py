@@ -11,11 +11,11 @@ The oracle is deliberately unclever.  Keep it that way.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from itertools import accumulate
 
 from cuberow import kernels
-from cuberow.errors import InvalidCutError, InvalidDimensionError, TooManyWiresError
+from cuberow.errors import InvalidCutError, InvalidDimensionError, LayoutError, TooManyWiresError
 from cuberow.netlist import Netlist, TerminalMode, fine_cut_count
 
 # Largest instance the exhaustive track search takes; its cost grows
@@ -124,7 +124,11 @@ def coverage_bound(intervals) -> int:
 
     Any assignment needs at least this many tracks.  For a netlist's own
     intervals it equals the :meth:`CrossingTable.fine_max` of its table.
+    Intervals that are not a sequence, which the sweep reads twice, raise
+    :class:`LayoutError`.
     """
+    if not isinstance(intervals, Sequence):
+        raise LayoutError(f"intervals must be a sequence such as a list, not {type(intervals).__name__}")
     events = sorted(
         [(iv.lo, 1) for iv in intervals] + [(iv.hi + 1, -1) for iv in intervals]
     )

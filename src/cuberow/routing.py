@@ -10,11 +10,11 @@ assignment.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from functools import partial
 from heapq import heappop, heappush
-from itertools import count, islice, repeat
-from operator import add, itemgetter, le, mul, sub
+from itertools import count, repeat
+from operator import add, itemgetter, mul, sub
 
 from cuberow.density import _checked_make
 from cuberow.errors import IncompleteAssignmentError, LayoutError
@@ -87,6 +87,12 @@ class RouteCertificate(
     __slots__ = ()
 
 
+def _sequence(intervals) -> None:
+    """Refuse intervals that are not a sequence, which a reader that takes them twice would find used up."""
+    if not isinstance(intervals, Sequence):
+        raise LayoutError(f"intervals must be a sequence such as a list, not {type(intervals).__name__}")
+
+
 def _tracks(assignment: TrackAssignment, wires) -> list[int]:
     """Each wire's track, in the order given.  A wire missing from the
     assignment raises :class:`IncompleteAssignmentError`, and a track, a
@@ -139,8 +145,9 @@ def wire_intervals(net: Netlist) -> list[IntervalWire]:
     return list(map(_new_interval, zip(wires, lows, highs)))
 
 
-def channel_density(intervals: list[IntervalWire]) -> int:
+def channel_density(intervals: Sequence[IntervalWire]) -> int:
     """Maximum number of intervals covering any single fine cut; 0 if empty."""
+    _sequence(intervals)
     # Coverage peaks at some left end.  At the k-th smallest left end (k from
     # 1) it is k minus the intervals that have already ended before it.
     lows = sorted(map(_lows, intervals))
@@ -154,24 +161,23 @@ def channel_density(intervals: list[IntervalWire]) -> int:
     return best
 
 
-def left_edge_route(intervals: list[IntervalWire]) -> TrackAssignment:
+def left_edge_route(intervals: Sequence[IntervalWire]) -> TrackAssignment:
     """Greedy left-edge track assignment.
 
-    Sweeps the intervals by left end (ties broken by right end, then by
-    dimension and left column, for fully deterministic output) and drops
-    each onto the lowest-indexed track that has gone quiet before the
-    interval starts.  With contiguous crossing ranges and no vertical
-    constraints this uses exactly ``channel_density`` tracks.
+    Sweeps the intervals by left end, ties broken by right end and then by
+    dimension and left column, in any input order alike, and drops each
+    onto the lowest-indexed track that has gone quiet before the interval
+    starts.  With contiguous crossing ranges and no vertical constraints
+    this uses exactly ``channel_density`` tracks.
     """
-    # Input positions stand for canonical wire order once the input is sorted, as a netlist's is.
-    if not all(map(le, intervals, islice(intervals, 1, None))):
-        intervals = sorted(intervals)
+    _sequence(intervals)
     lows = list(map(_lows, intervals))
     highs = list(map(_highs, intervals))
-    # Positions by right end (``ends[done]`` is the next to finish), then stably by left end: the
-    # sweep order (lo, hi, position).  An interval ending before ``lo`` started before it, and
-    # ``opened`` numbers the new tracks, so its next value is their count.
-    ends = sorted(range(len(lows)), key=highs.__getitem__)
+    # Positions in canonical order, whatever the input's, then stably by right end (``ends[done]``
+    # is the next to finish), then by left end: the sweep order (lo, hi, canonical).  An interval
+    # ending before ``lo`` started before it; ``opened``'s next value is the count of new tracks.
+    ends = sorted(range(len(lows)), key=intervals.__getitem__)
+    ends.sort(key=highs.__getitem__)
     swept = sorted(ends, key=lows.__getitem__)
     tracks, free_tracks, opened, done = [0] * len(lows), [], count(), 0
     for lo, i in zip(map(lows.__getitem__, swept), swept):
@@ -183,7 +189,7 @@ def left_edge_route(intervals: list[IntervalWire]) -> TrackAssignment:
     return TrackAssignment(dict(zip(map(_wires, intervals), tracks)), next(opened), channel_density(intervals))
 
 
-def verify_assignment(intervals: list[IntervalWire], assignment: TrackAssignment) -> RouteCertificate:
+def verify_assignment(intervals: Sequence[IntervalWire], assignment: TrackAssignment) -> RouteCertificate:
     """Check an assignment against the channel's two obligations.
 
     Soundness: no two overlapping intervals share a track.  One sweep of
@@ -195,6 +201,7 @@ def verify_assignment(intervals: list[IntervalWire], assignment: TrackAssignment
     without a track or a track out of range among them, raises instead of
     returning a certificate.
     """
+    _sequence(intervals)
     _tracks(assignment, map(_wires, intervals))  # dropped before the sorts, which set the peak
 
     # Two stable sorts of the records put them in (lo, hi, input order)

@@ -7,7 +7,7 @@ from functools import partial
 import pytest
 
 from cuberow.density import HypercubeRow
-from cuberow.errors import InvalidCutError, InvalidDimensionError, TooManyWiresError
+from cuberow.errors import InvalidCutError, InvalidDimensionError, LayoutError, TooManyWiresError
 from cuberow.netlist import Placement, TerminalMode, build_netlist, fine_cut_count, total_wirelength
 from cuberow.oracle import (
     brute_link_count,
@@ -211,3 +211,11 @@ class TestCoverageBound:
 
     def test_empty(self):
         assert coverage_bound([]) == 0
+
+    def test_refuses_intervals_that_are_not_a_sequence(self):
+        # The sweep reads its intervals twice: an iterator gave 12 here,
+        # where the bound is 5.
+        ivs = wire_intervals(build_netlist(HypercubeRow(8), Placement.GRAY))
+        assert coverage_bound(tuple(ivs)) == coverage_bound(ivs) == 5
+        with pytest.raises(LayoutError, match="intervals must be a sequence such as a list, not list_iterator"):
+            coverage_bound(iter(ivs))

@@ -167,6 +167,14 @@ class TestChannelDensity:
                 ivs = _intervals(n, mode=mode)
                 assert channel_density(ivs) == coverage_bound(ivs)
 
+    @pytest.mark.parametrize("mode", list(TerminalMode))
+    def test_refuses_intervals_that_are_not_a_sequence(self, mode):
+        # An iterator would be used up by the first of the two sorts.
+        ivs = _intervals(8, Placement.GRAY, mode)
+        assert channel_density(tuple(ivs)) == channel_density(ivs)
+        with pytest.raises(LayoutError, match="intervals must be a sequence such as a list, not list_iterator"):
+            channel_density(iter(ivs))
+
 
 class TestLeftEdgeRoute:
     def test_single_wire(self):
@@ -210,6 +218,16 @@ class TestLeftEdgeRoute:
     def test_repeated_runs_identical(self):
         ivs = _intervals(32)
         assert left_edge_route(ivs) == left_edge_route(ivs)
+
+    @pytest.mark.parametrize("mode", list(TerminalMode))
+    def test_refuses_intervals_that_are_not_a_sequence(self, mode):
+        # The router reads its intervals more than once: a reversed iterator
+        # routed 9 of 12 wires, and a map none, with no error.
+        ivs = _intervals(8, Placement.GRAY, mode)
+        assert left_edge_route(tuple(ivs[::-1])) == left_edge_route(ivs)
+        for one_shot in (reversed(ivs), map(IntervalWire._make, ivs), iter(ivs)):
+            with pytest.raises(LayoutError, match=f"not {type(one_shot).__name__}$"):
+                left_edge_route(one_shot)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -291,8 +309,8 @@ class TestSweepAgainstReference:
         assert by_wire == _reference_route(intervals)
 
     def test_tied_spans_route_alike_in_any_input_order(self):
-        # Wires out of canonical order take the sorted fallback, where
-        # input positions would otherwise break the (lo, hi) ties.
+        # The router ranks the input's positions in canonical wire order
+        # before its sweep, so that order, not the input's, breaks (lo, hi) ties.
         wires = [Wire(1, 0, 1, 1, 1), Wire(1, 2, 3, 1, 1), Wire(2, 0, 2, 2, 2), Wire(2, 1, 3, 2, 2), Wire(3, 0, 4, 3, 3)]
         spans = [(0, 4), (2, 6), (0, 4), (2, 6), (5, 9)]
         intervals = [IntervalWire(w, lo, hi) for w, (lo, hi) in zip(wires, spans)]
@@ -319,6 +337,16 @@ class TestVerifyAssignment:
         ivs = _intervals(8)
         cert = verify_assignment(ivs, left_edge_route(ivs))
         assert cert.ok and cert.reason == "ok"
+
+    @pytest.mark.parametrize("mode", list(TerminalMode))
+    def test_refuses_intervals_that_are_not_a_sequence(self, mode):
+        # An iterator used up by the track lookup left an empty channel: a
+        # false track-count verdict, "channel density is 0".
+        ivs = _intervals(8, Placement.GRAY, mode)
+        assignment = left_edge_route(ivs)
+        assert verify_assignment(tuple(ivs), assignment).ok
+        with pytest.raises(LayoutError, match="intervals must be a sequence such as a list, not list_iterator"):
+            verify_assignment(iter(ivs), assignment)
 
     def test_detects_forced_overlap(self):
         ivs = _intervals(4)
@@ -598,9 +626,12 @@ class TestReadPathMemory:
     @pytest.mark.parametrize("placement", list(Placement))
     def test_router_peak_per_interval(self, placement, mode):
         # Sorting the records by a (lo, hi, wire) key tuple each peaked at
-        # 94.0-94.2 B per interval at this size in all four pairs; sorting
-        # input positions by their ends, at 74.3-74.5 B.  Bound: 84 B per
-        # interval, the assignment made included.
+        # 94.0-94.2 B per interval at this size in all four pairs.  Sorting
+        # input positions by their records, then stably by right end, then
+        # by left end, peaks at 74.3-74.6 B, as did the ends' two sorts when
+        # canonical input skipped the first; nesting the first two sorts as
+        # sorted(sorted(...)), at 78.5-78.7 B.  Bound: 84 B per interval,
+        # the assignment made included.
         intervals = _intervals(1024, placement, mode)
         gc.collect()
         tracemalloc.start()
